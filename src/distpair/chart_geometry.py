@@ -134,11 +134,18 @@ def ensure_geometry(obj) -> Geometry:
     return Geometry(obj)
 
 
+def point_columns(points):
+    """A list of sample points as one column batch: (dim,) arrays of shape (N,)."""
+    return [np.array([p[i] for p in points]) for i in range(len(points[0]))]
+
+
 def _metric_jet(chart: Chart, x, second_order: bool) -> MetricJet:
     n = chart.dim
     g = chart.metric(x)
-    if _is_plain_floats(x):
-        _validate_metric(g, n)
+    check_pivot = None
+    if not any(isinstance(c, Dual) for c in x):
+        check_pivot = _validate_metric(g, x)
+    g_inv, det = la.inverse_and_det(g, check_pivot)
     dg = []
     for k in range(n):
         tag = fresh_tag()
@@ -161,18 +168,39 @@ def _metric_jet(chart: Chart, x, second_order: bool) -> MetricJet:
                 ]
                 d2g[k][l] = block
                 d2g[l][k] = block
-    g_inv, det = la.inverse_and_det(g)
     return MetricJet(g=g, dg=dg, d2g=d2g, g_inv=g_inv, sqrt_det=ops.sqrt(det))
 
 
-def _validate_metric(g, n):
-    arr = np.array([[float(g[i][j]) for j in range(n)] for i in range(n)])
-    if not np.allclose(arr, arr.T, atol=1e-12):
-        raise MetricError("metric matrix is not symmetric")
-    try:
-        np.linalg.cholesky(arr)
-    except np.linalg.LinAlgError:
-        raise MetricError("metric matrix is not positive definite") from None
+def _validate_metric(g, x):
+    """Check that g is symmetric at every node of the real point or batch x
+    (the tolerances of ``np.allclose(g, g.T, atol=1e-12)``), and return the
+    pivot check that makes the LU of g a positive-definiteness test
+    (Sylvester: a symmetric matrix is positive definite iff every leading
+    pivot is positive).  Errors name the first bad node."""
+
+    def fail(what, ok):
+        shape = np.broadcast_shapes(*(np.shape(c) for c in x))
+        node = int(np.flatnonzero(~np.broadcast_to(ok, shape))[0])
+        coords = [float(np.ravel(np.broadcast_to(c, shape))[node]) for c in x]
+        raise MetricError(f"metric matrix is not {what} at node {node}, x = {coords}")
+
+    n = len(g)
+    symmetric = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = g[i][j], g[j][i]
+            diff = abs(a - b)
+            symmetric = symmetric & (diff <= 1e-12 + 1e-5 * abs(b))
+            symmetric = symmetric & (diff <= 1e-12 + 1e-5 * abs(a))
+    if not np.all(symmetric):
+        fail("symmetric", symmetric)
+
+    def check_pivot(_k, pivot):
+        ok = pivot > 0.0
+        if not np.all(ok):
+            fail("positive definite", ok)
+
+    return check_pivot
 
 
 def metric_jet(chart, x) -> MetricJet:
@@ -457,20 +485,20 @@ def frame_at(geom, z):
     return la.gram_schmidt_frame(geom.jet1(z).g)
 
 
-def frame_field(geom):
-    geom = ensure_geometry(geom)
-
-    def fld(z):
-        return frame_at(geom, z)
-
-    return fld
-
-
 def frame_column_field(geom, s):
+    """Field z -> frame vector s at z.
+
+    ``s`` may also be an integer array over the node axis of a column batch:
+    node m then carries frame vector s[m], selected as sum_k L[i][k] mask_k
+    with mask_k = (s == k).  This stacks several frame slots into one tower.
+    """
     geom = ensure_geometry(geom)
+    if np.ndim(s) == 0:
+        return lambda z: [row[s] for row in frame_at(geom, z)]
+    masks = [(s == k).astype(float) for k in range(geom.chart.dim)]
 
     def fld(z):
         frame = frame_at(geom, z)
-        return [row[s] for row in frame]
+        return [sum(row[k] * mask for k, mask in enumerate(masks)) for row in frame]
 
     return fld

@@ -35,7 +35,7 @@ from .chart_geometry import (
     nabla_field,
 )
 from .dual import eps_part, fresh_tag, seed_point
-from .endo_fields import adjoint_field, adjoint_matrix, apply_endo, gnorm
+from .endo_fields import adjoint_field, adjoint_matrix, apply_endo, frob, gnorm
 
 
 def as_field(v):
@@ -355,18 +355,10 @@ def div_equivalence_residuals(p_endo, chart, vec_field, x, scalar_field):
     jet = geom.jet1(x)
     q_field = pp_star_field(geom, p_endo)
     div_q = div_endo(geom, q_field, x)
-    div_q_norm = float(
-        np.sqrt(
-            max(
-                float(
-                    sum(
-                        div_q[i] * jet.g_inv[i][j] * div_q[j]
-                        for i in range(n)
-                        for j in range(n)
-                    )
-                ),
-                0.0,
-            )
+    div_q_norm = np.sqrt(
+        np.maximum(
+            sum(div_q[i] * jet.g_inv[i][j] * div_q[j] for i in range(n) for j in range(n)),
+            0.0,
         )
     )
 
@@ -392,7 +384,7 @@ def div_equivalence_residuals(p_endo, chart, vec_field, x, scalar_field):
         "vs_div_qx": r_div,
         "vs_hs_inner": r_hs,
         "leibniz": r_leibniz,
-        "normalized": max(r_div, r_hs, r_leibniz) / (1.0 + scale),
+        "normalized": np.maximum(np.maximum(r_div, r_hs), r_leibniz) / (1.0 + scale),
     }
 
 
@@ -619,15 +611,6 @@ def dist_invariants_batch(geom, pair, cols, rotation=None):
 
 
 @dataclass
-class FrameData:
-    """Orthonormal frame and its projected images at a point."""
-
-    frame: np.ndarray
-    p1_frame: np.ndarray
-    p2_frame: np.ndarray
-
-
-@dataclass
 class DistInvariants:
     h1: np.ndarray
     h2: np.ndarray
@@ -637,14 +620,6 @@ class DistInvariants:
     H2: np.ndarray
     norms: dict
     smix: float
-
-
-def frame_data(pair, chart, x):
-    geom = ensure_geometry(chart)
-    frame = np.array(la.gram_schmidt_frame(geom.jet1(x).g), dtype=float)
-    p1 = np.array(pair.p1(x), dtype=float)
-    p2 = np.array(pair.p2(x), dtype=float)
-    return FrameData(frame=frame, p1_frame=p1 @ frame, p2_frame=p2 @ frame)
 
 
 def dist_invariants(pair, chart, x, rotation=None):
@@ -761,6 +736,11 @@ def walczak_pointwise_residual(pair, chart, x, h_step=1e-4):
 # -- frame-trace identities ----------------------------------------------------
 
 
+def _gather(vec, index):
+    """Components of a stacked vector taken at node ``index[m]`` for node m."""
+    return [np.broadcast_to(c, index.shape)[index] for c in vec]
+
+
 def trace_identity_residuals(pair, chart, x):
     """Frame-trace identities for the four curvature-identity ingredients.
 
@@ -768,69 +748,75 @@ def trace_identity_residuals(pair, chart, x):
     field; the right sides are the independently-derived divergence-style
     expressions.  Also returns the auxiliary index-2 cancellation sum.
     Preconditions: pair allowed and self-adjoint.
+
+    x is a point or a column batch.  The n^2 frame pairs (s, t) are stacked
+    on the node axis beside the points (node (s * n + t) * N + p), so every
+    term below is one tower evaluation for all pairs and points.
     """
     geom = ensure_geometry(chart)
     n = geom.chart.dim
-    g = geom.jet1(x).g
-    p1, p2 = pair.p1, pair.p2
+    cols = _columns(x)
+    n_nodes = cols[0].shape[0]
+    n_pairs = n * n
+    z = [np.tile(c, n_pairs) for c in cols]
+    node = np.arange(n_pairs * n_nodes)
+    s_idx, t_idx = np.divmod(node // n_nodes, n)
+    point = node % n_nodes
+    at_ss = (s_idx * (n + 1)) * n_nodes + point
+    at_tt = (t_idx * (n + 1)) * n_nodes + point
+    at_ts = (t_idx * n + s_idx) * n_nodes + point
 
-    frames = [frame_column_field(geom, s) for s in range(n)]
-    p1_frames = [apply_endo(p1, e) for e in frames]
-    p2_frames = [apply_endo(p2, e) for e in frames]
+    g = geom.jet1(z).g
+    p1, p2 = pair.p1, pair.p2
+    p1_z, p2_z = p1(z), p2(z)
+    e_s = frame_column_field(geom, s_idx)
+    e_t = frame_column_field(geom, t_idx)
+    p1_s, p1_t = apply_endo(p1, e_s), apply_endo(p1, e_t)
+    p2_s, p2_t = apply_endo(p2, e_s), apply_endo(p2, e_t)
 
     def ip(a, b):
         return la.bilinear(g, a, b)
 
-    lhs = {"t1": 0.0, "t2": 0.0, "s1": 0.0, "s2": 0.0}
-    for s in range(n):
-        for t in range(n):
-            parts = tsr_tensors(
-                pair, geom, x, frames[t], frames[s], frames[s], frames[t]
-            )
-            lhs["t1"] += parts["t1"]
-            lhs["t2"] += parts["t2"]
-            lhs["s1"] += parts["s1"]
-            lhs["s2"] += parts["s2"]
+    def pair_sum(value):
+        """Per-point sum over the frame pairs, in pair order."""
+        acc = 0.0
+        for row in np.broadcast_to(value, node.shape).reshape(n_pairs, n_nodes):
+            acc = acc + row
+        return acc
 
-    # cached covariant derivatives of projected frame fields at x
-    na = [[cov_at(geom, x, p1_frames[s](x), p1_frames[t]) for t in range(n)] for s in range(n)]
-    nb = [[cov_at(geom, x, p2_frames[s](x), p2_frames[t]) for t in range(n)] for s in range(n)]
+    parts = tsr_tensors(pair, geom, z, e_t, e_s, e_s, e_t)
+    lhs = {key: pair_sum(parts[key]) for key in ("t1", "t2", "s1", "s2")}
 
-    rhs = {k: 0.0 for k in ("t1", "t2", "s1", "s2")}
-    aux = 0.0
-    for s in range(n):
-        for t in range(n):
-            # index-1 trace: <nabla_{P1 e_s} P1 e_s, P1 nabla_{P2 e_t} P2 e_t>
-            #                - D_{P1 e_s} <P1 nabla_{P2 e_t} P2 e_t, P1 e_s>
-            def scal_1(z, _s=s, _t=t):
-                v = cov_at(geom, z, p2_frames[_t](z), p2_frames[_t])
-                return la.bilinear(
-                    geom.jet1(z).g, la.mat_vec(p1(z), v), p1_frames[_s](z)
-                )
+    # covariant derivatives of projected frame fields: na[s][t] at node (s, t)
+    na = cov_at(geom, z, p1_s(z), p1_t)
+    nb = cov_at(geom, z, p2_s(z), p2_t)
+    na_ss, na_ts = _gather(na, at_ss), _gather(na, at_ts)
+    nb_tt, nb_ts = _gather(nb, at_tt), _gather(nb, at_ts)
 
-            rhs["t1"] += ip(na[s][s], la.mat_vec(p1(x), nb[t][t])) - ops.directional_scalar(
-                scal_1, x, p1_frames[s](x)
-            )
+    # index-1 trace: <nabla_{P1 e_s} P1 e_s, P1 nabla_{P2 e_t} P2 e_t>
+    #                - D_{P1 e_s} <P1 nabla_{P2 e_t} P2 e_t, P1 e_s>
+    def scal_1(w):
+        v = cov_at(geom, w, p2_t(w), p2_t)
+        return la.bilinear(geom.jet1(w).g, la.mat_vec(p1(w), v), p1_s(w))
 
-            # index-2 trace: D_{P2 e_t} <nabla_{P1 e_s} P2 e_t, P1 e_s>
-            #                + <nabla_{P2 e_t} P2 e_t, P2 nabla_{P1 e_s} P1 e_s>
-            def scal_2(z, _s=s, _t=t):
-                v = cov_at(geom, z, p1_frames[_s](z), p2_frames[_t])
-                return la.bilinear(geom.jet1(z).g, v, p1_frames[_s](z))
+    t1 = ip(na_ss, la.mat_vec(p1_z, nb_tt)) - ops.directional_scalar(scal_1, z, p1_s(z))
 
-            rhs["t2"] += ops.directional_scalar(scal_2, x, p2_frames[t](x)) + ip(
-                nb[t][t], la.mat_vec(p2(x), na[s][s])
-            )
+    # index-2 trace: D_{P2 e_t} <nabla_{P1 e_s} P2 e_t, P1 e_s>
+    #                + <nabla_{P2 e_t} P2 e_t, P2 nabla_{P1 e_s} P1 e_s>
+    def scal_2(w):
+        v = cov_at(geom, w, p1_s(w), p2_t)
+        return la.bilinear(geom.jet1(w).g, v, p1_s(w))
 
-            rhs["s2"] += ip(la.mat_vec(p2(x), na[s][t]), na[t][s])
-            rhs["s1"] += ip(la.mat_vec(p1(x), nb[s][t]), nb[t][s])
+    t2 = ops.directional_scalar(scal_2, z, p2_t(z)) + ip(nb_tt, la.mat_vec(p2_z, na_ss))
 
-            # auxiliary cancellation: <P1 nabla_{P2 e_s} P2 e_t, nabla_{P2 e_t} P2 e_s>
-            #                         + <nabla_{P2 nabla_{P2 e_t} P1 e_s} P2 e_t, P1 e_s>
-            w = la.mat_vec(p2(x), cov_at(geom, x, p2_frames[t](x), p1_frames[s]))
-            aux += ip(la.mat_vec(p1(x), nb[s][t]), nb[t][s]) + ip(
-                cov_at(geom, x, w, p2_frames[t]), p1_frames[s](x)
-            )
+    s2 = ip(la.mat_vec(p2_z, na), na_ts)
+    s1 = ip(la.mat_vec(p1_z, nb), nb_ts)
+
+    # auxiliary cancellation: <P1 nabla_{P2 e_s} P2 e_t, nabla_{P2 e_t} P2 e_s>
+    #                         + <nabla_{P2 nabla_{P2 e_t} P1 e_s} P2 e_t, P1 e_s>
+    w = la.mat_vec(p2_z, cov_at(geom, z, p2_t(z), p1_s))
+    aux = pair_sum(s1 + ip(cov_at(geom, z, w, p2_t), p1_s(z)))
+    rhs = {"t1": pair_sum(t1), "t2": pair_sum(t2), "s1": pair_sum(s1), "s2": pair_sum(s2)}
 
     out = {}
     for key in ("t1", "t2", "s1", "s2"):
@@ -839,6 +825,8 @@ def trace_identity_residuals(pair, chart, x):
         out[f"{key}_normalized"] = diff / (1.0 + abs(lhs[key]) + abs(rhs[key]))
     out["aux"] = abs(aux)
     out["aux_normalized"] = abs(aux) / (1.0 + abs(aux))
+    if all(np.ndim(c) == 0 for c in x):
+        return {key: val[0] for key, val in out.items()}
     return out
 
 
@@ -857,30 +845,19 @@ def contact_structure_residuals(phi, xi, chart, x):
     ident = la.eye(n)
     phi_sq = la.mat_mul(phi_m, phi_m)
     phi_star = adjoint_matrix(jet.g, jet.g_inv, phi_m)
-
-    def frob(m):
-        return float(np.sqrt(sum(float(v) ** 2 for row in m for v in row)))
+    eta_phi = [sum(eta[i] * phi_m[i][j] for i in range(n)) for j in range(n)]
 
     return {
         "phi_squared": frob(la.mat_add(phi_sq, la.mat_sub(ident, xi_eta))),
-        "phi_xi": float(
-            np.sqrt(sum(float(v) ** 2 for v in la.mat_vec(phi_m, xi_v)))
-        ),
-        "eta_phi": float(
-            np.sqrt(
-                sum(
-                    float(sum(eta[i] * phi_m[i][j] for i in range(n))) ** 2
-                    for j in range(n)
-                )
-            )
-        ),
+        "phi_xi": frob([la.mat_vec(phi_m, xi_v)]),
+        "eta_phi": frob([eta_phi]),
         "phi_phi_star": frob(
             la.mat_sub(la.mat_mul(phi_m, phi_star), la.mat_sub(ident, xi_eta))
         ),
         "phi_star_phi": frob(
             la.mat_sub(la.mat_mul(phi_star, phi_m), la.mat_sub(ident, xi_eta))
         ),
-        "eta_xi": abs(float(la.bilinear(jet.g, xi_v, xi_v)) - 1.0),
+        "eta_xi": abs(la.bilinear(jet.g, xi_v, xi_v) - 1.0),
     }
 
 

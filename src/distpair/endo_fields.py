@@ -10,13 +10,14 @@ conditions gating the curvature-level identities in dist_tensors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import linalg as la
-from .chart_geometry import cov_at, ensure_geometry
+from .chart_geometry import cov_at, ensure_geometry, point_columns
 
 
 def adjoint_matrix(g, g_inv, p):
@@ -67,8 +68,13 @@ class EndoPair:
         return fld
 
 
-def _frob(m):
-    return float(np.sqrt(sum(float(v) ** 2 for row in m for v in row)))
+def frob(m):
+    """Frobenius norm of a nested-list matrix of floats or node arrays.
+
+    ``float_power`` squares with C ``pow``, as ``float ** 2`` does, so a
+    batch gives bit for bit the norms of its points one at a time.
+    """
+    return np.sqrt(sum(np.float_power(v, 2) for row in m for v in row))
 
 
 def pair_product_norms(pair, chart, x):
@@ -80,11 +86,11 @@ def pair_product_norms(pair, chart, x):
     p1s = adjoint_matrix(jet.g, jet.g_inv, p1)
     p2s = adjoint_matrix(jet.g, jet.g_inv, p2)
     return {
-        "p1_p2_star": _frob(la.mat_mul(p1, p2s)),
-        "p1_star_p2": _frob(la.mat_mul(p1s, p2)),
-        "p2_p1_star": _frob(la.mat_mul(p2, p1s)),
-        "p2_star_p1": _frob(la.mat_mul(p2s, p1)),
-        "scale": _frob(p1) * _frob(p2),
+        "p1_p2_star": frob(la.mat_mul(p1, p2s)),
+        "p1_star_p2": frob(la.mat_mul(p1s, p2)),
+        "p2_p1_star": frob(la.mat_mul(p2, p1s)),
+        "p2_star_p1": frob(la.mat_mul(p2s, p1)),
+        "scale": frob(p1) * frob(p2),
     }
 
 
@@ -95,27 +101,28 @@ def self_adjoint_defects(pair, chart, x):
     for name, pf in (("p1", pair.p1), ("p2", pair.p2)):
         p = pf(x)
         ps = adjoint_matrix(jet.g, jet.g_inv, p)
-        out[name] = _frob(la.mat_sub(p, ps))
+        out[name] = frob(la.mat_sub(p, ps))
     return out
 
 
 def check_pair(pair, chart, points):
     """Adaptedness (+ self-adjointness if advertised) over a sample set.
 
-    Returns max_abs / max_normalized over all points and all product norms.
+    The points are evaluated as one column batch.  Returns max_abs /
+    max_normalized over all points and all product norms (NaN if any is).
     """
-    max_abs = 0.0
-    max_norm = 0.0
-    for x in points:
-        prods = pair_product_norms(pair, chart, x)
-        scale = prods.pop("scale")
-        vals = list(prods.values())
-        if pair.self_adjoint:
-            vals.extend(self_adjoint_defects(pair, chart, x).values())
-        worst = max(vals)
-        max_abs = max(max_abs, worst)
-        max_norm = max(max_norm, worst / (1.0 + scale))
-    return {"max_abs": max_abs, "max_normalized": max_norm, "samples": len(points)}
+    cols = point_columns(points)
+    prods = pair_product_norms(pair, chart, cols)
+    scale = prods.pop("scale")
+    vals = list(prods.values())
+    if pair.self_adjoint:
+        vals.extend(self_adjoint_defects(pair, chart, cols).values())
+    worst = functools.reduce(np.maximum, vals)
+    return {
+        "max_abs": la.max_entry(worst),
+        "max_normalized": la.max_entry(worst / (1.0 + scale)),
+        "samples": len(points),
+    }
 
 
 # -- first-order compatibility forms ---------------------------------------
@@ -136,7 +143,7 @@ def apply_endo(mat_field, vec_field):
 
 
 def gnorm(g, v):
-    return float(np.sqrt(max(float(la.bilinear(g, v, v)), 0.0)))
+    return np.sqrt(np.maximum(la.bilinear(g, v, v), 0.0))
 
 
 def allowed_forms(pair, chart, x, vec_x, vec_y):
@@ -175,7 +182,8 @@ def allowed_forms(pair, chart, x, vec_x, vec_y):
 
 
 def allowed_residual(pair, chart, x, vec_x, vec_y):
-    """(max residual, max normalized residual) over the four forms at x."""
+    """(max residual, max normalized residual) over the four forms at x,
+    per node when x is a column batch."""
     geom = ensure_geometry(chart)
     forms, norms = allowed_forms(pair, geom, x, vec_x, vec_y)
     g = geom.jet1(x).g
@@ -183,8 +191,8 @@ def allowed_residual(pair, chart, x, vec_x, vec_y):
     worst_norm = 0.0
     for key, v in forms.items():
         r = gnorm(g, v)
-        worst = max(worst, r)
-        worst_norm = max(worst_norm, r / (1.0 + norms[key]))
+        worst = np.maximum(worst, r)
+        worst_norm = np.maximum(worst_norm, r / (1.0 + norms[key]))
     return worst, worst_norm
 
 

@@ -9,6 +9,8 @@ LU is numerically safe.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import dual as ops
 
 
@@ -67,14 +69,17 @@ def bilinear(g, x, y):
     return sum(x[i] * sum(g[i][j] * y[j] for j in range(len(y))) for i in range(len(x)))
 
 
-def lu_nopivot(a):
+def lu_nopivot(a, check_pivot=None):
     """Doolittle LU without pivoting.  Caller guarantees nonzero pivots
-    (metric matrices are SPD); entries may be duals or arrays."""
+    (metric matrices are SPD); entries may be duals or arrays.  When given,
+    ``check_pivot(k, pivot)`` sees each pivot before anything divides by it."""
     n = len(a)
     upper = [row[:] for row in a]
     lower = eye(n)
     for k in range(n):
         piv = upper[k][k]
+        if check_pivot is not None:
+            check_pivot(k, piv)
         for i in range(k + 1, n):
             m = upper[i][k] / piv
             lower[i][k] = m
@@ -101,8 +106,8 @@ def lu_solve(lower, upper, b):
     return x
 
 
-def inverse_and_det(a):
-    lower, upper = lu_nopivot(a)
+def inverse_and_det(a, check_pivot=None):
+    lower, upper = lu_nopivot(a, check_pivot)
     n = len(a)
     cols = [lu_solve(lower, upper, [1.0 if i == j else 0.0 for i in range(n)]) for j in range(n)]
     inv = [[cols[j][i] for j in range(n)] for i in range(n)]
@@ -139,3 +144,13 @@ def pairwise_sum(values):
             nxt.append(vals[-1])
         vals = nxt
     return vals[0]
+
+
+def max_entry(*values):
+    """Largest entry over floats and arrays, floored at 0.0.
+
+    Any NaN entry makes the result NaN, so a residual that could not be
+    computed never reads as small (builtin ``max(0.0, nan)`` is 0.0).
+    """
+    top = np.max(np.concatenate([np.ravel(v) for v in values]))
+    return top if not top <= 0.0 else 0.0

@@ -268,6 +268,30 @@ def test_metric_validation_rejects_non_spd():
     )
     with pytest.raises(MetricError):
         Geometry(chart).jet1([0.5, 0.5])
+    # batched real nodes are validated too, not passed to the LU as NaN
+    with pytest.raises(MetricError):
+        Geometry(chart).jet1([np.array([0.5, 0.25]), np.array([0.5, 0.75])])
+
+
+@pytest.mark.parametrize(
+    "metric, what",
+    [
+        (lambda z: [[1.0, 2.0 * z[0]], [2.0 * z[0], 1.0]], "positive definite"),
+        (lambda z: [[1.0, 0.0], [np.floor(2.0 * z[0]), 1.0]], "symmetric"),
+    ],
+)
+def test_metric_validation_names_first_bad_node(metric, what):
+    chart = Chart(
+        name="bad-at-one-node",
+        dim=2,
+        metric=metric,
+        domain=((0.0, 1.0), (0.0, 1.0)),
+        periodic=(False, False),
+    )
+    # node 0 is fine, nodes 1 and 2 are not
+    cols = [np.array([0.25, 0.75, 0.9]), 0.5]
+    with pytest.raises(MetricError, match=f"not {what} at node 1, x = \\[0.75, 0.5\\]"):
+        Geometry(chart).jet1(cols)
 
 
 def test_jet_caches_are_consistent():

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
 
 import pytest
 
+from distpair import cli, dist_tensors
 from distpair.cli import main
+from distpair.scenarios import build_scenario
 
 REQUIRED_KEYS = [
     "scenario",
@@ -189,3 +193,63 @@ def test_seed_changes_sampled_residuals(capsys):
         rep = _parse_lines(capsys.readouterr().out)[0]
         vals.append(rep["max_abs"])
     assert vals[0] != vals[1]
+
+
+def _nan_p1_scenario(monkeypatch):
+    """warped-torus with an all-NaN P1, served to the CLI by name."""
+    sc = build_scenario("warped-torus")
+    nan = float("nan")
+    broken = dataclasses.replace(
+        sc, pair=dataclasses.replace(sc.pair, p1=lambda _z: [[nan, nan], [nan, nan]])
+    )
+    monkeypatch.setattr(cli, "build_scenario", lambda _name: broken)
+
+
+def test_non_finite_residuals_fail_closed(monkeypatch, capsys):
+    _nan_p1_scenario(monkeypatch)
+    argv = ["--scenario", "warped-torus", "--points", "5"]
+    code = main(argv + ["--check", "pair", "--check", "allowed", "--check", "codazzi"])
+    reports = _parse_lines(capsys.readouterr().out)
+    assert code == 1
+    assert [r["check"] for r in reports] == ["pair", "allowed", "codazzi"]
+    for r in reports:
+        assert r["pass"] is False, r
+        assert math.isnan(r["max_abs"]) and math.isnan(r["max_normalized"]), r
+
+
+def test_non_finite_integral_fails_closed(monkeypatch, capsys):
+    _nan_p1_scenario(monkeypatch)
+    code = main(["--scenario", "warped-torus", "--which", "stokes", "--grid", "8"])
+    reports = _parse_lines(capsys.readouterr().out)
+    assert code == 1
+    assert [r["pass"] for r in reports] == [False, False]
+
+
+def test_traces_sample_every_requested_point(capsys):
+    code = main(["--scenario", "warped-torus", "--check", "traces", "--points", "15"])
+    reports = _parse_lines(capsys.readouterr().out)
+    assert code == 0
+    assert reports[0]["samples"] == 15
+
+
+def test_tower_checks_evaluate_one_batch(monkeypatch, capsys):
+    """One tower evaluation per check, whatever the number of points: a
+    fallback to per-point loops would multiply these counts."""
+    calls = {"tsr_tensors": 0, "trace_identity_residuals": 0}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(dist_tensors, "tsr_tensors")
+    counting(cli, "trace_identity_residuals")
+    assert main(["--scenario", "hopf-s3", "--check", "codazzi", "--points", "10"]) == 0
+    assert calls == {"tsr_tensors": 1, "trace_identity_residuals": 0}
+    assert main(["--scenario", "hopf-s3", "--check", "traces", "--points", "3"]) == 0
+    assert calls == {"tsr_tensors": 2, "trace_identity_residuals": 1}
+    capsys.readouterr()

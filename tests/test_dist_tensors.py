@@ -32,7 +32,13 @@ from distpair.dist_tensors import (
     walczak_pointwise_residual,
     walczak_residual_batch,
 )
-from distpair.endo_fields import EndoPair, allowed_forms, apply_endo, gnorm
+from distpair.endo_fields import (
+    EndoPair,
+    allowed_forms,
+    allowed_residual,
+    apply_endo,
+    gnorm,
+)
 from distpair.scenarios import (
     build_scenario,
     conformal_hopf,
@@ -40,6 +46,8 @@ from distpair.scenarios import (
     flat_torus_projectors,
     hopf_contact_s3,
     non_allowed_rotated,
+    random_scalar_field,
+    random_vector_field,
     scaled_identity,
     warped_torus,
 )
@@ -530,6 +538,48 @@ def test_frame_trace_identities(name, npts):
         res = trace_identity_residuals(sc.pair, sc.geom, x)
         for key in ("t1", "t2", "s1", "s2", "aux"):
             assert res[f"{key}_normalized"] < 1e-9, (key, x)
+
+
+@pytest.mark.parametrize("name", ["warped-torus", "hopf-s3"])
+def test_batched_towers_match_the_point_loop(name):
+    """One column batch over the points (and, for the traces, the frame
+    pairs) gives bit for bit the residuals of a loop over the points, and a
+    single point still gives floats."""
+    sc = build_scenario(name)
+    rng = np.random.default_rng(91)
+    vec_field, scalar_field = random_vector_field(sc, rng), random_scalar_field(sc, rng)
+    pts = sc.sample_points(rng, 3)
+    dim = sc.chart.dim
+    vecs = rng.normal(size=(3, 4, dim))
+    cols = [np.array(c) for c in zip(*pts)]
+    slots = [[vecs[:, j, i] for i in range(dim)] for j in range(4)]
+
+    def codazzi(x, v):
+        res = codazzi_residual(sc.pair, sc.geom, x, *v)
+        return {"residual": res["residual"], "normalized": res["normalized"], **res["parts"]}
+
+    checks = {
+        "allowed": lambda x, v: dict(
+            enumerate(allowed_residual(sc.pair, sc.geom, x, v[0], v[1]))
+        ),
+        "codazzi": codazzi,
+        "divergence": lambda x, v: div_equivalence_residuals(
+            sc.pair.total(), sc.geom, vec_field, x, scalar_field
+        ),
+        "traces": lambda x, v: trace_identity_residuals(sc.pair, sc.geom, x),
+    }
+    if "phi" in sc.extras:
+        checks["contact"] = lambda x, v: contact_structure_residuals(
+            sc.extras["phi"], sc.extras["xi"], sc.geom, x
+        )
+    for check, fn in checks.items():
+        batch = fn(cols, slots)
+        for p, x in enumerate(pts):
+            single = fn(x, [list(map(float, vecs[p, j])) for j in range(4)])
+            assert single.keys() == batch.keys(), check
+            for key, val in single.items():
+                assert isinstance(val, float), (check, key)
+                assert val == np.broadcast_to(batch[key], (3,))[p], (check, key, p)
 
 
 # -- contact structure ----------------------------------------------------------
