@@ -2,8 +2,10 @@
 
 A chart supplies the metric as a callable on coordinate lists; every derived
 object (Christoffel symbols, curvature, divergences, covariant derivatives)
-is produced by differentiating that callable with nested dual numbers — there
-are no hand-differentiated metric formulas anywhere downstream.
+is produced by differentiating that callable with the derivative engine of
+:mod:`dual` — there are no hand-differentiated metric formulas anywhere
+downstream.  Each quantity is computed one way; the independent second routes
+(density forms of the divergences) live in the tests as cross-checks.
 
 Sign conventions, fixed once and used consistently:
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import dual as ops
 from . import linalg as la
-from .dual import Dual, eps_part, fresh_tag, seed_point, val_part
+from .dual import Dual, directional, partials
 
 
 class MetricError(ValueError):
@@ -50,12 +52,10 @@ class Chart:
 
 @dataclass
 class MetricJet:
-    """Metric with derivatives at a point: dg[k][i][j] = d_k g_ij,
-    d2g[k][l][i][j] = d_k d_l g_ij (or None for a first-order jet)."""
+    """Metric with first derivatives at a point: dg[k][i][j] = d_k g_ij."""
 
     g: list
     dg: list
-    d2g: Optional[list]
     g_inv: list
     sqrt_det: object
 
@@ -107,16 +107,8 @@ class Geometry:
         slot = self._slot(x)
         jet = slot.get("jet1")
         if jet is None:
-            jet = _metric_jet(self.chart, x, second_order=False)
+            jet = _metric_jet(self.chart, x)
             slot["jet1"] = jet
-        return jet
-
-    def jet2(self, x) -> MetricJet:
-        slot = self._slot(x)
-        jet = slot.get("jet2")
-        if jet is None:
-            jet = _metric_jet(self.chart, x, second_order=True)
-            slot["jet2"] = jet
         return jet
 
     def gamma(self, x) -> list:
@@ -139,36 +131,14 @@ def point_columns(points):
     return [np.array([p[i] for p in points]) for i in range(len(points[0]))]
 
 
-def _metric_jet(chart: Chart, x, second_order: bool) -> MetricJet:
-    n = chart.dim
+def _metric_jet(chart: Chart, x) -> MetricJet:
     g = chart.metric(x)
     check_pivot = None
     if not any(isinstance(c, Dual) for c in x):
         check_pivot = _validate_metric(g, x)
     g_inv, det = la.inverse_and_det(g, check_pivot)
-    dg = []
-    for k in range(n):
-        tag = fresh_tag()
-        xd = seed_point(x, [1.0 if i == k else 0.0 for i in range(n)], tag)
-        gd = chart.metric(xd)
-        dg.append([[eps_part(gd[i][j], tag) for j in range(n)] for i in range(n)])
-    d2g = None
-    if second_order:
-        d2g = [[None] * n for _ in range(n)]
-        for l in range(n):
-            tag_l = fresh_tag()
-            xl = seed_point(x, [1.0 if i == l else 0.0 for i in range(n)], tag_l)
-            for k in range(l + 1):
-                tag_k = fresh_tag()
-                xlk = seed_point(xl, [1.0 if i == k else 0.0 for i in range(n)], tag_k)
-                gd = chart.metric(xlk)
-                block = [
-                    [eps_part(eps_part(gd[i][j], tag_k), tag_l) for j in range(n)]
-                    for i in range(n)
-                ]
-                d2g[k][l] = block
-                d2g[l][k] = block
-    return MetricJet(g=g, dg=dg, d2g=d2g, g_inv=g_inv, sqrt_det=ops.sqrt(det))
+    dg = partials(chart.metric, x)
+    return MetricJet(g=g, dg=dg, g_inv=g_inv, sqrt_det=ops.sqrt(det))
 
 
 def _validate_metric(g, x):
@@ -203,13 +173,6 @@ def _validate_metric(g, x):
     return check_pivot
 
 
-def metric_jet(chart, x) -> MetricJet:
-    """Full second-order metric jet at x (g, dg, d2g, inverse, sqrt det)."""
-    if isinstance(chart, Geometry):
-        return chart.jet2(x)
-    return _metric_jet(chart, x, second_order=True)
-
-
 def christoffel(jet: MetricJet) -> ConnectionCoeffs:
     n = len(jet.g)
     g_inv, dg = jet.g_inv, jet.dg
@@ -232,20 +195,17 @@ def christoffel(jet: MetricJet) -> ConnectionCoeffs:
 def gamma_jet(geom, x):
     """(gamma, dgamma) with dgamma[l][k][i][j] = d_l Gamma^k_{ij}."""
     geom = ensure_geometry(geom)
-    n = geom.chart.dim
-    gamma = geom.gamma(x)
-    dgamma = []
-    for l in range(n):
-        tag = fresh_tag()
-        xd = seed_point(x, [1.0 if i == l else 0.0 for i in range(n)], tag)
-        gd = christoffel(geom.jet1(xd)).gamma
-        dgamma.append(
-            [
-                [[eps_part(gd[k][i][j], tag) for j in range(n)] for i in range(n)]
-                for k in range(n)
-            ]
-        )
-    return gamma, dgamma
+    return geom.gamma(x), partials(christoffel_field(geom), x)
+
+
+def christoffel_field(geom):
+    """Field z -> Gamma(z) past the per-point Gamma cache, for differentiating
+    Gamma: the seeded points of a pass are never looked up again."""
+
+    def fld(z):
+        return christoffel(geom.jet1(z)).gamma
+
+    return fld
 
 
 def riemann_up(geom, x):
@@ -346,7 +306,7 @@ def cov_deriv_vector(geom, vec_field, x):
     geom = ensure_geometry(geom)
     n = geom.chart.dim
     xval = vec_field(x)
-    jac = ops.partials_vector(vec_field, x)
+    jac = partials(vec_field, x)
     gamma = geom.gamma(x)
     return [
         [
@@ -357,76 +317,28 @@ def cov_deriv_vector(geom, vec_field, x):
     ]
 
 
-def div_vector_paths(geom, vec_field, x):
-    """Divergence two ways: Christoffel trace and the sqrt(det)-density form."""
-    geom = ensure_geometry(geom)
-    n = geom.chart.dim
-    cov = cov_deriv_vector(geom, vec_field, x)
-    trace_form = sum(cov[i][i] for i in range(n))
-
-    def density(z):
-        jet = geom.jet1(z)
-        xv = vec_field(z)
-        return [jet.sqrt_det * xv[i] for i in range(n)]
-
-    acc = 0.0
-    for i in range(n):
-        tag = fresh_tag()
-        zd = seed_point(x, [1.0 if k == i else 0.0 for k in range(n)], tag)
-        acc = acc + eps_part(density(zd)[i], tag)
-    density_form = acc / geom.jet1(x).sqrt_det
-    return trace_form, density_form
-
-
 def div_vector(geom, vec_field, x):
-    return div_vector_paths(geom, vec_field, x)[0]
+    """Divergence of a vector field: the trace of its covariant derivative."""
+    geom = ensure_geometry(geom)
+    cov = cov_deriv_vector(geom, vec_field, x)
+    return sum(cov[i][i] for i in range(geom.chart.dim))
 
 
-def div_endo_paths(geom, endo_field, x):
-    """Divergence covector of a (1,1) field S two ways.
-
-    The Christoffel form (div S)_j = S^i_{j,i} + S^l_j Gamma^i_{il}
-    - Gamma^l_{ij} S^i_l holds for any S.  The density form replaces the
-    first two terms by (1/sqrt g) d_i (sqrt g S^i_j) and the last by
-    -1/2 S^{ik} d_j g_{ik}; the two agree when S is metric-self-adjoint
-    (the only kind the identities here consume).
-    """
+def div_endo(geom, endo_field, x):
+    """Divergence covector of a (1,1) field S, in Christoffel form:
+    (div S)_j = S^i_{j,i} + S^l_j Gamma^i_{il} - Gamma^l_{ij} S^i_l."""
     geom = ensure_geometry(geom)
     n = geom.chart.dim
-    jet = geom.jet1(x)
     gamma = geom.gamma(x)
     s_val = endo_field(x)
-
-    d_s = []
-    d_dens = []
-    for i in range(n):
-        tag = fresh_tag()
-        zd = seed_point(x, [1.0 if k == i else 0.0 for k in range(n)], tag)
-        sd = endo_field(zd)
-        d_s.append([[eps_part(sd[a][b], tag) for b in range(n)] for a in range(n)])
-        sq = geom.jet1(zd).sqrt_det
-        d_dens.append([eps_part(sq * sd[i][b], tag) for b in range(n)])
-
-    gamma_form = []
+    d_s = partials(endo_field, x)
+    out = []
     for j in range(n):
         v = sum(d_s[i][i][j] for i in range(n))
         v = v + sum(gamma[i][i][l] * s_val[l][j] for i in range(n) for l in range(n))
         v = v - sum(gamma[l][i][j] * s_val[i][l] for i in range(n) for l in range(n))
-        gamma_form.append(v)
-
-    s_upup = la.mat_mul(s_val, jet.g_inv)
-    density_form = []
-    for j in range(n):
-        v = sum(d_dens[i][j] for i in range(n)) / jet.sqrt_det
-        v = v - 0.5 * sum(
-            s_upup[i][k] * jet.dg[j][i][k] for i in range(n) for k in range(n)
-        )
-        density_form.append(v)
-    return gamma_form, density_form
-
-
-def div_endo(geom, endo_field, x):
-    return div_endo_paths(geom, endo_field, x)[0]
+        out.append(v)
+    return out
 
 
 # -- tower primitives ------------------------------------------------------
@@ -441,11 +353,7 @@ def cov_at(geom, z, direction, vec_field):
     """
     geom = ensure_geometry(geom)
     n = geom.chart.dim
-    tag = fresh_tag()
-    zd = seed_point(z, direction, tag)
-    out = vec_field(zd)
-    w = [val_part(c, tag) for c in out]
-    dw = [eps_part(c, tag) for c in out]
+    w, dw = directional(vec_field, z, direction)
     gamma = geom.gamma(z)
     res = []
     for k in range(n):
@@ -472,8 +380,8 @@ def lie_bracket(u_field, w_field):
     def fld(z):
         u = u_field(z)
         w = w_field(z)
-        _, dw = ops.directional_vector(w_field, z, u)
-        _, du = ops.directional_vector(u_field, z, w)
+        _, dw = directional(w_field, z, u)
+        _, du = directional(u_field, z, w)
         return [a - b for a, b in zip(dw, du)]
 
     return fld

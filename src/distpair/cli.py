@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from . import linalg as la
-from .chart_geometry import point_columns
 from .dist_tensors import (
     codazzi_residual,
     contact_identity_residual,
@@ -85,21 +84,6 @@ def _rng(seed, check):
     return np.random.default_rng([seed, CHECK_NAMES.index(check)])
 
 
-def _sample_columns(sc, rng, count):
-    """``count`` sample points of the scenario as one column batch."""
-    return point_columns(sc.sample_points(rng, count))
-
-
-def _slot_vectors(rng, count, k, dim):
-    """k random slot vectors per point, each as dim arrays over the points.
-
-    One draw of shape (count, k, dim) gives the same stream as ``count``
-    rounds of k draws of size dim.
-    """
-    v = rng.normal(size=(count, k, dim))
-    return [[v[:, j, i] for i in range(dim)] for j in range(k)]
-
-
 def run_pair(sc, points, seed, tol):
     rng = _rng(seed, "pair")
     pts = sc.sample_points(rng, points)
@@ -109,16 +93,16 @@ def run_pair(sc, points, seed, tol):
 
 def run_allowed(sc, points, seed, tol):
     rng = _rng(seed, "allowed")
-    cols = _sample_columns(sc, rng, points)
-    vx, vy = _slot_vectors(rng, points, 2, sc.chart.dim)
+    cols = sc.sample_columns(rng, points)
+    vx, vy = sc.sample_slot_vectors(rng, points, 2)
     a, n = allowed_residual(sc.pair, sc.geom, cols, vx, vy)
     return la.max_entry(a), la.max_entry(n), points
 
 
 def run_collapse(sc, points, seed, tol):
     rng = _rng(seed, "collapse")
-    cols = _sample_columns(sc, rng, points)
-    vx, vy = _slot_vectors(rng, points, 2, sc.chart.dim)
+    cols = sc.sample_columns(rng, points)
+    vx, vy = sc.sample_slot_vectors(rng, points, 2)
     forms, norms = collapse_residual(sc.pair, sc.geom, cols, vx, vy)
     g = sc.geom.jet1(cols).g
     residuals = {key: gnorm(g, vec) for key, vec in forms.items()}
@@ -129,8 +113,8 @@ def run_collapse(sc, points, seed, tol):
 
 def run_codazzi(sc, points, seed, tol):
     rng = _rng(seed, "codazzi")
-    cols = _sample_columns(sc, rng, points)
-    vecs = _slot_vectors(rng, points, 4, sc.chart.dim)
+    cols = sc.sample_columns(rng, points)
+    vecs = sc.sample_slot_vectors(rng, points, 4)
     res = codazzi_residual(sc.pair, sc.geom, cols, *vecs)
     return la.max_entry(res["residual"]), la.max_entry(res["normalized"]), points
 
@@ -139,7 +123,7 @@ def run_div_equivalence(sc, points, seed, tol):
     rng = _rng(seed, "divergence")
     vec_field = random_vector_field(sc, rng)
     scalar_field = random_scalar_field(sc, rng)
-    cols = _sample_columns(sc, rng, points)
+    cols = sc.sample_columns(rng, points)
     res = div_equivalence_residuals(sc.pair.total(), sc.geom, vec_field, cols, scalar_field)
     max_abs = la.max_entry(
         res["div_pp_star"], res["vs_div_qx"], res["vs_hs_inner"], res["leibniz"]
@@ -150,14 +134,14 @@ def run_div_equivalence(sc, points, seed, tol):
 
 def run_walczak(sc, points, seed, tol):
     rng = _rng(seed, "walczak")
-    cols = _sample_columns(sc, rng, points)
+    cols = sc.sample_columns(rng, points)
     res, norm = walczak_residual_batch(sc.geom, sc.pair, cols)
     return float(np.max(res)), float(np.max(norm)), points
 
 
 def run_traces(sc, points, seed, tol):
     rng = _rng(seed, "traces")
-    cols = _sample_columns(sc, rng, points)
+    cols = sc.sample_columns(rng, points)
     res = trace_identity_residuals(sc.pair, sc.geom, cols)
     keys = ("t1", "t2", "s1", "s2", "aux")
     max_abs = la.max_entry(*(res[key] for key in keys))
@@ -167,17 +151,16 @@ def run_traces(sc, points, seed, tol):
 
 def run_contact(sc, points, seed, tol):
     rng = _rng(seed, "contact")
-    dim = sc.chart.dim
     phi, xi = sc.extras["phi"], sc.extras["xi"]
-    cols = _sample_columns(sc, rng, points)
+    cols = sc.sample_columns(rng, points)
     structure = contact_structure_residuals(phi, xi, sc.geom, cols).values()
-    (vx,) = _slot_vectors(rng, points, 1, dim)
+    (vx,) = sc.sample_slot_vectors(rng, points, 1)
     res = contact_identity_residual(phi, xi, sc.geom, vx, cols)
     # the two candidate signs only separate when the unit field is neither
     # geodesic nor divergence-free; a conformal rescale provides that
     conf = sc.extras["conformal"]()
-    ccols = _sample_columns(conf, rng, points)
-    (cvx,) = _slot_vectors(rng, points, 1, dim)
+    ccols = conf.sample_columns(rng, points)
+    (cvx,) = conf.sample_slot_vectors(rng, points, 1)
     cres = contact_identity_residual(
         conf.extras["phi"], conf.extras["xi"], conf.geom, cvx, ccols
     )

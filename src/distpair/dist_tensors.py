@@ -16,15 +16,14 @@ The two styles double as cross-checks of each other in the test suite.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import dual as ops
 from . import linalg as la
 from .chart_geometry import (
     christoffel,
+    christoffel_field,
     cov_at,
     cov_deriv_vector,
     div_endo,
@@ -34,7 +33,7 @@ from .chart_geometry import (
     lie_bracket,
     nabla_field,
 )
-from .dual import eps_part, fresh_tag, seed_point
+from .dual import directional, iter_partials, partials, second_partials
 from .endo_fields import adjoint_field, adjoint_matrix, apply_endo, frob, gnorm
 
 
@@ -283,40 +282,22 @@ def rp_reduced(pair, chart, x, y, x1, x2, z_slot):
 # -- modified divergence ------------------------------------------------------
 
 
-def div_p_paths(p_endo, chart, vec_field, x):
-    """div_P X two ways: connection-trace form and the metric-derivative form.
-
-    Both use Q = P P^* (always metric-self-adjoint, no assumption on P).
-    """
+def div_p(p_endo, chart, vec_field, x):
+    """div_P X in trace form, sum_{m,k} Q^m_k (nabla_m X)^k with Q = P P^*
+    (always metric-self-adjoint, no assumption on P)."""
     geom = ensure_geometry(chart)
     n = geom.chart.dim
     jet = geom.jet1(x)
     p = p_endo(x)
-    ps = adjoint_matrix(jet.g, jet.g_inv, p)
-    q = la.mat_mul(p, ps)
+    q = la.mat_mul(p, adjoint_matrix(jet.g, jet.g_inv, p))
     xv = vec_field(x)
-    jac = ops.partials_vector(vec_field, x)
+    jac = partials(vec_field, x)
     gamma = geom.gamma(x)
-
-    trace_form = sum(
+    return sum(
         q[m][k] * (jac[m][k] + sum(gamma[k][m][j] * xv[j] for j in range(n)))
         for m in range(n)
         for k in range(n)
     )
-
-    q_up = la.mat_mul(q, jet.g_inv)
-    metric_form = sum(q[i][j] * jac[i][j] for i in range(n) for j in range(n))
-    metric_form = metric_form + 0.5 * sum(
-        q_up[i][j] * jet.dg[k][i][j] * xv[k]
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-    )
-    return trace_form, metric_form
-
-
-def div_p(p_endo, chart, vec_field, x):
-    return div_p_paths(p_endo, chart, vec_field, x)[0]
 
 
 def hs_inner_with_grad(p_endo, chart, vec_field, x):
@@ -375,7 +356,7 @@ def div_equivalence_residuals(p_endo, chart, vec_field, x, scalar_field):
 
     lhs = div_p(p_endo, geom, fx_field, x)
     qx_at = la.mat_vec(q_field(x), vec_field(x))
-    rhs = scalar_field(x) * div_qx + ops.directional_scalar(scalar_field, x, qx_at)
+    rhs = scalar_field(x) * div_qx + directional(scalar_field, x, qx_at)[1]
     r_leibniz = abs(lhs - rhs)
 
     scale = abs(dp) + abs(div_qx) + abs(hs)
@@ -398,73 +379,31 @@ def _columns(x):
     return [np.broadcast_to(c, (n_nodes,)) if c.shape[0] != n_nodes else c for c in cols]
 
 
-def _nested_to_array(obj, shape, n_nodes):
-    out = np.zeros(shape + (n_nodes,))
-    for idx in itertools.product(*(range(s) for s in shape)):
-        v = obj
-        for i in idx:
-            v = v[i]
-        out[idx] = v
-    return out
+def _diff_field(field, cols, n_nodes):
+    """Stack field values and all first partials: (value, d[k] array).
 
-
-def _diff_field(field, cols, n, shape, n_nodes):
-    """Stack field values and all first partials: (value, d[k] array)."""
-    val = _nested_to_array(field(cols), shape, n_nodes)
-    d = np.zeros((n,) + shape + (n_nodes,))
-    for k in range(n):
-        tag = fresh_tag()
-        seeded = seed_point(cols, [1.0 if i == k else 0.0 for i in range(n)], tag)
-        out = field(seeded)
-        d[k] = _nested_to_array(_eps_nested(out, tag, shape), shape, n_nodes)
+    Each partial is copied out before the next pass runs: holding every
+    pass's output at once raised the quadrature peak RSS by about 1 MB.
+    """
+    val = la.nested_to_array(field(cols), n_nodes)
+    d = np.zeros((len(cols),) + val.shape)
+    for k, d_k in enumerate(iter_partials(field, cols)):
+        d[k] = la.nested_to_array(d_k, n_nodes)
     return val, d
-
-
-def _eps_nested(obj, tag, shape):
-    if len(shape) == 0:
-        return eps_part(obj, tag)
-    return [_eps_nested(o, tag, shape[1:]) for o in obj]
-
-
-def _second_partials(field, cols, n, shape, n_nodes):
-    """d2[k][l] = d_k d_l of a matrix field, symmetric in (k, l)."""
-    d2 = np.zeros((n, n) + shape + (n_nodes,))
-    for l in range(n):
-        tag_l = fresh_tag()
-        pl = seed_point(cols, [1.0 if i == l else 0.0 for i in range(n)], tag_l)
-        for k in range(l + 1):
-            tag_k = fresh_tag()
-            plk = seed_point(pl, [1.0 if i == k else 0.0 for i in range(n)], tag_k)
-            out = field(plk)
-            block = _nested_to_array(
-                _eps_nested(_eps_nested(out, tag_k, shape), tag_l, shape),
-                shape,
-                n_nodes,
-            )
-            d2[k, l] = block
-            d2[l, k] = block
-    return d2
 
 
 def batch_metric_data(geom, cols):
     """g, ginv, sqrt_det, dg, Gamma as stacked arrays at a batch of nodes."""
     geom = ensure_geometry(geom)
-    n = geom.chart.dim
     n_nodes = cols[0].shape[0]
     jet = geom.jet1(list(cols))
-    g = _nested_to_array(jet.g, (n, n), n_nodes)
-    ginv = _nested_to_array(jet.g_inv, (n, n), n_nodes)
-    sqrt_det = np.broadcast_to(np.asarray(jet.sqrt_det, dtype=float), (n_nodes,))
-    dg = _nested_to_array(jet.dg, (n, n, n), n_nodes)
-    gamma = _nested_to_array(christoffel(jet).gamma, (n, n, n), n_nodes)
-    return {"g": g, "ginv": ginv, "sqrt_det": sqrt_det, "dg": dg, "gamma": gamma}
-
-
-def _gamma_field(geom):
-    def fld(z):
-        return christoffel(geom.jet1(z)).gamma
-
-    return fld
+    return {
+        "g": la.nested_to_array(jet.g, n_nodes),
+        "ginv": la.nested_to_array(jet.g_inv, n_nodes),
+        "sqrt_det": np.broadcast_to(np.asarray(jet.sqrt_det, dtype=float), (n_nodes,)),
+        "dg": la.nested_to_array(jet.dg, n_nodes),
+        "gamma": la.nested_to_array(christoffel(jet).gamma, n_nodes),
+    }
 
 
 def _frame_product_fields(geom, pair, rotation):
@@ -491,16 +430,13 @@ def _frame_product_fields(geom, pair, rotation):
 def mean_curvature_batch(geom, pair, cols, rotation=None):
     """H = H1 + H2 at a batch of nodes, shape (n, N).  First-order data only."""
     geom = ensure_geometry(geom)
-    n = geom.chart.dim
     n_nodes = cols[0].shape[0]
     a_field, b_field, _ = _frame_product_fields(geom, pair, rotation)
-    a0, da = _diff_field(a_field, cols, n, (n, n), n_nodes)
-    b0, db = _diff_field(b_field, cols, n, (n, n), n_nodes)
-    gamma = _nested_to_array(
-        christoffel(geom.jet1(list(cols))).gamma, (n, n, n), n_nodes
-    )
-    p1 = _nested_to_array(pair.p1(list(cols)), (n, n), n_nodes)
-    p2 = _nested_to_array(pair.p2(list(cols)), (n, n), n_nodes)
+    a0, da = _diff_field(a_field, cols, n_nodes)
+    b0, db = _diff_field(b_field, cols, n_nodes)
+    gamma = la.nested_to_array(christoffel(geom.jet1(list(cols))).gamma, n_nodes)
+    p1 = la.nested_to_array(pair.p1(list(cols)), n_nodes)
+    p2 = la.nested_to_array(pair.p2(list(cols)), n_nodes)
 
     cov_a = da + np.einsum("kimn,mtn->iktn", gamma, a0)
     cov_b = db + np.einsum("kimn,mtn->iktn", gamma, b0)
@@ -516,18 +452,17 @@ def dist_invariants_batch(geom, pair, cols, rotation=None):
     form).  Returns arrays keyed by name; forms carry frame indices (s, t).
     """
     geom = ensure_geometry(geom)
-    n = geom.chart.dim
     n_nodes = cols[0].shape[0]
     a_field, b_field, p_field = _frame_product_fields(geom, pair, rotation)
 
-    a0, da = _diff_field(a_field, cols, n, (n, n), n_nodes)
-    b0, db = _diff_field(b_field, cols, n, (n, n), n_nodes)
-    d2a = _second_partials(a_field, cols, n, (n, n), n_nodes)
-    p0, dp = _diff_field(p_field, cols, n, (n, n), n_nodes)
-    gam0, dgam = _diff_field(_gamma_field(geom), cols, n, (n, n, n), n_nodes)
-    g0 = _nested_to_array(geom.jet1(list(cols)).g, (n, n), n_nodes)
-    p1 = _nested_to_array(pair.p1(list(cols)), (n, n), n_nodes)
-    p2 = _nested_to_array(pair.p2(list(cols)), (n, n), n_nodes)
+    a0, da = _diff_field(a_field, cols, n_nodes)
+    b0, db = _diff_field(b_field, cols, n_nodes)
+    d2a = la.nested_to_array(second_partials(a_field, cols), n_nodes)
+    p0, dp = _diff_field(p_field, cols, n_nodes)
+    gam0, dgam = _diff_field(christoffel_field(geom), cols, n_nodes)
+    g0 = la.nested_to_array(geom.jet1(list(cols)).g, n_nodes)
+    p1 = la.nested_to_array(pair.p1(list(cols)), n_nodes)
+    p2 = la.nested_to_array(pair.p2(list(cols)), n_nodes)
 
     # cov_a[i, k, t] = (nabla_{d_i} A_t)^k  (A_t = t-th projected frame field)
     cov_a = da + np.einsum("kimn,mtn->iktn", gam0, a0)
@@ -675,13 +610,12 @@ def formula_terms_batch(geom, pair, cols):
 def div_p_batch(geom, p_endo, vec_field, cols):
     """div_P X at a batch of nodes (exact AD, no finite differences)."""
     geom = ensure_geometry(geom)
-    n = geom.chart.dim
     n_nodes = cols[0].shape[0]
     data = batch_metric_data(geom, cols)
-    p0 = _nested_to_array(p_endo(list(cols)), (n, n), n_nodes)
+    p0 = la.nested_to_array(p_endo(list(cols)), n_nodes)
     ps = np.einsum("ikn,jkn,jln->iln", data["ginv"], p0, data["g"])
     q = np.einsum("ikn,kjn->ijn", p0, ps)
-    xv, dx = _diff_field(vec_field, cols, n, (n,), n_nodes)
+    xv, dx = _diff_field(vec_field, cols, n_nodes)
     cov_x = dx + np.einsum("kimn,mn->ikn", data["gamma"], xv)
     return np.einsum("ikn,ikn->n", q, cov_x)
 
@@ -713,7 +647,7 @@ def walczak_residual_batch(geom, pair, cols, h_step=1e-4):
         dh[d] = (4.0 * fine - coarse) / 3.0
 
     data = batch_metric_data(geom, cols)
-    p0 = _nested_to_array(pair.total()(list(cols)), (n, n), n_nodes)
+    p0 = la.nested_to_array(pair.total()(list(cols)), n_nodes)
     ps = np.einsum("ikn,jkn,jln->iln", data["ginv"], p0, data["g"])
     q = np.einsum("ikn,kjn->ijn", p0, ps)
     q_up = np.einsum("iln,ljn->ijn", q, data["ginv"])
@@ -799,7 +733,7 @@ def trace_identity_residuals(pair, chart, x):
         v = cov_at(geom, w, p2_t(w), p2_t)
         return la.bilinear(geom.jet1(w).g, la.mat_vec(p1(w), v), p1_s(w))
 
-    t1 = ip(na_ss, la.mat_vec(p1_z, nb_tt)) - ops.directional_scalar(scal_1, z, p1_s(z))
+    t1 = ip(na_ss, la.mat_vec(p1_z, nb_tt)) - directional(scal_1, z, p1_s(z))[1]
 
     # index-2 trace: D_{P2 e_t} <nabla_{P1 e_s} P2 e_t, P1 e_s>
     #                + <nabla_{P2 e_t} P2 e_t, P2 nabla_{P1 e_s} P1 e_s>
@@ -807,7 +741,7 @@ def trace_identity_residuals(pair, chart, x):
         v = cov_at(geom, w, p1_s(w), p2_t)
         return la.bilinear(geom.jet1(w).g, v, p1_s(w))
 
-    t2 = ops.directional_scalar(scal_2, z, p2_t(z)) + ip(nb_tt, la.mat_vec(p2_z, na_ss))
+    t2 = directional(scal_2, z, p2_t(z))[1] + ip(nb_tt, la.mat_vec(p2_z, na_ss))
 
     s2 = ip(la.mat_vec(p2_z, na), na_ts)
     s1 = ip(la.mat_vec(p1_z, nb), nb_ts)

@@ -10,6 +10,13 @@ passes safe (no perturbation confusion).
 
 Payloads (``val``/``eps``) may be floats, numpy arrays (for evaluating a whole
 batch of points in one pass) or further ``Dual`` instances (nesting).
+
+The derivative engine at the end of the module is the only place that seeds
+passes and extracts their parts: :func:`directional` (value and directional
+derivative), :func:`partials` (one pass per axis; :func:`iter_partials` runs
+them lazily) and :func:`second_partials` (one nested pass per axis pair), each
+over scalar or nested-list fields.  Forward mode, one direction per pass
+(Griewank & Walther, *Evaluating Derivatives*, ch. 3).
 """
 
 from __future__ import annotations
@@ -157,14 +164,11 @@ def fabs(x):
     return x * sign_of(x)
 
 
-def real_part(x):
-    """Strip all dual layers, returning the underlying float/array value."""
-    while isinstance(x, Dual):
-        x = x.val
-    return x
-
-
-# -- seeding and extraction ---------------------------------------------
+# -- the derivative engine ---------------------------------------------
+#
+# Every derivative in the package is taken here: seed the point for a fresh
+# pass, evaluate the field, and pull the pass's parts out of its (possibly
+# nested-list) output.  Fields return scalars or nested lists of them.
 
 
 def seed_point(x, v, tag):
@@ -172,39 +176,61 @@ def seed_point(x, v, tag):
     return [Dual(tag, xi, vi) for xi, vi in zip(x, v)]
 
 
-def val_part(c, tag):
-    """Value of ``c`` with respect to pass ``tag`` (c itself if untagged)."""
+def _part(c, tag, eps):
+    """Value (eps False) or derivative (eps True) of ``c`` in pass ``tag``.
+
+    Nested lists are mapped entry by entry.  An entry that is not a dual of
+    this pass is constant in it: its value is itself, its derivative 0.0.
+    """
+    if isinstance(c, (list, tuple)):
+        return [_part(e, tag, eps) for e in c]
     if isinstance(c, Dual) and c.tag == tag:
-        return c.val
-    return c
+        return c.eps if eps else c.val
+    return 0.0 if eps else c
 
 
-def eps_part(c, tag):
-    """Derivative of ``c`` with respect to pass ``tag`` (0.0 if independent)."""
-    if isinstance(c, Dual) and c.tag == tag:
-        return c.eps
-    return 0.0
-
-
-def directional_scalar(f, x, v):
-    """Derivative of scalar function f at x in direction v."""
+def _pass(f, x, v):
+    """f at x + eps v for a fresh pass, and that pass's tag."""
     tag = fresh_tag()
-    return eps_part(f(seed_point(x, v, tag)), tag)
+    return f(seed_point(x, v, tag)), tag
 
 
-def directional_vector(F, x, v):
-    """(value, derivative) of component-list function F at x in direction v."""
-    tag = fresh_tag()
-    out = F(seed_point(x, v, tag))
-    return [val_part(c, tag) for c in out], [eps_part(c, tag) for c in out]
+def _axis(k, n):
+    return [1.0 if i == k else 0.0 for i in range(n)]
 
 
-def partials_vector(F, x):
-    """Jacobian J[i][k] = d_i F^k as nested lists, one pass per coordinate."""
+def directional(f, x, v):
+    """(f(x), D_v f(x)) for a scalar or nested-list field f, in one pass."""
+    out, tag = _pass(f, x, v)
+    return _part(out, tag, False), _part(out, tag, True)
+
+
+def iter_partials(f, x):
+    """d_0 f(x), d_1 f(x), ... with each axis's pass run only when its
+    derivative is asked for, so a caller can store one before the next
+    pass allocates (peak memory on large batches)."""
     n = len(x)
-    jac = []
-    for i in range(n):
-        v = [1.0 if k == i else 0.0 for k in range(n)]
-        _, d = directional_vector(F, x, v)
-        jac.append(d)
-    return jac
+    for k in range(n):
+        yield _part(*_pass(f, x, _axis(k, n)), True)
+
+
+def partials(f, x):
+    """d[k] = d_k f(x), one pass per coordinate axis."""
+    return list(iter_partials(f, x))
+
+
+def second_partials(f, x):
+    """d2[k][l] = d_k d_l f(x), symmetric: one nested pass per k <= l.
+
+    The pass along l is the outer one (older tag); d2[l][k] is the same
+    object as d2[k][l].
+    """
+    n = len(x)
+    d2 = [[None] * n for _ in range(n)]
+    for l in range(n):
+        tag_l = fresh_tag()
+        x_l = seed_point(x, _axis(l, n), tag_l)
+        for k in range(l + 1):
+            out, tag_k = _pass(f, x_l, _axis(k, n))
+            d2[k][l] = d2[l][k] = _part(_part(out, tag_k, True), tag_l, True)
+    return d2

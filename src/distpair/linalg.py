@@ -4,19 +4,17 @@ Matrices are nested lists; entries may be floats, numpy arrays (batched
 evaluation) or dual numbers, so nothing here may branch on entry values.
 The LU factorization therefore runs without pivoting — it is only ever
 applied to symmetric positive-definite matrices (the metric), where no-pivot
-LU is numerically safe.
+LU is numerically safe.  :func:`nested_to_array` turns a nested list over a
+batch of nodes into one stacked array for the einsum engines.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import dual as ops
-
-
-def zeros(n, m=None):
-    m = n if m is None else m
-    return [[0.0 for _ in range(m)] for _ in range(n)]
 
 
 def eye(n):
@@ -154,3 +152,24 @@ def max_entry(*values):
     """
     top = np.max(np.concatenate([np.ravel(v) for v in values]))
     return top if not top <= 0.0 else 0.0
+
+
+def nested_to_array(obj, n_nodes):
+    """A nested list of floats / (n_nodes,) arrays as one float array.
+
+    The shape is read off the nesting (first entry at each level) and a
+    trailing node axis of length ``n_nodes`` is added; constant entries are
+    broadcast along it.  The data is copied once, into one preallocated array.
+    """
+    shape = []
+    probe = obj
+    while isinstance(probe, (list, tuple)):
+        shape.append(len(probe))
+        probe = probe[0]
+    out = np.zeros((*shape, n_nodes))
+    for idx in itertools.product(*map(range, shape)):
+        v = obj
+        for i in idx:
+            v = v[i]
+        out[idx] = v
+    return out

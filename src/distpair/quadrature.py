@@ -21,11 +21,7 @@ import numpy as np
 
 from . import linalg as la
 from .chart_geometry import ensure_geometry
-from .dist_tensors import (
-    _nested_to_array,
-    div_p_batch,
-    formula_terms_batch,
-)
+from .dist_tensors import div_p_batch, formula_terms_batch
 
 
 @dataclass(frozen=True)
@@ -86,9 +82,7 @@ def _chunk_nodes(grid: QuadratureGrid, chunk: int):
 
 
 def _sqrt_det_batch(geom, cols):
-    n = geom.chart.dim
-    n_nodes = cols[0].shape[0]
-    g = _nested_to_array(geom.chart.metric(list(cols)), (n, n), n_nodes)
+    g = la.nested_to_array(geom.chart.metric(list(cols)), cols[0].shape[0])
     return np.sqrt(np.linalg.det(np.moveaxis(g, -1, 0)))
 
 
@@ -154,8 +148,8 @@ def integral_formula_check(pair, chart, grid: QuadratureGrid):
         i_parts.append(float(np.sum(wts * dens * vals)))
         m_parts.append(float(np.sum(wts * dens * np.abs(vals))))
         v_parts.append(float(np.sum(wts * dens)))
-        max_pt = max(max_pt, float(np.max(np.abs(vals))))
-        max_pt_norm = max(max_pt_norm, float(np.max(np.abs(vals) / (1.0 + scale))))
+        max_pt = float(la.max_entry(max_pt, np.abs(vals)))
+        max_pt_norm = float(la.max_entry(max_pt_norm, np.abs(vals) / (1.0 + scale)))
     total = float(la.pairwise_sum(i_parts))
     mass = float(la.pairwise_sum(m_parts))
     vol = float(la.pairwise_sum(v_parts))
@@ -164,7 +158,7 @@ def integral_formula_check(pair, chart, grid: QuadratureGrid):
         "integral": total,
         "mass": mass,
         "volume": vol,
-        "ratio": abs(total) / mass if mass > 0.0 else 0.0,
+        "ratio": abs(total) / mass if not mass <= 0.0 else 0.0,
         "max_pointwise": max_pt,
         "max_pointwise_normalized": max_pt_norm,
         "degenerate": degenerate,

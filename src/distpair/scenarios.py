@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dual as ops
 from . import linalg as la
-from .chart_geometry import Chart, Geometry, div_endo, ensure_geometry
+from .chart_geometry import Chart, Geometry, div_endo, ensure_geometry, point_columns
 from .dist_tensors import pp_star_field
 from .endo_fields import (
     EndoPair,
@@ -70,43 +70,51 @@ class ScenarioManifold:
             for _ in range(count)
         ]
 
+    def sample_columns(self, rng, count):
+        """``count`` sample points as one column batch."""
+        return point_columns(self.sample_points(rng, count))
+
+    def sample_slot_vectors(self, rng, count, k):
+        """k random slot vectors per point, each as dim arrays over the points.
+
+        One draw of shape (count, k, dim) gives the same stream as ``count``
+        rounds of k draws of size dim.
+        """
+        dim = self.chart.dim
+        v = rng.normal(size=(count, k, dim))
+        return [[v[:, j, i] for i in range(dim)] for j in range(k)]
+
 
 def _covector_gnorm(geom, x, omega):
     ginv = geom.jet1(x).g_inv
     n = len(omega)
     val = sum(omega[i] * ginv[i][j] * omega[j] for i in range(n) for j in range(n))
-    return float(np.sqrt(max(float(val), 0.0)))
+    return np.sqrt(np.maximum(val, 0.0))
 
 
 def probe_pair(scenario, n_points=5, seed=7):
-    """Light construction-time measurement of the advertised flags."""
+    """Light construction-time measurement of the advertised flags.
+
+    The probe points are evaluated as one column batch; every evidence value
+    is the largest entry over them, NaN if any entry is NaN.
+    """
     rng = np.random.default_rng(seed)
     geom = scenario.geom
     pair = scenario.pair
-    pts = scenario.sample_points(rng, n_points)
+    cols = scenario.sample_columns(rng, n_points)
     ev = {}
-    adapted = 0.0
-    sadj = 0.0
-    for x in pts:
-        prods = pair_product_norms(pair, geom, x)
-        prods.pop("scale")
-        adapted = max(adapted, max(prods.values()))
-        if pair.self_adjoint:
-            sadj = max(sadj, max(self_adjoint_defects(pair, geom, x).values()))
-    ev["adapted"] = adapted
+    prods = pair_product_norms(pair, geom, cols)
+    prods.pop("scale")
+    ev["adapted"] = la.max_entry(*prods.values())
     if pair.self_adjoint:
-        ev["self_adjoint"] = sadj
+        ev["self_adjoint"] = la.max_entry(*self_adjoint_defects(pair, geom, cols).values())
     if pair.allowed:
-        worst = 0.0
-        for x in pts:
-            vx = list(rng.normal(size=len(x)))
-            vy = list(rng.normal(size=len(x)))
-            worst = max(worst, allowed_residual(pair, geom, x, vx, vy)[0])
-        ev["allowed"] = worst
+        vx, vy = scenario.sample_slot_vectors(rng, n_points, 2)
+        ev["allowed"] = la.max_entry(allowed_residual(pair, geom, cols, vx, vy)[0])
     if pair.div_pp_star_zero:
         q_field = pp_star_field(geom, pair.total())
-        ev["div_pp_star"] = max(
-            _covector_gnorm(geom, x, div_endo(geom, q_field, x)) for x in pts
+        ev["div_pp_star"] = la.max_entry(
+            _covector_gnorm(geom, cols, div_endo(geom, q_field, cols))
         )
     if pair.div_p_squared_zero:
         p_total = pair.total()
@@ -115,8 +123,8 @@ def probe_pair(scenario, n_points=5, seed=7):
             p = p_total(z)
             return la.mat_mul(p, p)
 
-        ev["div_p_squared"] = max(
-            _covector_gnorm(geom, x, div_endo(geom, p_sq, x)) for x in pts
+        ev["div_p_squared"] = la.max_entry(
+            _covector_gnorm(geom, cols, div_endo(geom, p_sq, cols))
         )
     pair.evidence.update(ev)
     return ev

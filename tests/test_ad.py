@@ -1,4 +1,5 @@
-"""Forward-mode differentiation core: values, derivatives, nesting."""
+"""Forward-mode differentiation core: values, derivatives, nesting, and the
+derivative engine (directional / partials / second_partials)."""
 
 from __future__ import annotations
 
@@ -8,12 +9,14 @@ import numpy as np
 import pytest
 
 import distpair.dual as ops
+import distpair.linalg as la
+from distpair.chart_geometry import point_columns
 from distpair.dual import (
     Dual,
-    directional_scalar,
-    directional_vector,
+    directional,
     fresh_tag,
-    partials_vector,
+    partials,
+    second_partials,
     seed_point,
 )
 
@@ -95,7 +98,7 @@ def test_directional_derivatives_match_finite_differences():
     for _ in range(5):
         x = list(rng.uniform(-2, 2, size=2))
         v = list(rng.normal(size=2))
-        d = directional_scalar(f, x, v)
+        d = directional(f, x, v)[1]
         h = 1e-6
         xp = [x[i] + h * v[i] for i in range(2)]
         xm = [x[i] - h * v[i] for i in range(2)]
@@ -108,7 +111,7 @@ def test_partials_vector():
         return [z[0] * z[1], ops.sin(z[0]) + z[1] ** 2]
 
     x = [0.5, -1.2]
-    jac = partials_vector(F, x)
+    jac = partials(F, x)
     # jac[i][k] = d F^k / d z_i
     assert abs(jac[0][0] - x[1]) < 1e-15
     assert abs(jac[1][0] - x[0]) < 1e-15
@@ -120,7 +123,7 @@ def test_directional_vector_returns_value_and_derivative():
     def F(z):
         return [z[0] ** 2, z[0] * z[1]]
 
-    val, der = directional_vector(F, [2.0, 3.0], [1.0, -1.0])
+    val, der = directional(F, [2.0, 3.0], [1.0, -1.0])
     assert val == [4.0, 6.0]
     assert der == [4.0, 1.0]  # [2 x0 * 1, x1 * 1 + x0 * (-1)]
 
@@ -141,15 +144,53 @@ def test_seed_point():
     assert [c.eps for c in z] == [0.5, -0.5]
 
 
-def test_real_part_strips_all_layers():
-    t1, t2 = fresh_tag(), fresh_tag()
-    x = Dual(t2, Dual(t1, 2.0, 1.0), 1.0)
-    assert ops.real_part(x) == 2.0
-    assert ops.real_part(3.5) == 3.5
-
-
 def test_pow_requires_plain_exponent():
     tag = fresh_tag()
     x = Dual(tag, 2.0, 1.0)
     with pytest.raises(TypeError):
         x ** x
+
+
+def _nested_field(z):
+    # a (2, 2) matrix field with one entry constant and one independent of z[1]
+    return [
+        [ops.sin(z[0]) * z[1] ** 2, 3.0],
+        [ops.exp(z[0] * z[1]), ops.cos(z[0])],
+    ]
+
+
+def test_directional_maps_nested_lists_and_constants():
+    x, v = [0.4, -0.9], [1.0, 2.0]
+    val, der = directional(_nested_field, x, v)
+    assert val == _nested_field(x)
+    assert der[0][1] == 0.0  # the constant entry
+    want = -math.sin(x[0]) * v[0]
+    assert abs(der[1][1] - want) < 1e-15
+
+
+def test_second_partials_symmetric_closed_form():
+    x = [0.4, -0.9]
+    u, w = x
+    d2 = second_partials(_nested_field, x)
+    for k in range(2):
+        for l in range(2):
+            assert d2[k][l] == d2[l][k]
+    e = math.exp(u * w)
+    want = {
+        (0, 0): [[-math.sin(u) * w * w, 0.0], [w * w * e, -math.cos(u)]],
+        (0, 1): [[2.0 * math.cos(u) * w, 0.0], [(1.0 + u * w) * e, 0.0]],
+        (1, 1): [[2.0 * math.sin(u), 0.0], [u * u * e, 0.0]],
+    }
+    for (k, l), block in want.items():
+        assert np.allclose(np.array(d2[k][l]), np.array(block), rtol=0, atol=1e-14)
+
+
+def test_batched_partials_equal_pointwise_bit_for_bit():
+    rng = np.random.default_rng(3)
+    points = [list(p) for p in rng.uniform(-2.0, 2.0, size=(7, 2))]
+    cols = point_columns(points)
+    d_batch = la.nested_to_array(partials(_nested_field, cols), len(points))
+    d2_batch = la.nested_to_array(second_partials(_nested_field, cols), len(points))
+    for p, x in enumerate(points):
+        assert np.array_equal(d_batch[..., p], np.array(partials(_nested_field, x)))
+        assert np.array_equal(d2_batch[..., p], np.array(second_partials(_nested_field, x)))

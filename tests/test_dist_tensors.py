@@ -18,7 +18,6 @@ from distpair.dist_tensors import (
     contact_structure_residuals,
     dist_invariants,
     div_p,
-    div_p_paths,
     field_b1,
     field_b2,
     field_check_b1,
@@ -32,8 +31,10 @@ from distpair.dist_tensors import (
     walczak_pointwise_residual,
     walczak_residual_batch,
 )
+from distpair.dual import partials
 from distpair.endo_fields import (
     EndoPair,
+    adjoint_matrix,
     allowed_forms,
     allowed_residual,
     apply_endo,
@@ -339,6 +340,24 @@ def test_structural_tensor_scales_with_degree_three():
 # -- modified divergence ------------------------------------------------------
 
 
+def metric_div_p(p_endo, geom, vec_field, x):
+    """div_P X in metric form, independent of the connection:
+    Q^i_j d_i X^j + 1/2 Q^{ij} d_k g_ij X^k with Q = P P^*."""
+    n = geom.chart.dim
+    jet = geom.jet1(x)
+    p = p_endo(x)
+    q = la.mat_mul(p, adjoint_matrix(jet.g, jet.g_inv, p))
+    q_up = la.mat_mul(q, jet.g_inv)
+    xv = vec_field(x)
+    jac = partials(vec_field, x)
+    return sum(q[i][j] * jac[i][j] for i in range(n) for j in range(n)) + 0.5 * sum(
+        q_up[i][j] * jet.dg[k][i][j] * xv[k]
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+    )
+
+
 def test_div_p_two_routes_agree_even_for_nonadjoint_p():
     sc = non_allowed_rotated()
     rng = np.random.default_rng(70)
@@ -349,7 +368,8 @@ def test_div_p_two_routes_agree_even_for_nonadjoint_p():
     for _ in range(6):
         x = sc.sample_points(rng, 1)[0]
         for p in (sc.pair.p1, sc.pair.p2, sc.pair.total()):
-            tr, dens = div_p_paths(p, sc.geom, X, x)
+            tr = div_p(p, sc.geom, X, x)
+            dens = metric_div_p(p, sc.geom, X, x)
             assert abs(tr - dens) < 1e-10
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -142,3 +143,14 @@ def test_integral_formula_degenerate_scenarios():
     h = hopf_contact_s3()
     res = integral_formula_check(h.pair, h.geom, h.grid((10, 10, 10)))
     assert res["degenerate"] and res["max_pointwise_normalized"] < 1e-9
+
+
+def test_formula_check_reports_nan_integrand_as_not_degenerate():
+    sc = warped_torus()
+    nan = float("nan")
+    pair = dataclasses.replace(sc.pair, p1=lambda _z: [[nan, nan], [nan, nan]])
+    res = integral_formula_check(pair, sc.geom, sc.grid(16))
+    assert math.isnan(res["max_pointwise"])
+    assert math.isnan(res["max_pointwise_normalized"])
+    assert math.isnan(res["ratio"])
+    assert res["degenerate"] is False

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import distpair.dual as ops
 import distpair.linalg as la
 from distpair.chart_geometry import cov_at, div_vector, einstein_tensor
+from distpair.dual import directional
 from distpair.endo_fields import sqrt_psd
 from distpair.scenarios import (
     SCENARIO_NAMES,
@@ -20,6 +22,7 @@ from distpair.scenarios import (
     einstein_s3xt2,
     hopf_contact_s3,
     non_allowed_rotated,
+    probe_pair,
     random_scalar_field,
     random_vector_field,
     scaled_identity,
@@ -124,9 +127,7 @@ def test_sampled_fields_are_differentiable_everywhere_sampled():
         x = sc.sample_points(rng, 1)[0]
         d = cov_at(sc.geom, x, list(rng.normal(size=sc.chart.dim)), X)
         assert all(np.isfinite(float(c)) for c in d)
-        from distpair.dual import directional_scalar
-
-        df = directional_scalar(f, x, list(rng.normal(size=sc.chart.dim)))
+        df = directional(f, x, list(rng.normal(size=sc.chart.dim)))[1]
         assert np.isfinite(float(df))
 
 
@@ -148,3 +149,17 @@ def test_grid_builder_broadcasts_single_count():
     assert grid.counts == (6, 6, 6, 6, 6)
     grid = sc.grid((8, 8, 8, 4, 4))
     assert grid.counts == (8, 8, 8, 4, 4)
+
+
+def _nan_p1_pair(sc):
+    nan = float("nan")
+    return dataclasses.replace(sc.pair, p1=lambda _z: [[nan, nan], [nan, nan]], evidence={})
+
+
+def test_probe_propagates_nan_evidence():
+    # builtin max(0.0, nan) is 0.0; an all-NaN P1 must not read as evidence
+    sc = warped_torus()
+    sc = dataclasses.replace(sc, pair=_nan_p1_pair(sc))
+    ev = probe_pair(sc)
+    for key in ("adapted", "self_adjoint", "allowed"):
+        assert math.isnan(ev[key]), (key, ev[key])

@@ -1,0 +1,53 @@
+"""Module boundaries of the package, checked on its source."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "distpair"
+
+
+def _modules():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported_from_package(tree):
+    """(module, name) for every name imported from another distpair module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            relative = node.level > 0
+            absolute = (node.module or "").split(".")[0] == "distpair"
+            if relative or absolute:
+                for alias in node.names:
+                    yield node.module, alias.name
+
+
+def test_no_module_imports_a_private_name_from_another():
+    offenders = [
+        f"{stem} imports {name} from {source}"
+        for stem, tree in _modules()
+        for source, name in _imported_from_package(tree)
+        if name.startswith("_")
+    ]
+    assert offenders == []
+
+
+def _names_used(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_dual_is_the_only_derivative_engine():
+    # seeding a pass and tagging it happen only inside dual.py
+    engine = {"fresh_tag", "seed_point"}
+    users = [
+        stem for stem, tree in _modules() if stem != "dual" and engine & set(_names_used(tree))
+    ]
+    assert users == []
