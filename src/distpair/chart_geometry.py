@@ -67,33 +67,22 @@ class ConnectionCoeffs:
     gamma: list
 
 
-def _is_plain_floats(x):
-    return all(isinstance(c, (float, int, np.floating, np.integer)) for c in x)
-
-
 class Geometry:
     """Caching wrapper around a chart.
 
-    Float points are cached by value; dual/array points by object identity
-    (the cache keeps a strong reference so ids stay valid).  Tower evaluation
-    hits the same point object many times, which makes this worthwhile.
+    Points are cached by object identity, whatever they hold (floats, column
+    arrays or duals), up to 48 points at a time.  The cache keeps a strong
+    reference to each point, so its id stays valid.  A point must not be
+    mutated after it has been looked up: a later lookup of the same object
+    would return the jet of its old coordinates.  Tower evaluation hits the
+    same point object many times, which makes this worthwhile.
     """
 
     def __init__(self, chart: Chart):
         self.chart = chart
-        self._by_value = {}
         self._by_id = {}
 
     def _slot(self, x):
-        if _is_plain_floats(x):
-            key = tuple(float(c) for c in x)
-            slot = self._by_value.get(key)
-            if slot is None:
-                if len(self._by_value) > 60000:
-                    self._by_value.clear()
-                slot = {}
-                self._by_value[key] = slot
-            return slot
         key = id(x)
         entry = self._by_id.get(key)
         if entry is None or entry[0] is not x:

@@ -86,9 +86,9 @@ def _rng(seed, check):
 
 def run_pair(sc, points, seed, tol):
     rng = _rng(seed, "pair")
-    pts = sc.sample_points(rng, points)
-    res = check_pair(sc.pair, sc.geom, pts)
-    return res["max_abs"], res["max_normalized"], len(pts)
+    cols = sc.sample_columns(rng, points)
+    res = check_pair(sc.pair, sc.geom, cols)
+    return res["max_abs"], res["max_normalized"], points
 
 
 def run_allowed(sc, points, seed, tol):
@@ -136,7 +136,7 @@ def run_walczak(sc, points, seed, tol):
     rng = _rng(seed, "walczak")
     cols = sc.sample_columns(rng, points)
     res, norm = walczak_residual_batch(sc.geom, sc.pair, cols)
-    return float(np.max(res)), float(np.max(norm)), points
+    return la.max_entry(res), la.max_entry(norm), points
 
 
 def run_traces(sc, points, seed, tol):

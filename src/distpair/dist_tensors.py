@@ -2,21 +2,27 @@
 
 Everything here comes in two implementation styles on purpose:
 
-* generic AD towers (closures over `cov_at`) evaluated pointwise — these
-  follow the defining formulas slot by slot and are used for the four-argument
-  curvature identity, the compatibility identities and the frame-trace left-hand
-  sides;
+* generic AD towers (closures over `cov_at`) that follow the defining
+  formulas slot by slot; they give the four-argument curvature identity, the
+  compatibility identities and the frame-trace left-hand sides.  A tower
+  takes a point in any form (floats, column arrays, duals), which is what
+  lets towers nest;
 * a batched component engine (numpy einsum over a node axis) for the
   frame-summed invariants (second fundamental forms, integrability tensors,
-  mean curvatures, mixed scalar curvature) used by the pointwise formula
-  checks and the quadrature module.
+  mean curvatures, mixed scalar curvature) used by the Walczak-type residual
+  and the quadrature module.
+
+Callers evaluate many points at once as a column batch: ``dim`` arrays over
+the nodes (:func:`chart_geometry.point_columns`).  The batch engine, the
+frame traces and :func:`endo_fields.check_pair` take only that form, and
+pass the batch object itself down, so each call builds one metric jet for it
+in the identity-keyed :class:`chart_geometry.Geometry` cache.  For a single
+point use ``point_columns([x])`` and read node 0.
 
 The two styles double as cross-checks of each other in the test suite.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,18 +39,8 @@ from .chart_geometry import (
     lie_bracket,
     nabla_field,
 )
-from .dual import directional, iter_partials, partials, second_partials
-from .endo_fields import adjoint_field, adjoint_matrix, apply_endo, frob, gnorm
-
-
-def as_field(v):
-    if callable(v):
-        return v
-
-    def fld(_z):
-        return v
-
-    return fld
+from .dual import directional, iter_partials, second_partials
+from .endo_fields import adjoint_field, adjoint_matrix, apply_endo, as_field, frob, gnorm
 
 
 # -- the six structural tensor fields ---------------------------------------
@@ -282,37 +278,8 @@ def rp_reduced(pair, chart, x, y, x1, x2, z_slot):
 # -- modified divergence ------------------------------------------------------
 
 
-def div_p(p_endo, chart, vec_field, x):
-    """div_P X in trace form, sum_{m,k} Q^m_k (nabla_m X)^k with Q = P P^*
-    (always metric-self-adjoint, no assumption on P)."""
-    geom = ensure_geometry(chart)
-    n = geom.chart.dim
-    jet = geom.jet1(x)
-    p = p_endo(x)
-    q = la.mat_mul(p, adjoint_matrix(jet.g, jet.g_inv, p))
-    xv = vec_field(x)
-    jac = partials(vec_field, x)
-    gamma = geom.gamma(x)
-    return sum(
-        q[m][k] * (jac[m][k] + sum(gamma[k][m][j] * xv[j] for j in range(n)))
-        for m in range(n)
-        for k in range(n)
-    )
-
-
-def hs_inner_with_grad(p_endo, chart, vec_field, x):
-    """<P P^*, nabla X> in the trace inner product (equals div_P X always)."""
-    geom = ensure_geometry(chart)
-    jet = geom.jet1(x)
-    p = p_endo(x)
-    q = la.mat_mul(p, adjoint_matrix(jet.g, jet.g_inv, p))
-    cov = cov_deriv_vector(geom, vec_field, x)
-    grad_endo = la.transpose(cov)  # (nabla X)^k_i as a mixed matrix
-    grad_star = adjoint_matrix(jet.g, jet.g_inv, grad_endo)
-    return la.trace(la.mat_mul(grad_star, q))
-
-
 def pp_star_field(geom, p_endo):
+    """Field closure z -> Q(z) = P P^*, always metric-self-adjoint."""
     geom = ensure_geometry(geom)
 
     def fld(z):
@@ -321,6 +288,27 @@ def pp_star_field(geom, p_endo):
         return la.mat_mul(p, adjoint_matrix(jet.g, jet.g_inv, p))
 
     return fld
+
+
+def div_p(p_endo, chart, vec_field, x):
+    """div_P X in trace form, sum_{m,k} Q^m_k (nabla_m X)^k with Q = P P^*
+    (no assumption on P)."""
+    geom = ensure_geometry(chart)
+    n = geom.chart.dim
+    q = pp_star_field(geom, p_endo)(x)
+    cov = cov_deriv_vector(geom, vec_field, x)
+    return sum(q[m][k] * cov[m][k] for m in range(n) for k in range(n))
+
+
+def hs_inner_with_grad(p_endo, chart, vec_field, x):
+    """<P P^*, nabla X> in the trace inner product (equals div_P X always)."""
+    geom = ensure_geometry(chart)
+    jet = geom.jet1(x)
+    q = pp_star_field(geom, p_endo)(x)
+    cov = cov_deriv_vector(geom, vec_field, x)
+    grad_endo = la.transpose(cov)  # (nabla X)^k_i as a mixed matrix
+    grad_star = adjoint_matrix(jet.g, jet.g_inv, grad_endo)
+    return la.trace(la.mat_mul(grad_star, q))
 
 
 def div_equivalence_residuals(p_endo, chart, vec_field, x, scalar_field):
@@ -372,13 +360,6 @@ def div_equivalence_residuals(p_endo, chart, vec_field, x, scalar_field):
 # -- batched component engine --------------------------------------------------
 
 
-def _columns(x):
-    """Normalize a point / batch into a list of (N,) float arrays."""
-    cols = [np.atleast_1d(np.asarray(c, dtype=float)) for c in x]
-    n_nodes = max(c.shape[0] for c in cols)
-    return [np.broadcast_to(c, (n_nodes,)) if c.shape[0] != n_nodes else c for c in cols]
-
-
 def _diff_field(field, cols, n_nodes):
     """Stack field values and all first partials: (value, d[k] array).
 
@@ -396,7 +377,7 @@ def batch_metric_data(geom, cols):
     """g, ginv, sqrt_det, dg, Gamma as stacked arrays at a batch of nodes."""
     geom = ensure_geometry(geom)
     n_nodes = cols[0].shape[0]
-    jet = geom.jet1(list(cols))
+    jet = geom.jet1(cols)
     return {
         "g": la.nested_to_array(jet.g, n_nodes),
         "ginv": la.nested_to_array(jet.g_inv, n_nodes),
@@ -427,19 +408,28 @@ def _frame_product_fields(geom, pair, rotation):
     return a_field, b_field, p_field
 
 
+def _projected_frame_jet(a_field, b_field, cols, gamma):
+    """Projected frame fields A = P1 L and B = P2 L at a batch, with their
+    first partials and covariant derivatives:
+    (a0, da, cov_a, b0, db, cov_b), cov_a[i, k, t] = (nabla_{d_i} A_t)^k."""
+    n_nodes = cols[0].shape[0]
+    a0, da = _diff_field(a_field, cols, n_nodes)
+    b0, db = _diff_field(b_field, cols, n_nodes)
+    cov_a = da + np.einsum("kimn,mtn->iktn", gamma, a0)
+    cov_b = db + np.einsum("kimn,mtn->iktn", gamma, b0)
+    return a0, da, cov_a, b0, db, cov_b
+
+
 def mean_curvature_batch(geom, pair, cols, rotation=None):
     """H = H1 + H2 at a batch of nodes, shape (n, N).  First-order data only."""
     geom = ensure_geometry(geom)
     n_nodes = cols[0].shape[0]
     a_field, b_field, _ = _frame_product_fields(geom, pair, rotation)
-    a0, da = _diff_field(a_field, cols, n_nodes)
-    b0, db = _diff_field(b_field, cols, n_nodes)
-    gamma = la.nested_to_array(christoffel(geom.jet1(list(cols))).gamma, n_nodes)
-    p1 = la.nested_to_array(pair.p1(list(cols)), n_nodes)
-    p2 = la.nested_to_array(pair.p2(list(cols)), n_nodes)
+    gamma = la.nested_to_array(christoffel(geom.jet1(cols)).gamma, n_nodes)
+    a0, _, cov_a, b0, _, cov_b = _projected_frame_jet(a_field, b_field, cols, gamma)
+    p1 = la.nested_to_array(pair.p1(cols), n_nodes)
+    p2 = la.nested_to_array(pair.p2(cols), n_nodes)
 
-    cov_a = da + np.einsum("kimn,mtn->iktn", gamma, a0)
-    cov_b = db + np.einsum("kimn,mtn->iktn", gamma, b0)
     h1_pre = np.einsum("isn,iksn->kn", a0, cov_a)
     h2_pre = np.einsum("itn,iktn->kn", b0, cov_b)
     return np.einsum("kmn,mn->kn", p2, h1_pre) + np.einsum("kmn,mn->kn", p1, h2_pre)
@@ -455,18 +445,13 @@ def dist_invariants_batch(geom, pair, cols, rotation=None):
     n_nodes = cols[0].shape[0]
     a_field, b_field, p_field = _frame_product_fields(geom, pair, rotation)
 
-    a0, da = _diff_field(a_field, cols, n_nodes)
-    b0, db = _diff_field(b_field, cols, n_nodes)
+    gam0, dgam = _diff_field(christoffel_field(geom), cols, n_nodes)
+    a0, da, cov_a, b0, db, cov_b = _projected_frame_jet(a_field, b_field, cols, gam0)
     d2a = la.nested_to_array(second_partials(a_field, cols), n_nodes)
     p0, dp = _diff_field(p_field, cols, n_nodes)
-    gam0, dgam = _diff_field(christoffel_field(geom), cols, n_nodes)
-    g0 = la.nested_to_array(geom.jet1(list(cols)).g, n_nodes)
-    p1 = la.nested_to_array(pair.p1(list(cols)), n_nodes)
-    p2 = la.nested_to_array(pair.p2(list(cols)), n_nodes)
-
-    # cov_a[i, k, t] = (nabla_{d_i} A_t)^k  (A_t = t-th projected frame field)
-    cov_a = da + np.einsum("kimn,mtn->iktn", gam0, a0)
-    cov_b = db + np.einsum("kimn,mtn->iktn", gam0, b0)
+    g0 = la.nested_to_array(geom.jet1(cols).g, n_nodes)
+    p1 = la.nested_to_array(pair.p1(cols), n_nodes)
+    p2 = la.nested_to_array(pair.p2(cols), n_nodes)
 
     m1 = np.einsum("isn,iktn->kstn", a0, cov_a)  # nabla_{A_s} A_t
     m2 = np.einsum("isn,iktn->kstn", b0, cov_b)  # nabla_{B_s} B_t
@@ -545,43 +530,6 @@ def dist_invariants_batch(geom, pair, cols, rotation=None):
     }
 
 
-@dataclass
-class DistInvariants:
-    h1: np.ndarray
-    h2: np.ndarray
-    t1: np.ndarray
-    t2: np.ndarray
-    H1: np.ndarray
-    H2: np.ndarray
-    norms: dict
-    smix: float
-
-
-def dist_invariants(pair, chart, x, rotation=None):
-    """Pointwise frame-summed invariants (pre: pair self-adjoint)."""
-    geom = ensure_geometry(chart)
-    cols = _columns(x)
-    raw = dist_invariants_batch(geom, pair, cols, rotation=rotation)
-    norms = {
-        "h1": float(raw["norm_h1"][0]),
-        "h2": float(raw["norm_h2"][0]),
-        "t1": float(raw["norm_t1"][0]),
-        "t2": float(raw["norm_t2"][0]),
-        "H1": float(raw["norm_H1"][0]),
-        "H2": float(raw["norm_H2"][0]),
-    }
-    return DistInvariants(
-        h1=raw["h1"][..., 0],
-        h2=raw["h2"][..., 0],
-        t1=raw["t1"][..., 0],
-        t2=raw["t2"][..., 0],
-        H1=raw["H1"][..., 0],
-        H2=raw["H2"][..., 0],
-        norms=norms,
-        smix=float(raw["smix"][0]),
-    )
-
-
 def formula_terms_batch(geom, pair, cols):
     """(lhs-free) right-hand side of the divergence formula at a batch:
     smix + |h1|^2 + |h2|^2 - |t1|^2 - |t2|^2 - |H1|^2 - |H2|^2."""
@@ -607,20 +555,28 @@ def formula_terms_batch(geom, pair, cols):
     return rhs, scale
 
 
+def _pp_star_batch(p0, data):
+    """Q = P P^* at a batch of nodes from stacked P and batch_metric_data."""
+    ps = np.einsum("ikn,jkn,jln->iln", data["ginv"], p0, data["g"])
+    return np.einsum("ikn,kjn->ijn", p0, ps)
+
+
 def div_p_batch(geom, p_endo, vec_field, cols):
     """div_P X at a batch of nodes (exact AD, no finite differences)."""
     geom = ensure_geometry(geom)
     n_nodes = cols[0].shape[0]
     data = batch_metric_data(geom, cols)
-    p0 = la.nested_to_array(p_endo(list(cols)), n_nodes)
-    ps = np.einsum("ikn,jkn,jln->iln", data["ginv"], p0, data["g"])
-    q = np.einsum("ikn,kjn->ijn", p0, ps)
+    q = _pp_star_batch(la.nested_to_array(p_endo(cols), n_nodes), data)
     xv, dx = _diff_field(vec_field, cols, n_nodes)
     cov_x = dx + np.einsum("kimn,mn->ikn", data["gamma"], xv)
     return np.einsum("ikn,ikn->n", q, cov_x)
 
 
-def walczak_residual_batch(geom, pair, cols, h_step=1e-4):
+# step h of the Richardson-extrapolated central differences (h and h/2)
+_FD_STEP = 1e-4
+
+
+def walczak_residual_batch(geom, pair, cols):
     """Pointwise residual of the divergence formula at a batch of nodes.
 
     The right side comes from the invariants engine (AD-exact).  The left
@@ -642,14 +598,12 @@ def walczak_residual_batch(geom, pair, cols, h_step=1e-4):
 
     dh = np.zeros((n, n, n_nodes))
     for d in range(n):
-        coarse = central(d, h_step)
-        fine = central(d, 0.5 * h_step)
+        coarse = central(d, _FD_STEP)
+        fine = central(d, 0.5 * _FD_STEP)
         dh[d] = (4.0 * fine - coarse) / 3.0
 
     data = batch_metric_data(geom, cols)
-    p0 = la.nested_to_array(pair.total()(list(cols)), n_nodes)
-    ps = np.einsum("ikn,jkn,jln->iln", data["ginv"], p0, data["g"])
-    q = np.einsum("ikn,kjn->ijn", p0, ps)
+    q = _pp_star_batch(la.nested_to_array(pair.total()(cols), n_nodes), data)
     q_up = np.einsum("iln,ljn->ijn", q, data["ginv"])
     h0 = mean_curvature_batch(geom, pair, cols)
     lhs = np.einsum("ijn,ijn->n", q, dh) + 0.5 * np.einsum(
@@ -661,12 +615,6 @@ def walczak_residual_batch(geom, pair, cols, h_step=1e-4):
     return residual, residual / (1.0 + scale + np.abs(lhs))
 
 
-def walczak_pointwise_residual(pair, chart, x, h_step=1e-4):
-    geom = ensure_geometry(chart)
-    res, norm = walczak_residual_batch(geom, pair, _columns(x), h_step=h_step)
-    return {"residual": float(res[0]), "normalized": float(norm[0])}
-
-
 # -- frame-trace identities ----------------------------------------------------
 
 
@@ -675,7 +623,7 @@ def _gather(vec, index):
     return [np.broadcast_to(c, index.shape)[index] for c in vec]
 
 
-def trace_identity_residuals(pair, chart, x):
+def trace_identity_residuals(pair, chart, cols):
     """Frame-trace identities for the four curvature-identity ingredients.
 
     The left sides sum the four-argument tensors over an orthonormal frame
@@ -683,13 +631,13 @@ def trace_identity_residuals(pair, chart, x):
     expressions.  Also returns the auxiliary index-2 cancellation sum.
     Preconditions: pair allowed and self-adjoint.
 
-    x is a point or a column batch.  The n^2 frame pairs (s, t) are stacked
-    on the node axis beside the points (node (s * n + t) * N + p), so every
-    term below is one tower evaluation for all pairs and points.
+    cols is a column batch of N points; every result is an (N,) array.  The
+    n^2 frame pairs (s, t) are stacked on the node axis beside the points
+    (node (s * n + t) * N + p), so every term below is one tower evaluation
+    for all pairs and points.
     """
     geom = ensure_geometry(chart)
     n = geom.chart.dim
-    cols = _columns(x)
     n_nodes = cols[0].shape[0]
     n_pairs = n * n
     z = [np.tile(c, n_pairs) for c in cols]
@@ -759,8 +707,6 @@ def trace_identity_residuals(pair, chart, x):
         out[f"{key}_normalized"] = diff / (1.0 + abs(lhs[key]) + abs(rhs[key]))
     out["aux"] = abs(aux)
     out["aux_normalized"] = abs(aux) / (1.0 + abs(aux))
-    if all(np.ndim(c) == 0 for c in x):
-        return {key: val[0] for key, val in out.items()}
     return out
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg as la
-from .chart_geometry import cov_at, ensure_geometry, point_columns
+from .chart_geometry import cov_at, ensure_geometry
 
 
 def adjoint_matrix(g, g_inv, p):
@@ -105,13 +105,12 @@ def self_adjoint_defects(pair, chart, x):
     return out
 
 
-def check_pair(pair, chart, points):
-    """Adaptedness (+ self-adjointness if advertised) over a sample set.
+def check_pair(pair, chart, cols):
+    """Adaptedness (+ self-adjointness if advertised) over a column batch.
 
-    The points are evaluated as one column batch.  Returns max_abs /
-    max_normalized over all points and all product norms (NaN if any is).
+    Returns max_abs / max_normalized over all nodes and all product norms
+    (NaN if any is).
     """
-    cols = point_columns(points)
     prods = pair_product_norms(pair, chart, cols)
     scale = prods.pop("scale")
     vals = list(prods.values())
@@ -121,16 +120,20 @@ def check_pair(pair, chart, points):
     return {
         "max_abs": la.max_entry(worst),
         "max_normalized": la.max_entry(worst / (1.0 + scale)),
-        "samples": len(points),
+        "samples": len(cols[0]),
     }
 
 
 # -- first-order compatibility forms ---------------------------------------
 
 
-def _const_field(vec):
+def as_field(v):
+    """v itself if it is already a field closure, else the constant field z -> v."""
+    if callable(v):
+        return v
+
     def fld(_z):
-        return vec
+        return v
 
     return fld
 
@@ -155,8 +158,8 @@ def allowed_forms(pair, chart, x, vec_x, vec_y):
     form (used for normalized residual reporting).
     """
     geom = ensure_geometry(chart)
-    x_fld = _const_field(vec_x)
-    y_fld = _const_field(vec_y)
+    x_fld = as_field(vec_x)
+    y_fld = as_field(vec_y)
     g = geom.jet1(x).g
 
     forms = {}

@@ -26,6 +26,7 @@ from distpair import (
     einstein_tensor,
     integral_formula_check,
     div_equivalence_residuals,
+    point_columns,
     riemann,
     stokes_check,
     trace_identity_residuals,
@@ -102,7 +103,7 @@ def test_c02_pair_operator_images_divergence_free():
     for x in pts:
         for fld in fields:
             worst = max(worst, _covector_norm(sc.geom, x, div_endo(sc.geom, fld, x)))
-    structural = check_pair(sc.pair, sc.geom, pts[:40])["max_normalized"]
+    structural = check_pair(sc.pair, sc.geom, point_columns(pts[:40]))["max_normalized"]
     ok = worst <= 1e-8 and structural <= 1e-8
     verdict(
         2,
@@ -211,9 +212,9 @@ def test_c06_frame_trace_identities_hold():
         sc = scenario(name)
         rng = np.random.default_rng(106)
         for x in sc.sample_points(rng, budget[name]):
-            res = trace_identity_residuals(sc.pair, sc.geom, x)
+            res = trace_identity_residuals(sc.pair, sc.geom, point_columns([x]))
             for key in ("t1", "t2", "s1", "s2", "aux"):
-                worst = max(worst, res[f"{key}_normalized"])
+                worst = max(worst, res[f"{key}_normalized"][0])
     ok = worst <= 1e-7
     verdict(
         6,

@@ -9,26 +9,28 @@ import pytest
 
 import distpair.dual as ops
 import distpair.linalg as la
-from distpair.chart_geometry import cov_at, riemann, riemann_up
+import distpair.chart_geometry as cg
+from distpair.chart_geometry import cov_at, point_columns, riemann, riemann_up
 from distpair.dist_tensors import (
     as_field,
     b_tensors,
     codazzi_residual,
     contact_identity_residual,
     contact_structure_residuals,
-    dist_invariants,
+    dist_invariants_batch,
     div_p,
+    div_p_batch,
     field_b1,
     field_b2,
     field_check_b1,
     field_hat_b1,
+    formula_terms_batch,
     collapse_residual,
     mean_curvature_batch,
     div_equivalence_residuals,
     rp_reduced,
     trace_identity_residuals,
     tsr_tensors,
-    walczak_pointwise_residual,
     walczak_residual_batch,
 )
 from distpair.dual import partials
@@ -440,14 +442,14 @@ def test_div_equivalence_conditional_parts_fail_without_divergence_free_q():
 
 def test_invariants_closed_form_on_warped_torus():
     sc = warped_torus()
-    inv = dist_invariants(sc.pair, sc.geom, [0.0, 1.4])
+    inv = dist_invariants_batch(sc.geom, sc.pair, point_columns([[0.0, 1.4]]))
     # at u = 0: w' = 1, w'' = 0; the second distribution is totally geodesic
     # inside its own leaves but has mean curvature -w' relative to the first
-    assert abs(inv.norms["h2"] - 1.0) < 1e-12
-    assert abs(inv.norms["H2"] - 1.0) < 1e-12
+    assert abs(inv["norm_h2"][0] - 1.0) < 1e-12
+    assert abs(inv["norm_H2"][0] - 1.0) < 1e-12
     for key in ("h1", "t1", "t2", "H1"):
-        assert abs(inv.norms[key]) < 1e-12, key
-    assert abs(inv.smix + 1.0) < 1e-12
+        assert abs(inv[f"norm_{key}"][0]) < 1e-12, key
+    assert abs(inv["smix"][0] + 1.0) < 1e-12
 
 
 def test_invariants_closed_form_on_hopf():
@@ -455,12 +457,12 @@ def test_invariants_closed_form_on_hopf():
     rng = np.random.default_rng(80)
     for _ in range(3):
         x = sc.sample_points(rng, 1)[0]
-        inv = dist_invariants(sc.pair, sc.geom, x)
+        inv = dist_invariants_batch(sc.geom, sc.pair, point_columns([x]))
         # the circle fibration is totally geodesic with antisymmetric mixing
-        assert abs(inv.norms["t1"] - 2.0) < 1e-10
-        assert abs(inv.smix - 2.0) < 1e-10
+        assert abs(inv["norm_t1"][0] - 2.0) < 1e-10
+        assert abs(inv["smix"][0] - 2.0) < 1e-10
         for key in ("h1", "h2", "t2", "H1", "H2"):
-            assert abs(inv.norms[key]) < 1e-10, key
+            assert abs(inv[f"norm_{key}"][0]) < 1e-10, key
 
 
 def test_mean_curvature_closed_form_on_warped_torus():
@@ -498,14 +500,15 @@ def test_smix_two_independent_routes():
 def test_invariants_independent_of_frame_rotation():
     sc = hopf_contact_s3()
     rng = np.random.default_rng(82)
-    x = sc.sample_points(rng, 1)[0]
-    base = dist_invariants(sc.pair, sc.geom, x)
+    cols = point_columns(sc.sample_points(rng, 1))
+    base = dist_invariants_batch(sc.geom, sc.pair, cols)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     rot = [[float(v) for v in row] for row in q]
-    rotated = dist_invariants(sc.pair, sc.geom, x, rotation=rot)
-    assert abs(base.smix - rotated.smix) < 1e-10
-    for key in base.norms:
-        assert abs(base.norms[key] - rotated.norms[key]) < 1e-10
+    rotated = dist_invariants_batch(sc.geom, sc.pair, cols, rotation=rot)
+    assert abs(base["smix"][0] - rotated["smix"][0]) < 1e-10
+    for key in ("h1", "h2", "t1", "t2", "H1", "H2"):
+        key = f"norm_{key}"
+        assert abs(base[key][0] - rotated[key][0]) < 1e-10
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
@@ -522,20 +525,44 @@ def test_divergence_formula_closed_form_on_warped_torus():
     # both sides equal -(w'' + w'^2) pointwise
     sc = warped_torus()
     for u in (0.0, 0.9, 3.1):
-        res = walczak_pointwise_residual(sc.pair, sc.geom, [u, 0.3])
-        assert res["normalized"] < 1e-8
-        inv = dist_invariants(sc.pair, sc.geom, [u, 0.3])
+        cols = point_columns([[u, 0.3]])
+        _, norm = walczak_residual_batch(sc.geom, sc.pair, cols)
+        assert norm[0] < 1e-8
+        inv = dist_invariants_batch(sc.geom, sc.pair, cols)
         rhs = (
-            inv.smix
-            + inv.norms["h1"]
-            + inv.norms["h2"]
-            - inv.norms["t1"]
-            - inv.norms["t2"]
-            - inv.norms["H1"]
-            - inv.norms["H2"]
+            inv["smix"][0]
+            + inv["norm_h1"][0]
+            + inv["norm_h2"][0]
+            - inv["norm_t1"][0]
+            - inv["norm_t2"][0]
+            - inv["norm_H1"][0]
+            - inv["norm_H2"][0]
         )
         want = -(-math.sin(u) + math.cos(u) ** 2)
         assert abs(rhs - want) < 1e-10
+
+
+def test_each_batch_engine_call_builds_one_real_metric_jet(monkeypatch):
+    """The batch object itself is passed down, so the identity-keyed cache
+    builds (and validates) its metric jet once per call; the dual points of
+    the derivative passes are not counted."""
+    sc = hopf_contact_s3()
+    rng = np.random.default_rng(84)
+    vec_field = random_vector_field(sc, rng)
+    real_jets = []
+    metric_jet = cg._metric_jet
+
+    def counting(chart, x):
+        if not any(isinstance(c, ops.Dual) for c in x):
+            real_jets.append(x)
+        return metric_jet(chart, x)
+
+    monkeypatch.setattr(cg, "_metric_jet", counting)
+    formula_terms_batch(sc.geom, sc.pair, sc.sample_columns(rng, 100))
+    assert len(real_jets) == 1
+    real_jets.clear()
+    div_p_batch(sc.geom, sc.pair.total(), vec_field, sc.sample_columns(rng, 100))
+    assert len(real_jets) == 1
 
 
 # -- frame-trace identities -----------------------------------------------------
@@ -555,16 +582,17 @@ def test_frame_trace_identities(name, npts):
     sc = build_scenario(name)
     rng = np.random.default_rng(90)
     for x in sc.sample_points(rng, npts):
-        res = trace_identity_residuals(sc.pair, sc.geom, x)
+        res = trace_identity_residuals(sc.pair, sc.geom, point_columns([x]))
         for key in ("t1", "t2", "s1", "s2", "aux"):
-            assert res[f"{key}_normalized"] < 1e-9, (key, x)
+            assert res[f"{key}_normalized"][0] < 1e-9, (key, x)
 
 
 @pytest.mark.parametrize("name", ["warped-torus", "hopf-s3"])
 def test_batched_towers_match_the_point_loop(name):
     """One column batch over the points (and, for the traces, the frame
     pairs) gives bit for bit the residuals of a loop over the points, and a
-    single point still gives floats."""
+    single point still gives floats.  The traces take column batches only,
+    so there a point goes in as a one-node batch and node 0 is read."""
     sc = build_scenario(name)
     rng = np.random.default_rng(91)
     vec_field, scalar_field = random_vector_field(sc, rng), random_scalar_field(sc, rng)
@@ -573,6 +601,12 @@ def test_batched_towers_match_the_point_loop(name):
     vecs = rng.normal(size=(3, 4, dim))
     cols = [np.array(c) for c in zip(*pts)]
     slots = [[vecs[:, j, i] for i in range(dim)] for j in range(4)]
+
+    def traces(x, v):
+        if isinstance(x[0], np.ndarray):
+            return trace_identity_residuals(sc.pair, sc.geom, x)
+        res = trace_identity_residuals(sc.pair, sc.geom, point_columns([x]))
+        return {key: val[0] for key, val in res.items()}
 
     def codazzi(x, v):
         res = codazzi_residual(sc.pair, sc.geom, x, *v)
@@ -586,7 +620,7 @@ def test_batched_towers_match_the_point_loop(name):
         "divergence": lambda x, v: div_equivalence_residuals(
             sc.pair.total(), sc.geom, vec_field, x, scalar_field
         ),
-        "traces": lambda x, v: trace_identity_residuals(sc.pair, sc.geom, x),
+        "traces": traces,
     }
     if "phi" in sc.extras:
         checks["contact"] = lambda x, v: contact_structure_residuals(

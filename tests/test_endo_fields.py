@@ -78,7 +78,7 @@ def test_adjoint_pairing_identity():
 def test_check_pair_on_adapted_scenarios(builder):
     sc = builder()
     rng = np.random.default_rng(31)
-    res = check_pair(sc.pair, sc.geom, sc.sample_points(rng, 20))
+    res = check_pair(sc.pair, sc.geom, sc.sample_columns(rng, 20))
     assert res["samples"] == 20
     assert res["max_normalized"] < 1e-10
 
@@ -86,7 +86,7 @@ def test_check_pair_on_adapted_scenarios(builder):
 def test_rotated_pair_is_adapted_but_not_allowed():
     sc = non_allowed_rotated()
     rng = np.random.default_rng(33)
-    res = check_pair(sc.pair, sc.geom, sc.sample_points(rng, 20))
+    res = check_pair(sc.pair, sc.geom, sc.sample_columns(rng, 20))
     assert res["max_normalized"] < 1e-10  # adaptedness survives the rotation
 
     worst = 0.0
