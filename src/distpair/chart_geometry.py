@@ -181,12 +181,6 @@ def christoffel(jet: MetricJet) -> ConnectionCoeffs:
     return ConnectionCoeffs(gamma=gamma)
 
 
-def gamma_jet(geom, x):
-    """(gamma, dgamma) with dgamma[l][k][i][j] = d_l Gamma^k_{ij}."""
-    geom = ensure_geometry(geom)
-    return geom.gamma(x), partials(christoffel_field(geom), x)
-
-
 def christoffel_field(geom):
     """Field z -> Gamma(z) past the per-point Gamma cache, for differentiating
     Gamma: the seeded points of a pass are never looked up again."""
@@ -201,7 +195,8 @@ def riemann_up(geom, x):
     """R^m_{ijk} = d_i Gamma^m_{jk} - d_j Gamma^m_{ik} + Gamma Gamma terms."""
     geom = ensure_geometry(geom)
     n = geom.chart.dim
-    gamma, dgamma = gamma_jet(geom, x)
+    gamma = geom.gamma(x)
+    dgamma = partials(christoffel_field(geom), x)  # dgamma[l][k][i][j] = d_l Gamma^k_{ij}
     out = []
     for m in range(n):
         bm = []

@@ -39,8 +39,10 @@ from .chart_geometry import (
     lie_bracket,
     nabla_field,
 )
-from .dual import directional, iter_partials, second_partials
-from .endo_fields import adjoint_field, adjoint_matrix, apply_endo, as_field, frob, gnorm
+from .dual import directional, partials, second_partials
+from .endo_fields import (
+    adjoint_field, adjoint_matrix, apply_endo, as_field, covector_gnorm, frob, gnorm
+)
 
 
 # -- the six structural tensor fields ---------------------------------------
@@ -294,18 +296,25 @@ def div_p(p_endo, chart, vec_field, x):
     """div_P X in trace form, sum_{m,k} Q^m_k (nabla_m X)^k with Q = P P^*
     (no assumption on P)."""
     geom = ensure_geometry(chart)
-    n = geom.chart.dim
     q = pp_star_field(geom, p_endo)(x)
-    cov = cov_deriv_vector(geom, vec_field, x)
-    return sum(q[m][k] * cov[m][k] for m in range(n) for k in range(n))
+    return _div_p_of(q, cov_deriv_vector(geom, vec_field, x))
 
 
 def hs_inner_with_grad(p_endo, chart, vec_field, x):
     """<P P^*, nabla X> in the trace inner product (equals div_P X always)."""
     geom = ensure_geometry(chart)
-    jet = geom.jet1(x)
     q = pp_star_field(geom, p_endo)(x)
-    cov = cov_deriv_vector(geom, vec_field, x)
+    return _hs_inner_of(geom.jet1(x), q, cov_deriv_vector(geom, vec_field, x))
+
+
+def _div_p_of(q, cov):
+    """sum_{m,k} Q^m_k cov[m][k] for Q and a covariant Jacobian cov."""
+    n = len(q)
+    return sum(q[m][k] * cov[m][k] for m in range(n) for k in range(n))
+
+
+def _hs_inner_of(jet, q, cov):
+    """tr((nabla X)^* Q) for Q and the covariant Jacobian cov of X."""
     grad_endo = la.transpose(cov)  # (nabla X)^k_i as a mixed matrix
     grad_star = adjoint_matrix(jet.g, jet.g_inv, grad_endo)
     return la.trace(la.mat_mul(grad_star, q))
@@ -320,30 +329,26 @@ def div_equivalence_residuals(p_endo, chart, vec_field, x, scalar_field):
     product rule div_P(f X) = f div(P P^* X) + (P P^* X)(f).
     """
     geom = ensure_geometry(chart)
-    n = geom.chart.dim
     jet = geom.jet1(x)
     q_field = pp_star_field(geom, p_endo)
-    div_q = div_endo(geom, q_field, x)
-    div_q_norm = np.sqrt(
-        np.maximum(
-            sum(div_q[i] * jet.g_inv[i][j] * div_q[j] for i in range(n) for j in range(n)),
-            0.0,
-        )
-    )
+    div_q_norm = covector_gnorm(jet.g_inv, div_endo(geom, q_field, x))
 
-    dp = div_p(p_endo, geom, vec_field, x)
+    # one Q and one covariant Jacobian of X serve div_P X and <Q, nabla X>
+    q = q_field(x)
+    cov = cov_deriv_vector(geom, vec_field, x)
+    dp = _div_p_of(q, cov)
     qx_field = apply_endo(q_field, vec_field)
     div_qx = div_vector(geom, qx_field, x)
     r_div = abs(dp - div_qx)
 
-    hs = hs_inner_with_grad(p_endo, geom, vec_field, x)
+    hs = _hs_inner_of(jet, q, cov)
     r_hs = abs(dp - hs)
 
     def fx_field(z):
         return la.vec_scale(scalar_field(z), vec_field(z))
 
-    lhs = div_p(p_endo, geom, fx_field, x)
-    qx_at = la.mat_vec(q_field(x), vec_field(x))
+    lhs = _div_p_of(q, cov_deriv_vector(geom, fx_field, x))
+    qx_at = la.mat_vec(q, vec_field(x))
     rhs = scalar_field(x) * div_qx + directional(scalar_field, x, qx_at)[1]
     r_leibniz = abs(lhs - rhs)
 
@@ -361,16 +366,9 @@ def div_equivalence_residuals(p_endo, chart, vec_field, x, scalar_field):
 
 
 def _diff_field(field, cols, n_nodes):
-    """Stack field values and all first partials: (value, d[k] array).
-
-    Each partial is copied out before the next pass runs: holding every
-    pass's output at once raised the quadrature peak RSS by about 1 MB.
-    """
+    """Stack field values and all first partials: (value, d[k] array)."""
     val = la.nested_to_array(field(cols), n_nodes)
-    d = np.zeros((len(cols),) + val.shape)
-    for k, d_k in enumerate(iter_partials(field, cols)):
-        d[k] = la.nested_to_array(d_k, n_nodes)
-    return val, d
+    return val, la.nested_to_array(partials(field, cols), n_nodes)
 
 
 def batch_metric_data(geom, cols):

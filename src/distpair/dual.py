@@ -12,11 +12,15 @@ Payloads (``val``/``eps``) may be floats, numpy arrays (for evaluating a whole
 batch of points in one pass) or further ``Dual`` instances (nesting).
 
 The derivative engine at the end of the module is the only place that seeds
-passes and extracts their parts: :func:`directional` (value and directional
-derivative), :func:`partials` (one pass per axis; :func:`iter_partials` runs
-them lazily) and :func:`second_partials` (one nested pass per axis pair), each
-over scalar or nested-list fields.  Forward mode, one direction per pass
-(Griewank & Walther, *Evaluating Derivatives*, ch. 3).
+passes and extracts their parts (Griewank & Walther, *Evaluating Derivatives*,
+ch. 3): :func:`directional` takes one direction per pass, :func:`partials`
+all n in one vector pass, and :func:`second_partials` nests two vector passes.
+A vector pass puts its direction axis (length n, seed i one-hot) in front of
+every axis in use: the point's node axes and the axis of each enclosing vector
+pass still running, tracked while a field runs since it may capture an outer
+pass's point.  Nested passes thus broadcast as ``(n_inner, n_outer, *nodes)``,
+and each direction sees the scalar operations of a one-direction pass, so the
+derivatives are bit-identical to per-axis passes.
 """
 
 from __future__ import annotations
@@ -153,11 +157,16 @@ def sqrt(x):
     return np.sqrt(x)
 
 
-def sign_of(x):
-    """Sign of the innermost (real) part; constant for differentiation."""
+def _real(x):
+    """The innermost (real) part of x."""
     while isinstance(x, Dual):
         x = x.val
-    return np.sign(x)
+    return x
+
+
+def sign_of(x):
+    """Sign of the innermost (real) part; constant for differentiation."""
+    return np.sign(_real(x))
 
 
 def fabs(x):
@@ -169,6 +178,9 @@ def fabs(x):
 # Every derivative in the package is taken here: seed the point for a fresh
 # pass, evaluate the field, and pull the pass's parts out of its (possibly
 # nested-list) output.  Fields return scalars or nested lists of them.
+
+# Node axes of every vector pass whose field is running, outermost first.
+_running = []
 
 
 def seed_point(x, v, tag):
@@ -189,48 +201,39 @@ def _part(c, tag, eps):
     return 0.0 if eps else c
 
 
-def _pass(f, x, v):
-    """f at x + eps v for a fresh pass, and that pass's tag."""
-    tag = fresh_tag()
-    return f(seed_point(x, v, tag)), tag
-
-
-def _axis(k, n):
-    return [1.0 if i == k else 0.0 for i in range(n)]
+def _pick(c, k):
+    """Direction k of every array in ``c``: entry k of its leading axis."""
+    if isinstance(c, (list, tuple)):
+        return [_pick(e, k) for e in c]
+    if isinstance(c, Dual):
+        return Dual(c.tag, _pick(c.val, k), _pick(c.eps, k))
+    return c[k] if isinstance(c, np.ndarray) else c
 
 
 def directional(f, x, v):
     """(f(x), D_v f(x)) for a scalar or nested-list field f, in one pass."""
-    out, tag = _pass(f, x, v)
+    tag = fresh_tag()
+    out = f(seed_point(x, v, tag))
     return _part(out, tag, False), _part(out, tag, True)
 
 
-def iter_partials(f, x):
-    """d_0 f(x), d_1 f(x), ... with each axis's pass run only when its
-    derivative is asked for, so a caller can store one before the next
-    pass allocates (peak memory on large batches)."""
-    n = len(x)
-    for k in range(n):
-        yield _part(*_pass(f, x, _axis(k, n)), True)
-
-
 def partials(f, x):
-    """d[k] = d_k f(x), one pass per coordinate axis."""
-    return list(iter_partials(f, x))
+    """d[k] = d_k f(x) for every coordinate axis k, in one vector pass."""
+    n = len(x)
+    nodes = max([np.ndim(_real(c)) for c in x] + _running)
+    seeds = np.eye(n).reshape((n, n) + (1,) * (nodes + len(_running)))
+    tag = fresh_tag()
+    _running.append(nodes)
+    try:
+        out = f(seed_point(x, seeds, tag))
+    finally:
+        _running.pop()
+    d = _part(out, tag, True)
+    return [_pick(d, k) for k in range(n)]
 
 
 def second_partials(f, x):
-    """d2[k][l] = d_k d_l f(x), symmetric: one nested pass per k <= l.
-
-    The pass along l is the outer one (older tag); d2[l][k] is the same
-    object as d2[k][l].
-    """
-    n = len(x)
-    d2 = [[None] * n for _ in range(n)]
-    for l in range(n):
-        tag_l = fresh_tag()
-        x_l = seed_point(x, _axis(l, n), tag_l)
-        for k in range(l + 1):
-            out, tag_k = _pass(f, x_l, _axis(k, n))
-            d2[k][l] = d2[l][k] = _part(_part(out, tag_k, True), tag_l, True)
-    return d2
+    """d2[k][l] = d2[l][k] = d_k d_l f(x), one object: the entry of the pass
+    along min(k, l) nested in the pass along max(k, l) (older tag)."""
+    d2 = partials(lambda z: partials(f, z), x)  # d2[l][k]: k inner, l outer
+    return [[d2[max(k, l)][min(k, l)] for l in range(len(x))] for k in range(len(x))]

@@ -149,6 +149,13 @@ def gnorm(g, v):
     return np.sqrt(np.maximum(la.bilinear(g, v, v), 0.0))
 
 
+def covector_gnorm(g_inv, omega):
+    """Metric norm of a covector, through the inverse metric."""
+    n = len(omega)
+    val = sum(omega[i] * g_inv[i][j] * omega[j] for i in range(n) for j in range(n))
+    return np.sqrt(np.maximum(val, 0.0))
+
+
 def allowed_forms(pair, chart, x, vec_x, vec_y):
     """The four first-order compatibility forms at x on slot vectors (X, Y).
 

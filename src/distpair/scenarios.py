@@ -25,6 +25,7 @@ from .endo_fields import (
     EndoPair,
     adjoint_field,
     allowed_residual,
+    covector_gnorm,
     pair_product_norms,
     self_adjoint_defects,
 )
@@ -85,13 +86,6 @@ class ScenarioManifold:
         return [[v[:, j, i] for i in range(dim)] for j in range(k)]
 
 
-def _covector_gnorm(geom, x, omega):
-    ginv = geom.jet1(x).g_inv
-    n = len(omega)
-    val = sum(omega[i] * ginv[i][j] * omega[j] for i in range(n) for j in range(n))
-    return np.sqrt(np.maximum(val, 0.0))
-
-
 def probe_pair(scenario, n_points=5, seed=7):
     """Light construction-time measurement of the advertised flags.
 
@@ -114,7 +108,7 @@ def probe_pair(scenario, n_points=5, seed=7):
     if pair.div_pp_star_zero:
         q_field = pp_star_field(geom, pair.total())
         ev["div_pp_star"] = la.max_entry(
-            _covector_gnorm(geom, cols, div_endo(geom, q_field, cols))
+            covector_gnorm(geom.jet1(cols).g_inv, div_endo(geom, q_field, cols))
         )
     if pair.div_p_squared_zero:
         p_total = pair.total()
@@ -124,7 +118,7 @@ def probe_pair(scenario, n_points=5, seed=7):
             return la.mat_mul(p, p)
 
         ev["div_p_squared"] = la.max_entry(
-            _covector_gnorm(geom, cols, div_endo(geom, p_sq, cols))
+            covector_gnorm(geom.jet1(cols).g_inv, div_endo(geom, p_sq, cols))
         )
     pair.evidence.update(ev)
     return ev

@@ -194,3 +194,98 @@ def test_batched_partials_equal_pointwise_bit_for_bit():
     for p, x in enumerate(points):
         assert np.array_equal(d_batch[..., p], np.array(partials(_nested_field, x)))
         assert np.array_equal(d2_batch[..., p], np.array(second_partials(_nested_field, x)))
+
+
+# -- the vector pass against a per-axis reference -------------------------------
+
+
+def _axis_partials(f, x):
+    """Reference for partials: one directional pass per coordinate axis."""
+    n = len(x)
+    return [directional(f, x, [1.0 if i == k else 0.0 for i in range(n)])[1] for k in range(n)]
+
+
+def _axis_second_partials(f, x):
+    """Reference for second_partials: one nested directional pass per k <= l,
+    with the pass along l outside."""
+    n = len(x)
+    d2 = [[None] * n for _ in range(n)]
+    for l in range(n):
+        for k in range(l + 1):
+            d2[k][l] = d2[l][k] = _axis_partials(lambda z: _axis_partials(f, z)[k], x)[l]
+    return d2
+
+
+def _field3(z):
+    # every elementary operation of the module, a constant entry and one
+    # entry independent of z[2]
+    return [
+        [ops.sin(z[0]) * z[1] ** 2 + z[2] / (1.0 + z[0] * z[0]), 3.0],
+        [
+            ops.exp(z[0] * z[1]) * ops.sqrt(2.0 + ops.cos(z[2])),
+            ops.log(2.0 + z[1] * z[1]) - z[2] ** 3,
+        ],
+        [ops.fabs(z[0] - z[1]), -z[1]],
+    ]
+
+
+_POINT = [0.4, -0.9, 1.3]
+_COLUMNS = point_columns([[0.4, -0.9, 1.3], [1.1, 0.2, -0.7], [-1.5, 0.8, 0.1]])
+_DIRECTION = [0.3, -1.1, 0.6]
+
+
+def _assert_same_bits(got, want, n_nodes):
+    got, want = la.nested_to_array(got, n_nodes), la.nested_to_array(want, n_nodes)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "engine,reference", [(partials, _axis_partials), (second_partials, _axis_second_partials)]
+)
+@pytest.mark.parametrize("x,n_nodes", [(_POINT, 1), (_COLUMNS, 3)], ids=["floats", "columns"])
+def test_engine_equals_per_axis_reference_bit_for_bit(engine, reference, x, n_nodes):
+    _assert_same_bits(engine(_field3, x), reference(_field3, x), n_nodes)
+    # at a nested-dual point: the point of an enclosing directional pass
+    got = directional(lambda z: engine(_field3, z), x, _DIRECTION)
+    want = directional(lambda z: reference(_field3, z), x, _DIRECTION)
+    for g, w in zip(got, want):
+        _assert_same_bits(g, w, n_nodes)
+    # inside an enclosing vector pass, and around a nested one
+    _assert_same_bits(
+        partials(lambda z: engine(_field3, z), x),
+        _axis_partials(lambda z: reference(_field3, z), x),
+        n_nodes,
+    )
+    _assert_same_bits(
+        engine(lambda z: partials(_field3, z), x),
+        reference(lambda z: _axis_partials(_field3, z), x),
+        n_nodes,
+    )
+
+
+@pytest.mark.parametrize(
+    "point", [[0.3, 0.7], [np.array([0.3, -0.2]), np.array([0.7, 1.5])]], ids=["floats", "columns"]
+)
+def test_inner_pass_sees_an_outer_point_captured_by_its_field(point):
+    # the inner gradient is [y1, y0]; the inner pass runs at a fresh real
+    # point, so only the running outer pass tells it where its axis goes
+    def inner_gradient(y):
+        return partials(lambda z: z[0] * y[1] + z[1] * y[0], [0.0, 0.0])
+
+    hessian = la.nested_to_array(partials(inner_gradient, point), 2)
+    assert np.array_equal(hessian, np.array([[[0.0], [1.0]], [[1.0], [0.0]]]) + np.zeros(2))
+
+
+def test_one_pass_per_gradient_and_two_per_hessian(monkeypatch):
+    passes = []
+
+    def counting():
+        passes.append(None)
+        return fresh_tag()
+
+    monkeypatch.setattr(ops, "fresh_tag", counting)
+    partials(_field3, _COLUMNS)
+    assert len(passes) == 1
+    passes.clear()
+    second_partials(_field3, _COLUMNS)
+    assert len(passes) == 2

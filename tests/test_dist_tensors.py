@@ -25,6 +25,7 @@ from distpair.dist_tensors import (
     field_check_b1,
     field_hat_b1,
     formula_terms_batch,
+    hs_inner_with_grad,
     collapse_residual,
     mean_curvature_batch,
     div_equivalence_residuals,
@@ -373,6 +374,7 @@ def test_div_p_two_routes_agree_even_for_nonadjoint_p():
             tr = div_p(p, sc.geom, X, x)
             dens = metric_div_p(p, sc.geom, X, x)
             assert abs(tr - dens) < 1e-10
+            assert abs(tr - hs_inner_with_grad(p, sc.geom, X, x)) < 1e-10
 
 
 def test_div_p_of_full_projector_sum_is_plain_divergence():
@@ -435,6 +437,25 @@ def test_div_equivalence_conditional_parts_fail_without_divergence_free_q():
         want = abs(df2[0] * xv[0] + df2[1] * xv[1])
         assert abs(res["vs_div_qx"] - want) < 1e-10
         assert res["div_pp_star"] > 1e-3
+
+
+def test_div_equivalence_builds_each_covariant_jacobian_once(monkeypatch):
+    """div_P X and <P P^*, nabla X> share one covariant Jacobian of X; the
+    product-rule part takes the other one, of f X."""
+    import distpair.dist_tensors as dt
+    from distpair.cli import run_div_equivalence
+
+    fields = []
+    cov_deriv_vector = dt.cov_deriv_vector
+
+    def counting(geom, vec_field, x):
+        fields.append(vec_field)
+        return cov_deriv_vector(geom, vec_field, x)
+
+    monkeypatch.setattr(dt, "cov_deriv_vector", counting)
+    run_div_equivalence(hopf_contact_s3(), 5, 42, 1e-6)
+    assert len(fields) == 2
+    assert fields[0] is not fields[1]
 
 
 # -- frame-summed invariants ---------------------------------------------------

@@ -51,3 +51,28 @@ def test_dual_is_the_only_derivative_engine():
         stem for stem, tree in _modules() if stem != "dual" and engine & set(_names_used(tree))
     ]
     assert users == []
+
+
+def test_only_dual_builds_duals_or_reads_their_parts():
+    # the axis layout of a pass's perturbations stays private to the engine;
+    # other modules may only ask isinstance(x, Dual)
+    offenders = [
+        f"{stem}:{node.lineno}"
+        for stem, tree in _modules()
+        if stem != "dual"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in {"eps", "val", "tag"})
+        or (
+            isinstance(node, ast.Call)
+            and "Dual" in {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+        )
+    ]
+    assert offenders == []
+
+
+def test_dual_defines_one_init_and_one_fresh_tag():
+    # the benchmark's trace counts Dual objects and passes by these names
+    tree = dict(_modules())["dual"]
+    names = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert names.count("__init__") == 1
+    assert names.count("fresh_tag") == 1
