@@ -380,9 +380,11 @@ def frame_at(geom, z):
 def frame_column_field(geom, s):
     """Field z -> frame vector s at z.
 
-    ``s`` may also be an integer array over the node axis of a column batch:
-    node m then carries frame vector s[m], selected as sum_k L[i][k] mask_k
-    with mask_k = (s == k).  This stacks several frame slots into one tower.
+    ``s`` may also be an integer array that broadcasts against the point's
+    axes: a node carries frame vector s there, sum_k L[i][k] (s == k).  An
+    index axis of its own, e.g. s of shape (n, 1, 1) at a point of shape
+    (1, 1, N), stacks n frame slots into one tower; s must not have more
+    axes than the point, as a derivative pass puts its axis in front.
     """
     geom = ensure_geometry(geom)
     if np.ndim(s) == 0:

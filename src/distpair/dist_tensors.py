@@ -52,80 +52,54 @@ from .endo_fields import (
 # is differentiated; the second feeds the direction.
 
 
+def _slot_field(geom, outer, direction, inner, moved_fld, dir_fld):
+    """Field z -> outer nabla_{direction dir_fld} (inner moved_fld) at z, with
+    outer, direction and inner endomorphism fields."""
+    moved = apply_endo(inner, moved_fld)
+
+    def fld(z):
+        d = la.mat_vec(direction(z), dir_fld(z))
+        return la.mat_vec(outer(z), cov_at(geom, z, d, moved))
+
+    return fld
+
+
 def field_b1(geom, pair, y_fld, x_fld):
     """B1(Y, X) = P1^* nabla_{P1 X} (P2 Y)."""
     geom = ensure_geometry(geom)
-    inner = apply_endo(pair.p2, y_fld)
-    p1s = adjoint_field(geom, pair.p1)
-
-    def fld(z):
-        d = la.mat_vec(pair.p1(z), x_fld(z))
-        return la.mat_vec(p1s(z), cov_at(geom, z, d, inner))
-
-    return fld
+    return _slot_field(geom, adjoint_field(geom, pair.p1), pair.p1, pair.p2, y_fld, x_fld)
 
 
 def field_b2(geom, pair, x_fld, y_fld):
     """B2(X, Y) = P2^* nabla_{P2 Y} (P1 X)."""
     geom = ensure_geometry(geom)
-    inner = apply_endo(pair.p1, x_fld)
-    p2s = adjoint_field(geom, pair.p2)
-
-    def fld(z):
-        d = la.mat_vec(pair.p2(z), y_fld(z))
-        return la.mat_vec(p2s(z), cov_at(geom, z, d, inner))
-
-    return fld
+    return _slot_field(geom, adjoint_field(geom, pair.p2), pair.p2, pair.p1, x_fld, y_fld)
 
 
 def field_hat_b1(geom, pair, y_fld, x_fld):
     """hat B1(Y, X) = P1 nabla_{P1^* X} (P2^* Y)."""
     geom = ensure_geometry(geom)
-    p1s = adjoint_field(geom, pair.p1)
-    inner = apply_endo(adjoint_field(geom, pair.p2), y_fld)
-
-    def fld(z):
-        d = la.mat_vec(p1s(z), x_fld(z))
-        return la.mat_vec(pair.p1(z), cov_at(geom, z, d, inner))
-
-    return fld
+    p1s, p2s = adjoint_field(geom, pair.p1), adjoint_field(geom, pair.p2)
+    return _slot_field(geom, pair.p1, p1s, p2s, y_fld, x_fld)
 
 
 def field_hat_b2(geom, pair, x_fld, y_fld):
     """hat B2(X, Y) = P2 nabla_{P2^* Y} (P1^* X)."""
     geom = ensure_geometry(geom)
-    p2s = adjoint_field(geom, pair.p2)
-    inner = apply_endo(adjoint_field(geom, pair.p1), x_fld)
-
-    def fld(z):
-        d = la.mat_vec(p2s(z), y_fld(z))
-        return la.mat_vec(pair.p2(z), cov_at(geom, z, d, inner))
-
-    return fld
+    p1s, p2s = adjoint_field(geom, pair.p1), adjoint_field(geom, pair.p2)
+    return _slot_field(geom, pair.p2, p2s, p1s, x_fld, y_fld)
 
 
 def field_check_b1(geom, pair, y_fld, x_fld):
     """check B1(Y, X) = P1 nabla_{P1 X} (P2^* Y)."""
     geom = ensure_geometry(geom)
-    inner = apply_endo(adjoint_field(geom, pair.p2), y_fld)
-
-    def fld(z):
-        d = la.mat_vec(pair.p1(z), x_fld(z))
-        return la.mat_vec(pair.p1(z), cov_at(geom, z, d, inner))
-
-    return fld
+    return _slot_field(geom, pair.p1, pair.p1, adjoint_field(geom, pair.p2), y_fld, x_fld)
 
 
 def field_check_b2(geom, pair, x_fld, y_fld):
     """check B2(X, Y) = P2 nabla_{P2 Y} (P1^* X)."""
     geom = ensure_geometry(geom)
-    inner = apply_endo(adjoint_field(geom, pair.p1), x_fld)
-
-    def fld(z):
-        d = la.mat_vec(pair.p2(z), y_fld(z))
-        return la.mat_vec(pair.p2(z), cov_at(geom, z, d, inner))
-
-    return fld
+    return _slot_field(geom, pair.p2, pair.p2, adjoint_field(geom, pair.p1), x_fld, y_fld)
 
 
 def b_tensors(pair, chart, x, vec_x, vec_y):
@@ -257,26 +231,6 @@ def codazzi_residual(pair, chart, x, y, x1, x2, z_slot):
     return {"residual": abs(total), "normalized": abs(total) / denom, "parts": parts}
 
 
-def rp_reduced(pair, chart, x, y, x1, x2, z_slot):
-    """Curvature-type term in the reduced form valid for self-adjoint pairs."""
-    geom = ensure_geometry(chart)
-    yf, x1f, x2f, zf = (as_field(v) for v in (y, x1, x2, z_slot))
-    p_total = pair.total()
-    p1x1 = apply_endo(pair.p1, x1f)
-    p2y = apply_endo(pair.p2, yf)
-    p1x2 = apply_endo(pair.p1, x2f)
-    g = geom.jet1(x).g
-
-    fld1 = apply_endo(p_total, nabla_field(geom, p1x1, p1x2))
-    fld2 = apply_endo(p_total, nabla_field(geom, p2y, p1x2))
-    w = la.mat_vec(p_total(x), lie_bracket(p2y, p1x1)(x))
-    vec = la.vec_sub(
-        la.vec_sub(cov_at(geom, x, p2y(x), fld1), cov_at(geom, x, p1x1(x), fld2)),
-        cov_at(geom, x, w, p1x2),
-    )
-    return la.bilinear(g, la.mat_vec(pair.p2(x), vec), zf(x))
-
-
 # -- modified divergence ------------------------------------------------------
 
 
@@ -298,13 +252,6 @@ def div_p(p_endo, chart, vec_field, x):
     geom = ensure_geometry(chart)
     q = pp_star_field(geom, p_endo)(x)
     return _div_p_of(q, cov_deriv_vector(geom, vec_field, x))
-
-
-def hs_inner_with_grad(p_endo, chart, vec_field, x):
-    """<P P^*, nabla X> in the trace inner product (equals div_P X always)."""
-    geom = ensure_geometry(chart)
-    q = pp_star_field(geom, p_endo)(x)
-    return _hs_inner_of(geom.jet1(x), q, cov_deriv_vector(geom, vec_field, x))
 
 
 def _div_p_of(q, cov):
@@ -580,30 +527,30 @@ def walczak_residual_batch(geom, pair, cols):
     The right side comes from the invariants engine (AD-exact).  The left
     side div_P(H1+H2) needs one more derivative of frame-summed data, taken
     by central differences with Richardson extrapolation (h and h/2); the
-    metric terms entering the divergence stay AD-exact.
+    metric terms entering the divergence stay AD-exact.  The batch and its
+    4n shifted copies (per axis d: +h, -h, +h/2, -h/2) share one
+    mean-curvature call, concatenated on the node axis.
     """
     geom = ensure_geometry(geom)
     n = geom.chart.dim
     n_nodes = cols[0].shape[0]
-
-    def h_at(shifted):
-        return mean_curvature_batch(geom, pair, shifted)
-
-    def central(d, h):
-        plus = [c + h if i == d else c for i, c in enumerate(cols)]
-        minus = [c - h if i == d else c for i, c in enumerate(cols)]
-        return (h_at(plus) - h_at(minus)) / (2.0 * h)
-
-    dh = np.zeros((n, n, n_nodes))
-    for d in range(n):
-        coarse = central(d, _FD_STEP)
-        fine = central(d, 0.5 * _FD_STEP)
-        dh[d] = (4.0 * fine - coarse) / 3.0
+    steps = (_FD_STEP, 0.5 * _FD_STEP)
+    shifts = [sign * h for h in steps for sign in (1.0, -1.0)]
+    stacked = [
+        np.concatenate([c] + [c + h if i == d else c for d in range(n) for h in shifts])
+        for i, c in enumerate(cols)
+    ]
+    h_all = mean_curvature_batch(geom, pair, stacked).reshape(n, 1 + 4 * n, n_nodes)
+    h0 = h_all[:, 0]
+    # pm[d, k, j, sign, node] = H^k shifted by sign * steps[j] along axis d;
+    # dh is laid out in C order like q, which fixes the einsum's summation order
+    pm = np.swapaxes(h_all[:, 1:].reshape(n, n, 2, 2, n_nodes), 0, 1)
+    central = (pm[..., 0, :] - pm[..., 1, :]) / (2.0 * np.array(steps))[:, None]
+    dh = np.ascontiguousarray((4.0 * central[:, :, 1] - central[:, :, 0]) / 3.0)
 
     data = batch_metric_data(geom, cols)
     q = _pp_star_batch(la.nested_to_array(pair.total()(cols), n_nodes), data)
     q_up = np.einsum("iln,ljn->ijn", q, data["ginv"])
-    h0 = mean_curvature_batch(geom, pair, cols)
     lhs = np.einsum("ijn,ijn->n", q, dh) + 0.5 * np.einsum(
         "ijn,kijn,kn->n", q_up, data["dg"], h0
     )
@@ -616,11 +563,6 @@ def walczak_residual_batch(geom, pair, cols):
 # -- frame-trace identities ----------------------------------------------------
 
 
-def _gather(vec, index):
-    """Components of a stacked vector taken at node ``index[m]`` for node m."""
-    return [np.broadcast_to(c, index.shape)[index] for c in vec]
-
-
 def trace_identity_residuals(pair, chart, cols):
     """Frame-trace identities for the four curvature-identity ingredients.
 
@@ -630,27 +572,23 @@ def trace_identity_residuals(pair, chart, cols):
     Preconditions: pair allowed and self-adjoint.
 
     cols is a column batch of N points; every result is an (N,) array.  The
-    n^2 frame pairs (s, t) are stacked on the node axis beside the points
-    (node (s * n + t) * N + p), so every term below is one tower evaluation
-    for all pairs and points.
+    frame indices s and t get axes of their own in front of the points: the
+    point is evaluated with shape (1, 1, N) and the frame vectors e_s, e_t
+    with shapes (n, 1, N) and (1, n, N), so every term below is one tower
+    evaluation over the (n, n, N) pairs and points, while quantities of the
+    point alone (metric, frame) are computed at the N points only.
     """
     geom = ensure_geometry(chart)
     n = geom.chart.dim
     n_nodes = cols[0].shape[0]
-    n_pairs = n * n
-    z = [np.tile(c, n_pairs) for c in cols]
-    node = np.arange(n_pairs * n_nodes)
-    s_idx, t_idx = np.divmod(node // n_nodes, n)
-    point = node % n_nodes
-    at_ss = (s_idx * (n + 1)) * n_nodes + point
-    at_tt = (t_idx * (n + 1)) * n_nodes + point
-    at_ts = (t_idx * n + s_idx) * n_nodes + point
+    shape = (n, n, n_nodes)
+    z = [c.reshape(1, 1, n_nodes) for c in cols]
 
     g = geom.jet1(z).g
     p1, p2 = pair.p1, pair.p2
     p1_z, p2_z = p1(z), p2(z)
-    e_s = frame_column_field(geom, s_idx)
-    e_t = frame_column_field(geom, t_idx)
+    e_s = frame_column_field(geom, np.arange(n).reshape(n, 1, 1))
+    e_t = frame_column_field(geom, np.arange(n).reshape(1, n, 1))
     p1_s, p1_t = apply_endo(p1, e_s), apply_endo(p1, e_t)
     p2_s, p2_t = apply_endo(p2, e_s), apply_endo(p2, e_t)
 
@@ -659,19 +597,19 @@ def trace_identity_residuals(pair, chart, cols):
 
     def pair_sum(value):
         """Per-point sum over the frame pairs, in pair order."""
-        acc = 0.0
-        for row in np.broadcast_to(value, node.shape).reshape(n_pairs, n_nodes):
-            acc = acc + row
-        return acc
+        return sum(np.broadcast_to(value, shape).reshape(n * n, n_nodes))
 
     parts = tsr_tensors(pair, geom, z, e_t, e_s, e_s, e_t)
     lhs = {key: pair_sum(parts[key]) for key in ("t1", "t2", "s1", "s2")}
 
-    # covariant derivatives of projected frame fields: na[s][t] at node (s, t)
-    na = cov_at(geom, z, p1_s(z), p1_t)
-    nb = cov_at(geom, z, p2_s(z), p2_t)
-    na_ss, na_ts = _gather(na, at_ss), _gather(na, at_ts)
-    nb_tt, nb_ts = _gather(nb, at_tt), _gather(nb, at_ts)
+    # covariant derivatives of projected frame fields, na[s, t] = nabla_{P1 e_s} P1 e_t;
+    # diagonal(c)[p, s] = c[s, s, p] goes back onto the s or the t axis
+    na = [np.broadcast_to(c, shape) for c in cov_at(geom, z, p1_s(z), p1_t)]
+    nb = [np.broadcast_to(c, shape) for c in cov_at(geom, z, p2_s(z), p2_t)]
+    na_ss = [np.diagonal(c).T[:, None] for c in na]
+    nb_tt = [np.diagonal(c).T[None] for c in nb]
+    na_ts = [np.swapaxes(c, 0, 1) for c in na]
+    nb_ts = [np.swapaxes(c, 0, 1) for c in nb]
 
     # index-1 trace: <nabla_{P1 e_s} P1 e_s, P1 nabla_{P2 e_t} P2 e_t>
     #                - D_{P1 e_s} <P1 nabla_{P2 e_t} P2 e_t, P1 e_s>

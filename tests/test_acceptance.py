@@ -143,11 +143,11 @@ def test_c04_codazzi_identity_closes_on_allowed_pairs():
     for name in SCENARIO_NAMES:
         sc = scenario(name)
         rng = np.random.default_rng(104)
-        dim = sc.chart.dim
-        for x in sc.sample_points(rng, 200):
-            y, x1, x2, z = random_vectors(rng, dim, 4)
-            res = codazzi_residual(sc.pair, sc.geom, x, y, x1, x2, z)
-            worst = max(worst, res["normalized"])
+        # one column batch: the same draws as 200 points, then 4 vectors each
+        cols = sc.sample_columns(rng, 200)
+        y, x1, x2, z = sc.sample_slot_vectors(rng, 200, 4)
+        res = codazzi_residual(sc.pair, sc.geom, cols, y, x1, x2, z)
+        worst = max(worst, float(np.max(res["normalized"])))
 
     # second route for the curvature term: contract the full curvature
     # tensor with the projected arguments and compare

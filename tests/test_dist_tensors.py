@@ -10,7 +10,15 @@ import pytest
 import distpair.dual as ops
 import distpair.linalg as la
 import distpair.chart_geometry as cg
-from distpair.chart_geometry import cov_at, point_columns, riemann, riemann_up
+from distpair.chart_geometry import (
+    cov_at,
+    cov_deriv_vector,
+    lie_bracket,
+    nabla_field,
+    point_columns,
+    riemann,
+    riemann_up,
+)
 from distpair.dist_tensors import (
     as_field,
     b_tensors,
@@ -25,11 +33,10 @@ from distpair.dist_tensors import (
     field_check_b1,
     field_hat_b1,
     formula_terms_batch,
-    hs_inner_with_grad,
     collapse_residual,
     mean_curvature_batch,
     div_equivalence_residuals,
-    rp_reduced,
+    pp_star_field,
     trace_identity_residuals,
     tsr_tensors,
     walczak_residual_batch,
@@ -259,6 +266,27 @@ def test_curvature_term_equals_riemann_for_projector_pairs(name):
         assert abs(parts["rp"] - want) < 1e-10
 
 
+def rp_reduced(pair, geom, x, y, x1, x2, z_slot):
+    """Curvature-type term in the reduced form valid for self-adjoint pairs:
+    a second route to tsr_tensors' rp, with P = P1 + P2 in place of the
+    adjoints."""
+    yf, x1f, x2f, zf = (as_field(v) for v in (y, x1, x2, z_slot))
+    p_total = pair.total()
+    p1x1 = apply_endo(pair.p1, x1f)
+    p2y = apply_endo(pair.p2, yf)
+    p1x2 = apply_endo(pair.p1, x2f)
+    g = geom.jet1(x).g
+
+    fld1 = apply_endo(p_total, nabla_field(geom, p1x1, p1x2))
+    fld2 = apply_endo(p_total, nabla_field(geom, p2y, p1x2))
+    w = la.mat_vec(p_total(x), lie_bracket(p2y, p1x1)(x))
+    vec = la.vec_sub(
+        la.vec_sub(cov_at(geom, x, p2y(x), fld1), cov_at(geom, x, p1x1(x), fld2)),
+        cov_at(geom, x, w, p1x2),
+    )
+    return la.bilinear(g, la.mat_vec(pair.p2(x), vec), zf(x))
+
+
 @pytest.mark.parametrize(
     "name", ["warped-torus", "scaled-identity", "hopf-s3", "einstein-s3xt2"]
 )
@@ -359,6 +387,16 @@ def metric_div_p(p_endo, geom, vec_field, x):
         for j in range(n)
         for k in range(n)
     )
+
+
+def hs_inner_with_grad(p_endo, geom, vec_field, x):
+    """<P P^*, nabla X> = tr((nabla X)^* P P^*) in the trace inner product,
+    which equals div_P X for every P."""
+    jet = geom.jet1(x)
+    q = pp_star_field(geom, p_endo)(x)
+    grad_endo = la.transpose(cov_deriv_vector(geom, vec_field, x))
+    grad_star = adjoint_matrix(jet.g, jet.g_inv, grad_endo)
+    return la.trace(la.mat_mul(grad_star, q))
 
 
 def test_div_p_two_routes_agree_even_for_nonadjoint_p():
@@ -586,6 +624,25 @@ def test_each_batch_engine_call_builds_one_real_metric_jet(monkeypatch):
     assert len(real_jets) == 1
 
 
+def test_walczak_takes_every_mean_curvature_in_one_call(monkeypatch):
+    """The batch and its 4n finite-difference shifts share one
+    mean_curvature_batch call over 1 + 4n copies of the batch."""
+    import distpair.dist_tensors as dt
+
+    sc = hopf_contact_s3()
+    rng = np.random.default_rng(85)
+    sizes = []
+    mean_curvature = dt.mean_curvature_batch
+
+    def counting(geom, pair, cols, rotation=None):
+        sizes.append(cols[0].shape[0])
+        return mean_curvature(geom, pair, cols, rotation)
+
+    monkeypatch.setattr(dt, "mean_curvature_batch", counting)
+    walczak_residual_batch(sc.geom, sc.pair, sc.sample_columns(rng, 7))
+    assert sizes == [(1 + 4 * 3) * 7]
+
+
 # -- frame-trace identities -----------------------------------------------------
 
 
@@ -608,12 +665,31 @@ def test_frame_trace_identities(name, npts):
             assert res[f"{key}_normalized"][0] < 1e-9, (key, x)
 
 
+def test_traces_build_the_real_metric_jet_at_the_points_only(monkeypatch):
+    """The frame indices s and t have axes of their own, so every real metric
+    jet covers the N points, not n^2 N stacked copies of them."""
+    sc = hopf_contact_s3()
+    rng = np.random.default_rng(92)
+    real_sizes = []
+    metric_jet = cg._metric_jet
+
+    def counting(chart, x):
+        if not any(isinstance(c, ops.Dual) for c in x):
+            real_sizes.append(max(np.size(c) for c in x))
+        return metric_jet(chart, x)
+
+    monkeypatch.setattr(cg, "_metric_jet", counting)
+    trace_identity_residuals(sc.pair, sc.geom, sc.sample_columns(rng, 4))
+    assert real_sizes and set(real_sizes) == {4}
+
+
 @pytest.mark.parametrize("name", ["warped-torus", "hopf-s3"])
 def test_batched_towers_match_the_point_loop(name):
     """One column batch over the points (and, for the traces, the frame
     pairs) gives bit for bit the residuals of a loop over the points, and a
-    single point still gives floats.  The traces take column batches only,
-    so there a point goes in as a one-node batch and node 0 is read."""
+    single point still gives floats.  The traces and walczak take column
+    batches only, so there a point goes in as a one-node batch and node 0 is
+    read."""
     sc = build_scenario(name)
     rng = np.random.default_rng(91)
     vec_field, scalar_field = random_vector_field(sc, rng), random_scalar_field(sc, rng)
@@ -623,11 +699,13 @@ def test_batched_towers_match_the_point_loop(name):
     cols = [np.array(c) for c in zip(*pts)]
     slots = [[vecs[:, j, i] for i in range(dim)] for j in range(4)]
 
-    def traces(x, v):
-        if isinstance(x[0], np.ndarray):
-            return trace_identity_residuals(sc.pair, sc.geom, x)
-        res = trace_identity_residuals(sc.pair, sc.geom, point_columns([x]))
-        return {key: val[0] for key, val in res.items()}
+    def one_node(batch_check):
+        def fn(x, v):
+            if isinstance(x[0], np.ndarray):
+                return batch_check(x)
+            return {key: val[0] for key, val in batch_check(point_columns([x])).items()}
+
+        return fn
 
     def codazzi(x, v):
         res = codazzi_residual(sc.pair, sc.geom, x, *v)
@@ -641,7 +719,10 @@ def test_batched_towers_match_the_point_loop(name):
         "divergence": lambda x, v: div_equivalence_residuals(
             sc.pair.total(), sc.geom, vec_field, x, scalar_field
         ),
-        "traces": traces,
+        "traces": one_node(lambda c: trace_identity_residuals(sc.pair, sc.geom, c)),
+        "walczak": one_node(
+            lambda c: dict(enumerate(walczak_residual_batch(sc.geom, sc.pair, c)))
+        ),
     }
     if "phi" in sc.extras:
         checks["contact"] = lambda x, v: contact_structure_residuals(
