@@ -126,7 +126,10 @@ def _metric_jet(chart: Chart, x) -> MetricJet:
     if not any(isinstance(c, Dual) for c in x):
         check_pivot = _validate_metric(g, x)
     g_inv, det = la.inverse_and_det(g, check_pivot)
-    dg = partials(chart.metric, x)
+    # g comes from the plain evaluation above, not from this pass: a real
+    # point is validated before any dual pass runs, since a bad metric may
+    # not be evaluable on duals at all
+    _, dg = partials(chart.metric, x)
     return MetricJet(g=g, dg=dg, g_inv=g_inv, sqrt_det=ops.sqrt(det))
 
 
@@ -196,7 +199,7 @@ def riemann_up(geom, x):
     geom = ensure_geometry(geom)
     n = geom.chart.dim
     gamma = geom.gamma(x)
-    dgamma = partials(christoffel_field(geom), x)  # dgamma[l][k][i][j] = d_l Gamma^k_{ij}
+    _, dgamma = partials(christoffel_field(geom), x)  # dgamma[l][k][i][j] = d_l Gamma^k_{ij}
     out = []
     for m in range(n):
         bm = []
@@ -289,8 +292,7 @@ def cov_deriv_vector(geom, vec_field, x):
     """Matrix D[i][k] = (nabla_{d_i} X)^k = d_i X^k + Gamma^k_{is} X^s."""
     geom = ensure_geometry(geom)
     n = geom.chart.dim
-    xval = vec_field(x)
-    jac = partials(vec_field, x)
+    xval, jac = partials(vec_field, x)
     gamma = geom.gamma(x)
     return [
         [
@@ -314,8 +316,7 @@ def div_endo(geom, endo_field, x):
     geom = ensure_geometry(geom)
     n = geom.chart.dim
     gamma = geom.gamma(x)
-    s_val = endo_field(x)
-    d_s = partials(endo_field, x)
+    s_val, d_s = partials(endo_field, x)
     out = []
     for j in range(n):
         v = sum(d_s[i][i][j] for i in range(n))

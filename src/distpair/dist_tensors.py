@@ -10,7 +10,13 @@ Everything here comes in two implementation styles on purpose:
 * a batched component engine (numpy einsum over a node axis) for the
   frame-summed invariants (second fundamental forms, integrability tensors,
   mean curvatures, mixed scalar curvature) used by the Walczak-type residual
-  and the quadrature module.
+  and the quadrature module.  It takes each field's value from the field's
+  derivative pass, which gives the plain value bit for bit.
+
+The Walczak-type residual differentiates the mean curvature field
+:func:`mean_curvature_field` once more through :func:`div_p_batch`, so every
+derivative in this module is AD-exact; the finite-difference version of its
+left side is kept in the tests as a cross-check.
 
 Callers evaluate many points at once as a column batch: ``dim`` arrays over
 the nodes (:func:`chart_geometry.point_columns`).  The batch engine, the
@@ -314,8 +320,8 @@ def div_equivalence_residuals(p_endo, chart, vec_field, x, scalar_field):
 
 def _diff_field(field, cols, n_nodes):
     """Stack field values and all first partials: (value, d[k] array)."""
-    val = la.nested_to_array(field(cols), n_nodes)
-    return val, la.nested_to_array(partials(field, cols), n_nodes)
+    val, d = partials(field, cols)
+    return la.nested_to_array(val, n_nodes), la.nested_to_array(d, n_nodes)
 
 
 def batch_metric_data(geom, cols):
@@ -353,33 +359,6 @@ def _frame_product_fields(geom, pair, rotation):
     return a_field, b_field, p_field
 
 
-def _projected_frame_jet(a_field, b_field, cols, gamma):
-    """Projected frame fields A = P1 L and B = P2 L at a batch, with their
-    first partials and covariant derivatives:
-    (a0, da, cov_a, b0, db, cov_b), cov_a[i, k, t] = (nabla_{d_i} A_t)^k."""
-    n_nodes = cols[0].shape[0]
-    a0, da = _diff_field(a_field, cols, n_nodes)
-    b0, db = _diff_field(b_field, cols, n_nodes)
-    cov_a = da + np.einsum("kimn,mtn->iktn", gamma, a0)
-    cov_b = db + np.einsum("kimn,mtn->iktn", gamma, b0)
-    return a0, da, cov_a, b0, db, cov_b
-
-
-def mean_curvature_batch(geom, pair, cols, rotation=None):
-    """H = H1 + H2 at a batch of nodes, shape (n, N).  First-order data only."""
-    geom = ensure_geometry(geom)
-    n_nodes = cols[0].shape[0]
-    a_field, b_field, _ = _frame_product_fields(geom, pair, rotation)
-    gamma = la.nested_to_array(christoffel(geom.jet1(cols)).gamma, n_nodes)
-    a0, _, cov_a, b0, _, cov_b = _projected_frame_jet(a_field, b_field, cols, gamma)
-    p1 = la.nested_to_array(pair.p1(cols), n_nodes)
-    p2 = la.nested_to_array(pair.p2(cols), n_nodes)
-
-    h1_pre = np.einsum("isn,iksn->kn", a0, cov_a)
-    h2_pre = np.einsum("itn,iktn->kn", b0, cov_b)
-    return np.einsum("kmn,mn->kn", p2, h1_pre) + np.einsum("kmn,mn->kn", p1, h2_pre)
-
-
 def dist_invariants_batch(geom, pair, cols, rotation=None):
     """All frame-summed invariants of the pair at a batch of nodes.
 
@@ -391,7 +370,11 @@ def dist_invariants_batch(geom, pair, cols, rotation=None):
     a_field, b_field, p_field = _frame_product_fields(geom, pair, rotation)
 
     gam0, dgam = _diff_field(christoffel_field(geom), cols, n_nodes)
-    a0, da, cov_a, b0, db, cov_b = _projected_frame_jet(a_field, b_field, cols, gam0)
+    # the projected frame A = P1 L, B = P2 L; cov_a[i, k, t] = (nabla_{d_i} A_t)^k
+    a0, da = _diff_field(a_field, cols, n_nodes)
+    b0, db = _diff_field(b_field, cols, n_nodes)
+    cov_a = da + np.einsum("kimn,mtn->iktn", gam0, a0)
+    cov_b = db + np.einsum("kimn,mtn->iktn", gam0, b0)
     d2a = la.nested_to_array(second_partials(a_field, cols), n_nodes)
     p0, dp = _diff_field(p_field, cols, n_nodes)
     g0 = la.nested_to_array(geom.jet1(cols).g, n_nodes)
@@ -517,44 +500,47 @@ def div_p_batch(geom, p_endo, vec_field, cols):
     return np.einsum("ikn,ikn->n", q, cov_x)
 
 
-# step h of the Richardson-extrapolated central differences (h and h/2)
-_FD_STEP = 1e-4
+def mean_curvature_field(geom, pair):
+    """Field z -> H1 + H2 = P2 sum_s nabla_{A_s} A_s + P1 sum_s nabla_{B_s} B_s,
+    with A = P1 L and B = P2 L the projected orthonormal frame.
+
+    Built on nested lists, so z may be a dual point: the field can be
+    differentiated, which is how walczak takes div_P(H1 + H2).
+    """
+    geom = ensure_geometry(geom)
+    n = geom.chart.dim
+    a_field, b_field, _ = _frame_product_fields(geom, pair, None)
+
+    def trace_cov(f0, df, gamma):
+        # sum_s (nabla_{F_s} F_s)^k = sum_{i,s} F^i_s (d_i F^k_s + Gamma^k_{im} F^m_s)
+        ff = la.mat_mul(f0, la.transpose(f0))  # ff[i][m] = sum_s F^i_s F^m_s
+        return [
+            sum(f0[i][s] * df[i][k][s] for i in range(n) for s in range(n))
+            + sum(gamma[k][i][m] * ff[i][m] for i in range(n) for m in range(n))
+            for k in range(n)
+        ]
+
+    def fld(z):
+        gamma = geom.gamma(z)
+        # one pass for both, so the pair's fields share the jet of its point
+        (a0, b0), d = partials(lambda w: [a_field(w), b_field(w)], z)
+        h1 = la.mat_vec(pair.p2(z), trace_cov(a0, [di[0] for di in d], gamma))
+        h2 = la.mat_vec(pair.p1(z), trace_cov(b0, [di[1] for di in d], gamma))
+        return la.vec_add(h1, h2)
+
+    return fld
 
 
 def walczak_residual_batch(geom, pair, cols):
     """Pointwise residual of the divergence formula at a batch of nodes.
 
-    The right side comes from the invariants engine (AD-exact).  The left
-    side div_P(H1+H2) needs one more derivative of frame-summed data, taken
-    by central differences with Richardson extrapolation (h and h/2); the
-    metric terms entering the divergence stay AD-exact.  The batch and its
-    4n shifted copies (per axis d: +h, -h, +h/2, -h/2) share one
-    mean-curvature call, concatenated on the node axis.
+    Both sides are AD-exact: the left side div_P(H1 + H2), P = P1 + P2, is
+    :func:`div_p_batch` of :func:`mean_curvature_field`, one vector pass
+    whose field nests the passes of the projected frame; the right side
+    comes from the invariants engine.
     """
     geom = ensure_geometry(geom)
-    n = geom.chart.dim
-    n_nodes = cols[0].shape[0]
-    steps = (_FD_STEP, 0.5 * _FD_STEP)
-    shifts = [sign * h for h in steps for sign in (1.0, -1.0)]
-    stacked = [
-        np.concatenate([c] + [c + h if i == d else c for d in range(n) for h in shifts])
-        for i, c in enumerate(cols)
-    ]
-    h_all = mean_curvature_batch(geom, pair, stacked).reshape(n, 1 + 4 * n, n_nodes)
-    h0 = h_all[:, 0]
-    # pm[d, k, j, sign, node] = H^k shifted by sign * steps[j] along axis d;
-    # dh is laid out in C order like q, which fixes the einsum's summation order
-    pm = np.swapaxes(h_all[:, 1:].reshape(n, n, 2, 2, n_nodes), 0, 1)
-    central = (pm[..., 0, :] - pm[..., 1, :]) / (2.0 * np.array(steps))[:, None]
-    dh = np.ascontiguousarray((4.0 * central[:, :, 1] - central[:, :, 0]) / 3.0)
-
-    data = batch_metric_data(geom, cols)
-    q = _pp_star_batch(la.nested_to_array(pair.total()(cols), n_nodes), data)
-    q_up = np.einsum("iln,ljn->ijn", q, data["ginv"])
-    lhs = np.einsum("ijn,ijn->n", q, dh) + 0.5 * np.einsum(
-        "ijn,kijn,kn->n", q_up, data["dg"], h0
-    )
-
+    lhs = div_p_batch(geom, pair.total(), mean_curvature_field(geom, pair), cols)
     rhs, scale = formula_terms_batch(geom, pair, cols)
     residual = np.abs(lhs - rhs)
     return residual, residual / (1.0 + scale + np.abs(lhs))

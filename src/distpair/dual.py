@@ -11,10 +11,15 @@ passes safe (no perturbation confusion).
 Payloads (``val``/``eps``) may be floats, numpy arrays (for evaluating a whole
 batch of points in one pass) or further ``Dual`` instances (nesting).
 
+Division uses the quotient rule, so the value part of every operation is the
+plain operation on the values: a pass's value is bit for bit the plain
+``f(x)``, and callers take it from the pass instead of evaluating f again.
+
 The derivative engine at the end of the module is the only place that seeds
 passes and extracts their parts (Griewank & Walther, *Evaluating Derivatives*,
-ch. 3): :func:`directional` takes one direction per pass, :func:`partials`
-all n in one vector pass, and :func:`second_partials` nests two vector passes.
+ch. 3): :func:`directional` and :func:`partials` return ``(f(x), derivative)``,
+the first for one direction per pass, the second for all n in one vector
+pass; :func:`second_partials` nests two vector passes.
 A vector pass puts its direction axis (length n, seed i one-hot) in front of
 every axis in use: the point's node axes and the axis of each enclosing vector
 pass still running, tracked while a field runs since it may capture an outer
@@ -96,12 +101,21 @@ class Dual:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # quotient rule: the value is a.val / b.val itself, never a product
+        # with a reciprocal, so a pass's values are the plain values
         if isinstance(other, Dual):
-            return self * _reciprocal(other)
+            if other.tag > self.tag:
+                q = self / other.val
+                return Dual(other.tag, q, -(q * other.eps) / other.val)
+            if other.tag == self.tag:
+                q = self.val / other.val
+                return Dual(self.tag, q, (self.eps - q * other.eps) / other.val)
         return Dual(self.tag, self.val / other, self.eps / other)
 
     def __rtruediv__(self, other):
-        return other * _reciprocal(self)
+        # other is never a Dual here
+        q = other / self.val
+        return Dual(self.tag, q, -(q * self.eps) / self.val)
 
     def __pow__(self, n):
         if isinstance(n, Dual):
@@ -113,13 +127,6 @@ class Dual:
 
     def __abs__(self):
         return fabs(self)
-
-
-def _reciprocal(x):
-    if isinstance(x, Dual):
-        iv = _reciprocal(x.val)
-        return Dual(x.tag, iv, -(iv * iv) * x.eps)
-    return 1.0 / x
 
 
 # -- elementary functions (dispatch on float / ndarray / Dual) ----------
@@ -218,7 +225,8 @@ def directional(f, x, v):
 
 
 def partials(f, x):
-    """d[k] = d_k f(x) for every coordinate axis k, in one vector pass."""
+    """(f(x), d) with d[k] = d_k f(x) for every coordinate axis k, in one
+    vector pass."""
     n = len(x)
     nodes = max([np.ndim(_real(c)) for c in x] + _running)
     seeds = np.eye(n).reshape((n, n) + (1,) * (nodes + len(_running)))
@@ -229,11 +237,11 @@ def partials(f, x):
     finally:
         _running.pop()
     d = _part(out, tag, True)
-    return [_pick(d, k) for k in range(n)]
+    return _part(out, tag, False), [_pick(d, k) for k in range(n)]
 
 
 def second_partials(f, x):
     """d2[k][l] = d2[l][k] = d_k d_l f(x), one object: the entry of the pass
     along min(k, l) nested in the pass along max(k, l) (older tag)."""
-    d2 = partials(lambda z: partials(f, z), x)  # d2[l][k]: k inner, l outer
+    d2 = partials(lambda z: partials(f, z)[1], x)[1]  # d2[l][k]: k inner, l outer
     return [[d2[max(k, l)][min(k, l)] for l in range(len(x))] for k in range(len(x))]

@@ -81,11 +81,6 @@ def _chunk_nodes(grid: QuadratureGrid, chunk: int):
         yield [np.asarray(c, dtype=float) for c in cols], wts
 
 
-def _sqrt_det_batch(geom, cols):
-    g = la.nested_to_array(geom.chart.metric(list(cols)), cols[0].shape[0])
-    return np.sqrt(np.linalg.det(np.moveaxis(g, -1, 0)))
-
-
 def _default_chunk(dim):
     return 65536 if dim <= 3 else 4096
 
@@ -99,7 +94,7 @@ def integrate(chart, f, grid: QuadratureGrid):
     geom = ensure_geometry(chart)
     partials = []
     for cols, wts in _chunk_nodes(grid, _default_chunk(geom.chart.dim)):
-        dens = _sqrt_det_batch(geom, cols)
+        dens = geom.jet1(cols).sqrt_det
         vals = np.broadcast_to(np.asarray(f(cols), dtype=float), wts.shape)
         partials.append(float(np.sum(wts * dens * vals)))
     return float(la.pairwise_sum(partials))
@@ -115,7 +110,7 @@ def stokes_check(p_endo, chart, vec_field, grid: QuadratureGrid):
     int_parts = []
     vol_parts = []
     for cols, wts in _chunk_nodes(grid, _default_chunk(geom.chart.dim)):
-        dens = _sqrt_det_batch(geom, cols)
+        dens = geom.jet1(cols).sqrt_det
         vals = div_p_batch(geom, p_endo, vec_field, cols)
         int_parts.append(float(np.sum(wts * dens * vals)))
         vol_parts.append(float(np.sum(wts * dens)))
@@ -143,7 +138,7 @@ def integral_formula_check(pair, chart, grid: QuadratureGrid):
     max_pt = 0.0
     max_pt_norm = 0.0
     for cols, wts in _chunk_nodes(grid, chunk):
-        dens = _sqrt_det_batch(geom, cols)
+        dens = geom.jet1(cols).sqrt_det
         vals, scale = formula_terms_batch(geom, pair, cols)
         i_parts.append(float(np.sum(wts * dens * vals)))
         m_parts.append(float(np.sum(wts * dens * np.abs(vals))))

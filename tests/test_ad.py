@@ -47,6 +47,24 @@ def test_division_and_pow():
     assert abs(z.eps + 1.0 / 25.0) < 1e-15
 
 
+def test_division_values_are_plain_quotients_bit_for_bit():
+    # the quotient rule divides the values themselves; a product with a
+    # reciprocal differs from plain a / b in the last bit at many nodes
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(size=(2, 1000))
+    inner = fresh_tag()
+    outer = fresh_tag()
+    x = Dual(inner, a, 1.0)
+    y = Dual(outer, Dual(inner, b, 0.5), 2.0)
+    assert np.array_equal((x / y).val.val, a / b)
+    assert np.array_equal((y / x).val.val, b / a)
+    assert np.array_equal((x / Dual(inner, b, -1.0)).val, a / b)
+    assert np.array_equal((1.5 / x).val, 1.5 / a)
+    # d/dx (x / y) = (x' y - x y') / y^2 at both levels
+    assert np.allclose((x / y).val.eps, (b - a * 0.5) / b**2, rtol=1e-14, atol=0.0)
+    assert np.allclose((x / y).eps.val, -a * 2.0 / b**2, rtol=1e-14, atol=0.0)
+
+
 def test_sqrt_log_fabs():
     tag = fresh_tag()
     x = Dual(tag, 4.0, 1.0)
@@ -111,7 +129,8 @@ def test_partials_vector():
         return [z[0] * z[1], ops.sin(z[0]) + z[1] ** 2]
 
     x = [0.5, -1.2]
-    jac = partials(F, x)
+    val, jac = partials(F, x)
+    assert val == F(x)
     # jac[i][k] = d F^k / d z_i
     assert abs(jac[0][0] - x[1]) < 1e-15
     assert abs(jac[1][0] - x[0]) < 1e-15
@@ -189,10 +208,12 @@ def test_batched_partials_equal_pointwise_bit_for_bit():
     rng = np.random.default_rng(3)
     points = [list(p) for p in rng.uniform(-2.0, 2.0, size=(7, 2))]
     cols = point_columns(points)
-    d_batch = la.nested_to_array(partials(_nested_field, cols), len(points))
+    val_batch, d_batch = (la.nested_to_array(c, len(points)) for c in partials(_nested_field, cols))
     d2_batch = la.nested_to_array(second_partials(_nested_field, cols), len(points))
     for p, x in enumerate(points):
-        assert np.array_equal(d_batch[..., p], np.array(partials(_nested_field, x)))
+        val, d = partials(_nested_field, x)
+        assert np.array_equal(val_batch[..., p], np.array(val))
+        assert np.array_equal(d_batch[..., p], np.array(d))
         assert np.array_equal(d2_batch[..., p], np.array(second_partials(_nested_field, x)))
 
 
@@ -200,9 +221,12 @@ def test_batched_partials_equal_pointwise_bit_for_bit():
 
 
 def _axis_partials(f, x):
-    """Reference for partials: one directional pass per coordinate axis."""
+    """Reference for partials: the plain f(x), and one directional pass per
+    coordinate axis."""
     n = len(x)
-    return [directional(f, x, [1.0 if i == k else 0.0 for i in range(n)])[1] for k in range(n)]
+    return f(x), [
+        directional(f, x, [1.0 if i == k else 0.0 for i in range(n)])[1] for k in range(n)
+    ]
 
 
 def _axis_second_partials(f, x):
@@ -212,7 +236,7 @@ def _axis_second_partials(f, x):
     d2 = [[None] * n for _ in range(n)]
     for l in range(n):
         for k in range(l + 1):
-            d2[k][l] = d2[l][k] = _axis_partials(lambda z: _axis_partials(f, z)[k], x)[l]
+            d2[k][l] = d2[l][k] = _axis_partials(lambda z: _axis_partials(f, z)[1][k], x)[1][l]
     return d2
 
 
@@ -234,9 +258,19 @@ _COLUMNS = point_columns([[0.4, -0.9, 1.3], [1.1, 0.2, -0.7], [-1.5, 0.8, 0.1]])
 _DIRECTION = [0.3, -1.1, 0.6]
 
 
+def _bits(obj, n_nodes):
+    """The nesting and every entry's bits, entries stored over the nodes as
+    nested_to_array does; works for a (value, derivative) pair too, whose
+    parts have different shapes."""
+    if isinstance(obj, (list, tuple)):
+        return b"[%d" % len(obj) + b"".join(_bits(e, n_nodes) for e in obj)
+    out = np.empty(n_nodes)
+    out[...] = obj
+    return out.tobytes()
+
+
 def _assert_same_bits(got, want, n_nodes):
-    got, want = la.nested_to_array(got, n_nodes), la.nested_to_array(want, n_nodes)
-    assert got.tobytes() == want.tobytes()
+    assert _bits(got, n_nodes) == _bits(want, n_nodes)
 
 
 @pytest.mark.parametrize(
@@ -270,9 +304,9 @@ def test_inner_pass_sees_an_outer_point_captured_by_its_field(point):
     # the inner gradient is [y1, y0]; the inner pass runs at a fresh real
     # point, so only the running outer pass tells it where its axis goes
     def inner_gradient(y):
-        return partials(lambda z: z[0] * y[1] + z[1] * y[0], [0.0, 0.0])
+        return partials(lambda z: z[0] * y[1] + z[1] * y[0], [0.0, 0.0])[1]
 
-    hessian = la.nested_to_array(partials(inner_gradient, point), 2)
+    hessian = la.nested_to_array(partials(inner_gradient, point)[1], 2)
     assert np.array_equal(hessian, np.array([[[0.0], [1.0]], [[1.0], [0.0]]]) + np.zeros(2))
 
 

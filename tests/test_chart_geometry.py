@@ -190,7 +190,7 @@ def density_div_vector(geom, vec_field, x):
         sq = geom.jet1(z).sqrt_det
         return [sq * c for c in vec_field(z)]
 
-    d = partials(density, x)
+    _, d = partials(density, x)
     return sum(d[i][i] for i in range(n)) / geom.jet1(x).sqrt_det
 
 
@@ -204,7 +204,7 @@ def density_div_endo(geom, endo_field, x):
         sq = geom.jet1(z).sqrt_det
         return [[sq * c for c in row] for row in endo_field(z)]
 
-    d = partials(density, x)
+    _, d = partials(density, x)
     s_upup = la.mat_mul(endo_field(x), jet.g_inv)
     return [
         sum(d[i][i][j] for i in range(n)) / jet.sqrt_det

@@ -10,6 +10,7 @@ import pytest
 import distpair.dual as ops
 import distpair.linalg as la
 import distpair.chart_geometry as cg
+import distpair.dist_tensors as dt
 from distpair.chart_geometry import (
     cov_at,
     cov_deriv_vector,
@@ -34,13 +35,14 @@ from distpair.dist_tensors import (
     field_hat_b1,
     formula_terms_batch,
     collapse_residual,
-    mean_curvature_batch,
+    mean_curvature_field,
     div_equivalence_residuals,
     pp_star_field,
     trace_identity_residuals,
     tsr_tensors,
     walczak_residual_batch,
 )
+from distpair.cli import run_walczak
 from distpair.dual import partials
 from distpair.endo_fields import (
     EndoPair,
@@ -379,8 +381,7 @@ def metric_div_p(p_endo, geom, vec_field, x):
     p = p_endo(x)
     q = la.mat_mul(p, adjoint_matrix(jet.g, jet.g_inv, p))
     q_up = la.mat_mul(q, jet.g_inv)
-    xv = vec_field(x)
-    jac = partials(vec_field, x)
+    xv, jac = partials(vec_field, x)
     return sum(q[i][j] * jac[i][j] for i in range(n) for j in range(n)) + 0.5 * sum(
         q_up[i][j] * jet.dg[k][i][j] * xv[k]
         for i in range(n)
@@ -480,7 +481,6 @@ def test_div_equivalence_conditional_parts_fail_without_divergence_free_q():
 def test_div_equivalence_builds_each_covariant_jacobian_once(monkeypatch):
     """div_P X and <P P^*, nabla X> share one covariant Jacobian of X; the
     product-rule part takes the other one, of f X."""
-    import distpair.dist_tensors as dt
     from distpair.cli import run_div_equivalence
 
     fields = []
@@ -528,7 +528,7 @@ def test_mean_curvature_closed_form_on_warped_torus():
     sc = warped_torus()
     u = 0.6
     cols = [np.array([u]), np.array([2.0])]
-    H = mean_curvature_batch(sc.geom, sc.pair, cols)
+    H = mean_curvature_field(sc.geom, sc.pair)(cols)
     assert abs(H[0][0] + math.cos(u)) < 1e-12  # H = (-w'(u), 0)
     assert abs(H[1][0]) < 1e-12
 
@@ -601,6 +601,29 @@ def test_divergence_formula_closed_form_on_warped_torus():
         assert abs(rhs - want) < 1e-10
 
 
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_pass_values_equal_plain_values_bit_for_bit(name):
+    """The value partials returns is the plain f(x), so the batch engines
+    take it from the pass instead of evaluating each field twice."""
+    sc = build_scenario(name)
+    rng = np.random.default_rng(86)
+    cols = sc.sample_columns(rng, 1000)
+    a_field, b_field, p_field = dt._frame_product_fields(sc.geom, sc.pair, None)
+    fields = {
+        "metric": sc.chart.metric,
+        "frame_p1": a_field,
+        "frame_p2": b_field,
+        "p1_plus_p2": p_field,
+        "pp_star": pp_star_field(sc.geom, sc.pair.total()),
+        "christoffel": cg.christoffel_field(sc.geom),
+        "vector": random_vector_field(sc, rng),
+    }
+    for key, field in fields.items():
+        value, _ = partials(field, cols)
+        got = la.nested_to_array(value, 1000)
+        assert got.tobytes() == la.nested_to_array(field(cols), 1000).tobytes(), key
+
+
 def test_each_batch_engine_call_builds_one_real_metric_jet(monkeypatch):
     """The batch object itself is passed down, so the identity-keyed cache
     builds (and validates) its metric jet once per call; the dual points of
@@ -624,23 +647,54 @@ def test_each_batch_engine_call_builds_one_real_metric_jet(monkeypatch):
     assert len(real_jets) == 1
 
 
-def test_walczak_takes_every_mean_curvature_in_one_call(monkeypatch):
-    """The batch and its 4n finite-difference shifts share one
-    mean_curvature_batch call over 1 + 4n copies of the batch."""
-    import distpair.dist_tensors as dt
+def richardson_div_p_mean_curvature(geom, pair, cols, step=1e-4):
+    """div_P(H1 + H2) with the derivative of H taken by central differences
+    and Richardson extrapolation (h and h/2); the metric terms stay AD-exact.
+    A second route to the left side of the Walczak-type balance."""
+    n = geom.chart.dim
+    n_nodes = cols[0].shape[0]
+    h_field = mean_curvature_field(geom, pair)
 
-    sc = hopf_contact_s3()
-    rng = np.random.default_rng(85)
-    sizes = []
-    mean_curvature = dt.mean_curvature_batch
+    def h_at(shift, d):
+        return la.nested_to_array(
+            h_field([c + shift if i == d else c for i, c in enumerate(cols)]), n_nodes
+        )
 
-    def counting(geom, pair, cols, rotation=None):
-        sizes.append(cols[0].shape[0])
-        return mean_curvature(geom, pair, cols, rotation)
+    def central(h, d):
+        return (h_at(h, d) - h_at(-h, d)) / (2.0 * h)
 
-    monkeypatch.setattr(dt, "mean_curvature_batch", counting)
-    walczak_residual_batch(sc.geom, sc.pair, sc.sample_columns(rng, 7))
-    assert sizes == [(1 + 4 * 3) * 7]
+    # dh[d, k] = d_d H^k
+    dh = np.array([(4.0 * central(0.5 * step, d) - central(step, d)) / 3.0 for d in range(n)])
+    data = dt.batch_metric_data(geom, cols)
+    q = la.nested_to_array(pp_star_field(geom, pair.total())(cols), n_nodes)
+    q_up = np.einsum("iln,ljn->ijn", q, data["ginv"])
+    h0 = la.nested_to_array(h_field(cols), n_nodes)
+    return np.einsum("ijn,ijn->n", q, dh) + 0.5 * np.einsum(
+        "ijn,kijn,kn->n", q_up, data["dg"], h0
+    )
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_walczak_left_side_matches_finite_differences(name):
+    """mean_curvature_field agrees with the invariants engine's H1 + H2, and
+    walczak's AD left side with the Richardson stencil."""
+    sc = build_scenario(name)
+    cols = sc.sample_columns(np.random.default_rng(85), 20)
+    h_field = mean_curvature_field(sc.geom, sc.pair)
+    inv = dist_invariants_batch(sc.geom, sc.pair, cols)
+    h = la.nested_to_array(h_field(cols), 20)
+    assert np.allclose(h, inv["H1"] + inv["H2"], rtol=0.0, atol=1e-12)
+    ad = div_p_batch(sc.geom, sc.pair.total(), h_field, cols)
+    fd = richardson_div_p_mean_curvature(sc.geom, sc.pair, cols)
+    assert float(np.max(np.abs(ad - fd) / (1.0 + np.abs(ad)))) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["hopf-s3", "warped-torus", "scaled-identity"])
+def test_walczak_closes_to_round_off(name):
+    # the CLI's walczak report at --points 6 --seed 5; a finite-difference
+    # left side gave 1.0e-11, 2.2e-12 and 3.6e-12 here
+    _, max_norm, _ = run_walczak(build_scenario(name), 6, 5, 1e-6)
+    assert max_norm <= 1e-13
 
 
 # -- frame-trace identities -----------------------------------------------------

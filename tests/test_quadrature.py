@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from distpair.dual import Dual
 from distpair.quadrature import (
     Axis,
     QuadratureGrid,
@@ -154,3 +155,28 @@ def test_formula_check_reports_nan_integrand_as_not_degenerate():
     assert math.isnan(res["max_pointwise_normalized"])
     assert math.isnan(res["ratio"])
     assert res["degenerate"] is False
+
+
+@pytest.mark.parametrize("builder", [warped_torus, hopf_contact_s3])
+def test_one_chunk_evaluates_the_metric_at_its_nodes_once(builder, monkeypatch):
+    """The density comes from the chunk's metric jet, and the batch engines
+    take field values from their derivative passes, so the metric is
+    evaluated at the real nodes of a chunk once: in the jet, which validates
+    it.  Calls at the dual points of the passes are not counted."""
+    sc = builder()
+    vec_field = random_vector_field(sc, np.random.default_rng(103))
+    grid = sc.grid(8)  # one chunk
+    metric = sc.chart.metric
+    real_calls = []
+
+    def counting(z):
+        if not any(isinstance(c, Dual) for c in z):
+            real_calls.append(z)
+        return metric(z)
+
+    monkeypatch.setitem(vars(sc.chart), "metric", counting)  # Chart is frozen
+    integral_formula_check(sc.pair, sc.geom, grid)
+    assert len(real_calls) == 1
+    real_calls.clear()
+    stokes_check(sc.pair.total(), sc.geom, vec_field, grid)
+    assert len(real_calls) == 1
