@@ -353,10 +353,7 @@ def _frame_product_fields(geom, pair, rotation):
     def b_field(z):
         return la.mat_mul(pair.p2(z), frame(z))
 
-    def p_field(z):
-        return la.mat_add(pair.p1(z), pair.p2(z))
-
-    return a_field, b_field, p_field
+    return a_field, b_field
 
 
 def dist_invariants_batch(geom, pair, cols, rotation=None):
@@ -367,7 +364,7 @@ def dist_invariants_batch(geom, pair, cols, rotation=None):
     """
     geom = ensure_geometry(geom)
     n_nodes = cols[0].shape[0]
-    a_field, b_field, p_field = _frame_product_fields(geom, pair, rotation)
+    a_field, b_field = _frame_product_fields(geom, pair, rotation)
 
     gam0, dgam = _diff_field(christoffel_field(geom), cols, n_nodes)
     # the projected frame A = P1 L, B = P2 L; cov_a[i, k, t] = (nabla_{d_i} A_t)^k
@@ -376,7 +373,7 @@ def dist_invariants_batch(geom, pair, cols, rotation=None):
     cov_a = da + np.einsum("kimn,mtn->iktn", gam0, a0)
     cov_b = db + np.einsum("kimn,mtn->iktn", gam0, b0)
     d2a = la.nested_to_array(second_partials(a_field, cols), n_nodes)
-    p0, dp = _diff_field(p_field, cols, n_nodes)
+    p0, dp = _diff_field(pair.total(), cols, n_nodes)
     g0 = la.nested_to_array(geom.jet1(cols).g, n_nodes)
     p1 = la.nested_to_array(pair.p1(cols), n_nodes)
     p2 = la.nested_to_array(pair.p2(cols), n_nodes)
@@ -509,7 +506,7 @@ def mean_curvature_field(geom, pair):
     """
     geom = ensure_geometry(geom)
     n = geom.chart.dim
-    a_field, b_field, _ = _frame_product_fields(geom, pair, None)
+    a_field, b_field = _frame_product_fields(geom, pair, None)
 
     def trace_cov(f0, df, gamma):
         # sum_s (nabla_{F_s} F_s)^k = sum_{i,s} F^i_s (d_i F^k_s + Gamma^k_{im} F^m_s)

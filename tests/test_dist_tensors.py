@@ -608,12 +608,12 @@ def test_pass_values_equal_plain_values_bit_for_bit(name):
     sc = build_scenario(name)
     rng = np.random.default_rng(86)
     cols = sc.sample_columns(rng, 1000)
-    a_field, b_field, p_field = dt._frame_product_fields(sc.geom, sc.pair, None)
+    a_field, b_field = dt._frame_product_fields(sc.geom, sc.pair, None)
     fields = {
         "metric": sc.chart.metric,
         "frame_p1": a_field,
         "frame_p2": b_field,
-        "p1_plus_p2": p_field,
+        "p1_plus_p2": sc.pair.total(),
         "pp_star": pp_star_field(sc.geom, sc.pair.total()),
         "christoffel": cg.christoffel_field(sc.geom),
         "vector": random_vector_field(sc, rng),
