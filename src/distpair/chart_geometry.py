@@ -96,9 +96,25 @@ class Geometry:
         slot = self._slot(x)
         jet = slot.get("jet1")
         if jet is None:
-            jet = _metric_jet(self.chart, x)
+            g = slot.get("g")
+            jet = _metric_jet(self.chart, x) if g is None else _jet_of(self.chart, x, g)
             slot["jet1"] = jet
         return jet
+
+    def metric(self, x) -> list:
+        """g at x, for a caller that reads nothing else of the jet.
+
+        At a dual point the metric is evaluated once and shared with a later
+        :meth:`jet1` there, with no inverse, determinant or derivative pass.
+        A real point or batch goes through :meth:`jet1`, which validates it.
+        """
+        slot = self._slot(x)
+        if "jet1" in slot or not any(isinstance(c, Dual) for c in x):
+            return self.jet1(x).g
+        g = slot.get("g")
+        if g is None:
+            g = slot["g"] = self.chart.metric(x)
+        return g
 
     def gamma(self, x) -> list:
         slot = self._slot(x)
@@ -125,12 +141,25 @@ def _metric_jet(chart: Chart, x) -> MetricJet:
     check_pivot = None
     if not any(isinstance(c, Dual) for c in x):
         check_pivot = _validate_metric(g, x)
+    return _jet_of(chart, x, g, check_pivot)
+
+
+def _jet_of(chart: Chart, x, g, check_pivot=None) -> MetricJet:
+    """The jet at x around its metric g, already evaluated there."""
     g_inv, det = la.inverse_and_det(g, check_pivot)
-    # g comes from the plain evaluation above, not from this pass: a real
-    # point is validated before any dual pass runs, since a bad metric may
-    # not be evaluable on duals at all
+    # g comes from a plain evaluation, not from this pass: a real point is
+    # validated before any dual pass runs, since a bad metric may not be
+    # evaluable on duals at all
     _, dg = partials(chart.metric, x)
     return MetricJet(g=g, dg=dg, g_inv=g_inv, sqrt_det=ops.sqrt(det))
+
+
+def volume_density(chart: Chart, x):
+    """sqrt(det g) at a real point or batch x, validated as in the metric
+    jet, with no derivative pass: the density of a plain integrand."""
+    g = chart.metric(x)
+    _, upper = la.lu_nopivot(g, _validate_metric(g, x))
+    return np.sqrt(la.lu_det(upper))
 
 
 def _validate_metric(g, x):
@@ -375,7 +404,7 @@ def lie_bracket(u_field, w_field):
 def frame_at(geom, z):
     """Metric-orthonormal frame L[i][s] at z (column s = frame vector s)."""
     geom = ensure_geometry(geom)
-    return la.gram_schmidt_frame(geom.jet1(z).g)
+    return la.gram_schmidt_frame(geom.metric(z))
 
 
 def frame_column_field(geom, s):

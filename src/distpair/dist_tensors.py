@@ -11,7 +11,11 @@ Everything here comes in two implementation styles on purpose:
   frame-summed invariants (second fundamental forms, integrability tensors,
   mean curvatures, mixed scalar curvature) used by the Walczak-type residual
   and the quadrature module.  It takes each field's value from the field's
-  derivative pass, which gives the plain value bit for bit.
+  derivative pass, which gives the plain value bit for bit, and the
+  projected frame's value and first partials from its second-order pass.
+  It contracts pairwise through shared intermediates (the partials of
+  nabla A, B lowered once), so no loop runs above n^5 per node; the
+  one-einsum-per-formula version is kept in the tests as a cross-check.
 
 The Walczak-type residual differentiates the mean curvature field
 :func:`mean_curvature_field` once more through :func:`div_p_batch`, so every
@@ -339,10 +343,9 @@ def batch_metric_data(geom, cols):
 
 
 def _frame_product_fields(geom, pair, rotation):
-    chart = geom.chart
-
     def frame(z):
-        frame_mat = la.gram_schmidt_frame(chart.metric(z))
+        # the metric lookup at z is shared with the pair's own metric reads there
+        frame_mat = la.gram_schmidt_frame(geom.metric(z))
         if rotation is not None:
             frame_mat = la.mat_mul(frame_mat, rotation)
         return frame_mat
@@ -361,22 +364,38 @@ def dist_invariants_batch(geom, pair, cols, rotation=None):
 
     Valid for self-adjoint pairs (the curvature-type trace uses the reduced
     form).  Returns arrays keyed by name; forms carry frame indices (s, t).
+    A norm such as |h1|^2 is <P2 x, x> with x the unprojected form, which
+    is |P2 x|^2 for an orthogonal projector and scales once with the pair.
+
+    Every contraction is pairwise through a shared intermediate: no loop
+    nest runs above n^5 per node, and no product of three factors above
+    n^4.  The reductions to one value per node multiply three factors,
+    since numpy sums a one-node batch of a two-factor product in another
+    order; so each node's outputs are the same bits at any batch size.
     """
     geom = ensure_geometry(geom)
     n_nodes = cols[0].shape[0]
     a_field, b_field = _frame_product_fields(geom, pair, rotation)
 
-    gam0, dgam = _diff_field(christoffel_field(geom), cols, n_nodes)
-    # the projected frame A = P1 L, B = P2 L; cov_a[i, k, t] = (nabla_{d_i} A_t)^k
-    a0, da = _diff_field(a_field, cols, n_nodes)
-    b0, db = _diff_field(b_field, cols, n_nodes)
-    cov_a = da + np.einsum("kimn,mtn->iktn", gam0, a0)
-    cov_b = db + np.einsum("kimn,mtn->iktn", gam0, b0)
-    d2a = la.nested_to_array(second_partials(a_field, cols), n_nodes)
-    p0, dp = _diff_field(pair.total(), cols, n_nodes)
     g0 = la.nested_to_array(geom.jet1(cols).g, n_nodes)
+    gam0, dgam = _diff_field(christoffel_field(geom), cols, n_nodes)
+    # the projected frame A = P1 L, B = P2 L; A's value and first partials
+    # come from its second-order pass
+    a0, da, d2a = (la.nested_to_array(c, n_nodes) for c in second_partials(a_field, cols))
+    b0, db = _diff_field(b_field, cols, n_nodes)
+    p0, dp = _diff_field(pair.total(), cols, n_nodes)
     p1 = la.nested_to_array(pair.p1(cols), n_nodes)
     p2 = la.nested_to_array(pair.p2(cols), n_nodes)
+
+    # cov_a[i, k, t] = (nabla_{d_i} A_t)^k, and its partials
+    # dcov_a[d, i, k, t] = d_d (nabla_{d_i} A_t)^k
+    cov_a = da + np.einsum("kimn,mtn->iktn", gam0, a0)
+    cov_b = db + np.einsum("kimn,mtn->iktn", gam0, b0)
+    dcov_a = (
+        d2a
+        + np.einsum("dkimn,mtn->diktn", dgam, a0)
+        + np.einsum("kimn,dmtn->diktn", gam0, da)
+    )
 
     m1 = np.einsum("isn,iktn->kstn", a0, cov_a)  # nabla_{A_s} A_t
     m2 = np.einsum("isn,iktn->kstn", b0, cov_b)  # nabla_{B_s} B_t
@@ -386,72 +405,60 @@ def dist_invariants_batch(geom, pair, cols, rotation=None):
     t1_pre = 0.5 * (m1 - np.swapaxes(m1, 1, 2))
     h2_pre = 0.5 * (m2 + np.swapaxes(m2, 1, 2))
     t2_pre = 0.5 * (m2 - np.swapaxes(m2, 1, 2))
+    h1 = np.einsum("kmn,mstn->kstn", p2, h1_pre)
+    t1 = np.einsum("kmn,mstn->kstn", p2, t1_pre)
+    h2 = np.einsum("kmn,mstn->kstn", p1, h2_pre)
+    t2 = np.einsum("kmn,mstn->kstn", p1, t2_pre)
 
-    def pnorm_sq(proj, pre):
-        return np.einsum("kln,kmn,mstn,lstn->n", g0, proj, pre, pre)
+    def pnorm_sq(form, pre):
+        """<P pre, pre> summed over the frame indices s, t, from form = P pre."""
+        return np.einsum("kstn,kln,lstn->n", form, g0, pre)
 
-    norm_h1 = pnorm_sq(p2, h1_pre)
-    norm_t1 = pnorm_sq(p2, t1_pre)
-    norm_h2 = pnorm_sq(p1, h2_pre)
-    norm_t2 = pnorm_sq(p1, t2_pre)
-
-    hv1_pre = np.einsum("kssn->kn", m1)
-    hv2_pre = np.einsum("kssn->kn", m2)
-    norm_hv1 = np.einsum("kln,kmn,mn,ln->n", g0, p2, hv1_pre, hv1_pre)
-    norm_hv2 = np.einsum("kln,kmn,mn,ln->n", g0, p1, hv2_pre, hv2_pre)
-    hv1 = np.einsum("kmn,mn->kn", p2, hv1_pre)
-    hv2 = np.einsum("kmn,mn->kn", p1, hv2_pre)
+    # the mean curvatures are the traces of the forms
+    hv1 = np.einsum("kssn->kn", h1)
+    hv2 = np.einsum("kssn->kn", h2)
 
     # mixed curvature trace, reduced form: sum over frame pairs (s, t) of
     #   <nabla_{B_t}(P nabla_{A_s} A_s), B_t> - <nabla_{A_s}(P nabla_{B_t} A_s), B_t>
     #   - <nabla_{P [B_t, A_s]} A_s, B_t>
-    dm1_diag = (
-        np.einsum("djsn,jmsn->dmsn", da, cov_a)
-        + np.einsum("jsn,djmsn->dmsn", a0, d2a)
-        + np.einsum("jsn,dmjqn,qsn->dmsn", a0, dgam, a0)
-        + np.einsum("jsn,mjqn,dqsn->dmsn", a0, gam0, da)
+    b_low = np.einsum("kln,ltn->ktn", g0, b0)  # <., B_t>
+
+    # d_d of nabla_{A_s} A_s
+    dm1_diag = np.einsum("djsn,jmsn->dmsn", da, cov_a) + np.einsum(
+        "jsn,djmsn->dmsn", a0, dcov_a
     )
     g1 = np.einsum("kmn,mssn->ksn", p0, m1)
-    dg1 = np.einsum("dkmn,mssn->dksn", dp, m1) + np.einsum(
-        "kmn,dmsn->dksn", p0, dm1_diag
-    )
+    dg1 = np.einsum("dkmn,mssn->dksn", dp, m1) + np.einsum("kmn,dmsn->dksn", p0, dm1_diag)
     cg1 = dg1 + np.einsum("kimn,msn->iksn", gam0, g1)
-    term1 = np.einsum("itn,iksn,kln,ltn->n", b0, cg1, g0, b0)
+    term1 = np.einsum("itn,iksn,ktn->n", b0, cg1, b_low)
 
-    dm3 = (
-        np.einsum("djtn,jmsn->dmtsn", db, cov_a)
-        + np.einsum("jtn,djmsn->dmtsn", b0, d2a)
-        + np.einsum("jtn,dmjqn,qsn->dmtsn", b0, dgam, a0)
-        + np.einsum("jtn,mjqn,dqsn->dmtsn", b0, gam0, da)
+    # d_d of nabla_{B_t} A_s
+    dm3 = np.einsum("djtn,jmsn->dmtsn", db, cov_a) + np.einsum(
+        "jtn,djmsn->dmtsn", b0, dcov_a
     )
     g2 = np.einsum("kmn,mtsn->ktsn", p0, m3)
-    dg2 = np.einsum("dkmn,mtsn->dktsn", dp, m3) + np.einsum(
-        "kmn,dmtsn->dktsn", p0, dm3
-    )
+    dg2 = np.einsum("dkmn,mtsn->dktsn", dp, m3) + np.einsum("kmn,dmtsn->dktsn", p0, dm3)
     cg2 = dg2 + np.einsum("kimn,mtsn->iktsn", gam0, g2)
-    term2 = np.einsum("isn,iktsn,kln,ltn->n", a0, cg2, g0, b0)
+    term2 = np.einsum("isn,iktsn,ktn->n", a0, cg2, b_low)
 
     lie = np.einsum("itn,imsn->mtsn", b0, da) - np.einsum("isn,imtn->mtsn", a0, db)
     v_lie = np.einsum("kmn,mtsn->ktsn", p0, lie)
-    nabla_lie = np.einsum("itsn,iksn->ktsn", v_lie, cov_a)
-    term3 = np.einsum("ktsn,kln,ltn->n", nabla_lie, g0, b0)
-
-    smix = term1 - term2 - term3
+    term3 = np.einsum("itsn,iksn,ktn->n", v_lie, cov_a, b_low)
 
     return {
-        "h1": np.einsum("kmn,mstn->kstn", p2, h1_pre),
-        "h2": np.einsum("kmn,mstn->kstn", p1, h2_pre),
-        "t1": np.einsum("kmn,mstn->kstn", p2, t1_pre),
-        "t2": np.einsum("kmn,mstn->kstn", p1, t2_pre),
+        "h1": h1,
+        "h2": h2,
+        "t1": t1,
+        "t2": t2,
         "H1": hv1,
         "H2": hv2,
-        "norm_h1": norm_h1,
-        "norm_h2": norm_h2,
-        "norm_t1": norm_t1,
-        "norm_t2": norm_t2,
-        "norm_H1": norm_hv1,
-        "norm_H2": norm_hv2,
-        "smix": smix,
+        "norm_h1": pnorm_sq(h1, h1_pre),
+        "norm_h2": pnorm_sq(h2, h2_pre),
+        "norm_t1": pnorm_sq(t1, t1_pre),
+        "norm_t2": pnorm_sq(t2, t2_pre),
+        "norm_H1": np.einsum("kn,kln,ln->n", hv1, g0, np.einsum("kssn->kn", m1)),
+        "norm_H2": np.einsum("kn,kln,ln->n", hv2, g0, np.einsum("kssn->kn", m2)),
+        "smix": term1 - term2 - term3,
     }
 
 

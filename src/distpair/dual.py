@@ -19,13 +19,17 @@ The derivative engine at the end of the module is the only place that seeds
 passes and extracts their parts (Griewank & Walther, *Evaluating Derivatives*,
 ch. 3): :func:`directional` and :func:`partials` return ``(f(x), derivative)``,
 the first for one direction per pass, the second for all n in one vector
-pass; :func:`second_partials` nests two vector passes.
+pass; :func:`second_partials` nests two vector passes and returns
+``(f(x), d, d2)``, so a caller that needs all three runs no separate
+first-order pass.
 A vector pass puts its direction axis (length n, seed i one-hot) in front of
 every axis in use: the point's node axes and the axis of each enclosing vector
 pass still running, tracked while a field runs since it may capture an outer
 pass's point.  Nested passes thus broadcast as ``(n_inner, n_outer, *nodes)``,
 and each direction sees the scalar operations of a one-direction pass, so the
-derivatives are bit-identical to per-axis passes.
+derivatives are bit-identical to per-axis passes.  A finished pass takes its
+axis out of everything it returns, values included, so the outer passes find
+theirs in front again.
 """
 
 from __future__ import annotations
@@ -217,6 +221,18 @@ def _pick(c, k):
     return c[k] if isinstance(c, np.ndarray) else c
 
 
+def _drop(c, depth):
+    """``c`` without the leading axis of its arrays that are ``depth`` axes
+    deep: the slot of a finished vector pass, length 1 in the pass's values.
+    A field that runs a vector pass of its own leaves that slot in front of
+    the outer passes' axes, where an outer pass would look for its own."""
+    if isinstance(c, (list, tuple)):
+        return [_drop(e, depth) for e in c]
+    if isinstance(c, Dual):
+        return Dual(c.tag, _drop(c.val, depth), _drop(c.eps, depth))
+    return c[0] if np.ndim(c) == depth else c
+
+
 def directional(f, x, v):
     """(f(x), D_v f(x)) for a scalar or nested-list field f, in one pass."""
     tag = fresh_tag()
@@ -229,7 +245,8 @@ def partials(f, x):
     vector pass."""
     n = len(x)
     nodes = max([np.ndim(_real(c)) for c in x] + _running)
-    seeds = np.eye(n).reshape((n, n) + (1,) * (nodes + len(_running)))
+    depth = 1 + nodes + len(_running)  # this pass's axis is the first of depth
+    seeds = np.eye(n).reshape((n, n) + (1,) * (depth - 1))
     tag = fresh_tag()
     _running.append(nodes)
     try:
@@ -237,11 +254,18 @@ def partials(f, x):
     finally:
         _running.pop()
     d = _part(out, tag, True)
-    return _part(out, tag, False), [_pick(d, k) for k in range(n)]
+    return _drop(_part(out, tag, False), depth), [_pick(d, k) for k in range(n)]
 
 
 def second_partials(f, x):
-    """d2[k][l] = d2[l][k] = d_k d_l f(x), one object: the entry of the pass
-    along min(k, l) nested in the pass along max(k, l) (older tag)."""
-    d2 = partials(lambda z: partials(f, z)[1], x)[1]  # d2[l][k]: k inner, l outer
-    return [[d2[max(k, l)][min(k, l)] for l in range(len(x))] for k in range(len(x))]
+    """(f(x), d, d2) from one vector pass nested in another, like
+    :func:`partials` plus d2[k][l] = d2[l][k] = d_k d_l f(x).
+
+    The outer pass carries f(x) and d: its perturbations of the inner pass's
+    values are the ones a lone :func:`partials` computes, bit for bit.
+    d2[k][l] is one object: the entry of the pass along min(k, l) nested in
+    the pass along max(k, l) (older tag)."""
+    (val, _), outer = partials(lambda z: partials(f, z), x)  # outer[l] = (d_l f, [d_l d_k f])
+    n = len(x)
+    d2 = [[outer[max(k, l)][1][min(k, l)] for l in range(n)] for k in range(n)]
+    return val, [dl[0] for dl in outer], d2

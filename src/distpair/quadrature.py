@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg as la
-from .chart_geometry import ensure_geometry
+from .chart_geometry import ensure_geometry, volume_density
 from .dist_tensors import div_p_batch, formula_terms_batch
 
 
@@ -94,7 +94,7 @@ def integrate(chart, f, grid: QuadratureGrid):
     geom = ensure_geometry(chart)
     partials = []
     for cols, wts in _chunk_nodes(grid, _default_chunk(geom.chart.dim)):
-        dens = geom.jet1(cols).sqrt_det
+        dens = volume_density(geom.chart, cols)
         vals = np.broadcast_to(np.asarray(f(cols), dtype=float), wts.shape)
         partials.append(float(np.sum(wts * dens * vals)))
     return float(la.pairwise_sum(partials))

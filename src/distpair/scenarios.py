@@ -443,9 +443,9 @@ def _unit_field_projectors(geom, xi):
     """Complementary orthoprojectors: onto span(xi) and its complement."""
 
     def eta(z):
-        jet = geom.jet1(z)
+        g = geom.metric(z)
         xiv = xi(z)
-        return [sum(jet.g[i][j] * xiv[j] for j in range(3)) for i in range(3)]
+        return [sum(g[i][j] * xiv[j] for j in range(3)) for i in range(3)]
 
     def p2(z):
         xiv = xi(z)

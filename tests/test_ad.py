@@ -190,7 +190,7 @@ def test_directional_maps_nested_lists_and_constants():
 def test_second_partials_symmetric_closed_form():
     x = [0.4, -0.9]
     u, w = x
-    d2 = second_partials(_nested_field, x)
+    _, _, d2 = second_partials(_nested_field, x)
     for k in range(2):
         for l in range(2):
             assert d2[k][l] == d2[l][k]
@@ -209,12 +209,12 @@ def test_batched_partials_equal_pointwise_bit_for_bit():
     points = [list(p) for p in rng.uniform(-2.0, 2.0, size=(7, 2))]
     cols = point_columns(points)
     val_batch, d_batch = (la.nested_to_array(c, len(points)) for c in partials(_nested_field, cols))
-    d2_batch = la.nested_to_array(second_partials(_nested_field, cols), len(points))
+    d2_batch = la.nested_to_array(second_partials(_nested_field, cols)[2], len(points))
     for p, x in enumerate(points):
         val, d = partials(_nested_field, x)
         assert np.array_equal(val_batch[..., p], np.array(val))
         assert np.array_equal(d_batch[..., p], np.array(d))
-        assert np.array_equal(d2_batch[..., p], np.array(second_partials(_nested_field, x)))
+        assert np.array_equal(d2_batch[..., p], np.array(second_partials(_nested_field, x)[2]))
 
 
 # -- the vector pass against a per-axis reference -------------------------------
@@ -230,14 +230,15 @@ def _axis_partials(f, x):
 
 
 def _axis_second_partials(f, x):
-    """Reference for second_partials: one nested directional pass per k <= l,
-    with the pass along l outside."""
+    """Reference for second_partials: the plain f(x), the per-axis first
+    partials, and one nested directional pass per k <= l, with the pass
+    along l outside."""
     n = len(x)
     d2 = [[None] * n for _ in range(n)]
     for l in range(n):
         for k in range(l + 1):
             d2[k][l] = d2[l][k] = _axis_partials(lambda z: _axis_partials(f, z)[1][k], x)[1][l]
-    return d2
+    return (*_axis_partials(f, x), d2)
 
 
 def _field3(z):
@@ -295,6 +296,14 @@ def test_engine_equals_per_axis_reference_bit_for_bit(engine, reference, x, n_no
         reference(lambda z: _axis_partials(_field3, z), x),
         n_nodes,
     )
+
+
+@pytest.mark.parametrize("x,n_nodes", [(_POINT, 1), (_COLUMNS, 3)], ids=["floats", "columns"])
+def test_second_partials_value_and_gradient_are_those_of_partials(x, n_nodes):
+    # one second-order pass serves a caller that needs f, df and d2f: its
+    # value and first partials are a lone first-order pass's, bit for bit
+    val, d, _ = second_partials(_field3, x)
+    _assert_same_bits([val, d], list(partials(_field3, x)), n_nodes)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -307,6 +308,9 @@ def test_metric_validation_rejects_non_spd():
     # batched real nodes are validated too, not passed to the LU as NaN
     with pytest.raises(MetricError):
         Geometry(chart).jet1([np.array([0.5, 0.25]), np.array([0.5, 0.75])])
+    # and so is a real batch whose caller reads only g
+    with pytest.raises(MetricError):
+        Geometry(chart).metric([np.array([0.5, 0.25]), np.array([0.5, 0.75])])
 
 
 @pytest.mark.parametrize(
@@ -329,3 +333,32 @@ def test_metric_validation_names_first_bad_node(metric, what):
     with pytest.raises(MetricError, match=f"not {what} at node 1, x = \\[0.75, 0.5\\]"):
         Geometry(chart).jet1(cols)
 
+
+def test_metric_lookup_at_a_dual_point_builds_no_jet():
+    """A caller that reads only g at a dual point gets one metric evaluation
+    and no jet; a jet built there later shares that g."""
+    sc = warped_torus()
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return sc.chart.metric(z)
+
+    geom = Geometry(dataclasses.replace(sc.chart, metric=counting))
+
+    def read_g_twice(z):
+        assert geom.metric(z) is geom.metric(z)
+        return geom.metric(z)
+
+    value, _ = partials(read_g_twice, [0.3, 1.1])
+    assert len(calls) == 1
+    assert np.array_equal(np.array(value), np.array(sc.chart.metric([0.3, 1.1])))
+
+    def g_then_jet(z):
+        g = geom.metric(z)
+        assert geom.jet1(z).g is g
+        return g
+
+    calls.clear()
+    partials(g_then_jet, [0.3, 1.1])
+    assert len(calls) == 2  # g at the point, then the jet's own pass

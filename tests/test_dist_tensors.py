@@ -43,7 +43,7 @@ from distpair.dist_tensors import (
     walczak_residual_batch,
 )
 from distpair.cli import run_walczak
-from distpair.dual import partials
+from distpair.dual import partials, second_partials
 from distpair.endo_fields import (
     EndoPair,
     adjoint_matrix,
@@ -497,6 +497,103 @@ def test_div_equivalence_builds_each_covariant_jacobian_once(monkeypatch):
 
 
 # -- frame-summed invariants ---------------------------------------------------
+
+
+def multi_operand_invariants(geom, pair, cols):
+    """The frame-summed invariants by their multi-operand contractions, one
+    einsum per defining formula: n^6 loops per node for the derivative of
+    nabla_{B_t} A_s, and four factors for each norm.  A second route to
+    dist_invariants_batch, which contracts pairwise through shared
+    intermediates; the inputs come from the same derivative passes."""
+    n_nodes = cols[0].shape[0]
+    a_field, b_field = dt._frame_product_fields(geom, pair, None)
+
+    def diff(field):
+        val, d = partials(field, cols)
+        return la.nested_to_array(val, n_nodes), la.nested_to_array(d, n_nodes)
+
+    gam0, dgam = diff(cg.christoffel_field(geom))
+    a0, da = diff(a_field)
+    b0, db = diff(b_field)
+    d2a = la.nested_to_array(second_partials(a_field, cols)[2], n_nodes)
+    p0, dp = diff(pair.total())
+    g0 = la.nested_to_array(geom.jet1(cols).g, n_nodes)
+    p1 = la.nested_to_array(pair.p1(cols), n_nodes)
+    p2 = la.nested_to_array(pair.p2(cols), n_nodes)
+    cov_a = da + np.einsum("kimn,mtn->iktn", gam0, a0)
+    cov_b = db + np.einsum("kimn,mtn->iktn", gam0, b0)
+
+    m1 = np.einsum("isn,iktn->kstn", a0, cov_a)
+    m2 = np.einsum("isn,iktn->kstn", b0, cov_b)
+    m3 = np.einsum("itn,iksn->ktsn", b0, cov_a)
+    pre = {
+        "h1": 0.5 * (m1 + np.swapaxes(m1, 1, 2)),
+        "t1": 0.5 * (m1 - np.swapaxes(m1, 1, 2)),
+        "h2": 0.5 * (m2 + np.swapaxes(m2, 1, 2)),
+        "t2": 0.5 * (m2 - np.swapaxes(m2, 1, 2)),
+    }
+    proj = {"h1": p2, "t1": p2, "h2": p1, "t2": p1}
+    out = {key: np.einsum("kmn,mstn->kstn", proj[key], pre[key]) for key in pre}
+    for key in pre:
+        out[f"norm_{key}"] = np.einsum("kln,kmn,mstn,lstn->n", g0, proj[key], pre[key], pre[key])
+    for key, m, p in (("H1", m1, p2), ("H2", m2, p1)):
+        hv_pre = np.einsum("kssn->kn", m)
+        out[key] = np.einsum("kmn,mn->kn", p, hv_pre)
+        out[f"norm_{key}"] = np.einsum("kln,kmn,mn,ln->n", g0, p, hv_pre, hv_pre)
+
+    dm1_diag = (
+        np.einsum("djsn,jmsn->dmsn", da, cov_a)
+        + np.einsum("jsn,djmsn->dmsn", a0, d2a)
+        + np.einsum("jsn,dmjqn,qsn->dmsn", a0, dgam, a0)
+        + np.einsum("jsn,mjqn,dqsn->dmsn", a0, gam0, da)
+    )
+    g1 = np.einsum("kmn,mssn->ksn", p0, m1)
+    dg1 = np.einsum("dkmn,mssn->dksn", dp, m1) + np.einsum("kmn,dmsn->dksn", p0, dm1_diag)
+    cg1 = dg1 + np.einsum("kimn,msn->iksn", gam0, g1)
+    term1 = np.einsum("itn,iksn,kln,ltn->n", b0, cg1, g0, b0)
+    dm3 = (
+        np.einsum("djtn,jmsn->dmtsn", db, cov_a)
+        + np.einsum("jtn,djmsn->dmtsn", b0, d2a)
+        + np.einsum("jtn,dmjqn,qsn->dmtsn", b0, dgam, a0)
+        + np.einsum("jtn,mjqn,dqsn->dmtsn", b0, gam0, da)
+    )
+    g2 = np.einsum("kmn,mtsn->ktsn", p0, m3)
+    dg2 = np.einsum("dkmn,mtsn->dktsn", dp, m3) + np.einsum("kmn,dmtsn->dktsn", p0, dm3)
+    cg2 = dg2 + np.einsum("kimn,mtsn->iktsn", gam0, g2)
+    term2 = np.einsum("isn,iktsn,kln,ltn->n", a0, cg2, g0, b0)
+    lie = np.einsum("itn,imsn->mtsn", b0, da) - np.einsum("isn,imtn->mtsn", a0, db)
+    v_lie = np.einsum("kmn,mtsn->ktsn", p0, lie)
+    nabla_lie = np.einsum("itsn,iksn->ktsn", v_lie, cov_a)
+    term3 = np.einsum("ktsn,kln,ltn->n", nabla_lie, g0, b0)
+    out["smix"] = term1 - term2 - term3
+    return out
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_invariants_match_the_multi_operand_contractions(name):
+    sc = build_scenario(name)
+    cols = sc.sample_columns(np.random.default_rng(93), 30)
+    got = dist_invariants_batch(sc.geom, sc.pair, cols)
+    want = multi_operand_invariants(sc.geom, sc.pair, cols)
+    assert got.keys() == want.keys()
+    for key, ref in want.items():
+        scale = float(np.max(np.abs(ref)))
+        assert float(np.max(np.abs(got[key] - ref))) <= 1e-12 * (1.0 + scale), key
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_invariants_do_not_depend_on_the_batch_size(name):
+    """Each node's invariants are the same bits in a 3-node batch and alone:
+    no contraction may take a route that only a one-node batch takes."""
+    sc = build_scenario(name)
+    pts = sc.sample_points(np.random.default_rng(91), 3)
+    batch = dist_invariants_batch(sc.geom, sc.pair, point_columns(pts))
+    assert len(batch) == 13
+    for p, x in enumerate(pts):
+        single = dist_invariants_batch(sc.geom, sc.pair, point_columns([x]))
+        assert single.keys() == batch.keys()
+        for key, val in single.items():
+            assert val[..., 0].tobytes() == batch[key][..., p].tobytes(), (key, p)
 
 
 def test_invariants_closed_form_on_warped_torus():

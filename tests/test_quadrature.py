@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+import distpair.dual as ops
+from distpair.chart_geometry import Chart, MetricError
 from distpair.dual import Dual
 from distpair.quadrature import (
     Axis,
@@ -63,6 +65,30 @@ def test_volumes_match_closed_forms():
     want = 12.0 * math.pi**4
     got = volume(e.geom, e.grid((12, 12, 12, 8, 8)))
     assert abs(got - want) < 1e-9 * want
+
+
+def test_volume_runs_no_derivative_pass_and_validates_the_metric(monkeypatch):
+    """A plain integrand needs only sqrt(det g): volume takes it with no
+    dual pass, and a metric that is not positive definite still fails."""
+    e = einstein_s3xt2()
+    passes = []
+    fresh_tag = ops.fresh_tag
+
+    def counting():
+        passes.append(None)
+        return fresh_tag()
+
+    monkeypatch.setattr(ops, "fresh_tag", counting)
+    assert volume(e.geom, e.grid((4, 4, 4, 3, 3))) > 0.0
+    assert passes == []
+
+    def metric(z):
+        return [[1.0, 2.0 * z[0]], [2.0 * z[0], 1.0]]
+
+    bad = Chart("bad", 2, metric, ((0.0, 1.0),) * 2, (False, False))
+    grid = QuadratureGrid((Axis("legendre", 0.0, 1.0),) * 2, (4, 4))
+    with pytest.raises(MetricError, match="not positive definite"):
+        volume(bad, grid)
 
 
 def test_volume_converges_under_refinement():

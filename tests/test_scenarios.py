@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import distpair.chart_geometry as cg
 import distpair.dual as ops
 import distpair.linalg as la
 from distpair.chart_geometry import cov_at, div_vector, einstein_tensor
@@ -89,6 +90,25 @@ def test_hopf_field_is_unit_geodesic_divergence_free():
         acc = cov_at(sc.geom, x, v, xi)
         assert la.bilinear(g, acc, acc) < 1e-20
         assert abs(div_vector(sc.geom, xi, x)) < 1e-12
+
+
+def test_hopf_projectors_read_the_metric_without_a_jet(monkeypatch):
+    """eta reads only g, so differentiating the projectors builds no metric
+    jet at the pass's dual point; the real batch still has its one jet."""
+    sc = hopf_contact_s3()
+    cols = sc.sample_columns(np.random.default_rng(12), 5)
+    jets = []
+    metric_jet = cg._metric_jet
+
+    def counting(chart, x):
+        jets.append(any(isinstance(c, ops.Dual) for c in x))
+        return metric_jet(chart, x)
+
+    monkeypatch.setattr(cg, "_metric_jet", counting)
+    value, _ = directional(sc.pair.p2, cols, [1.0, 0.0, 0.0])
+    assert jets == []
+    assert la.nested_to_array(value, 5).tobytes() == la.nested_to_array(sc.pair.p2(cols), 5).tobytes()
+    assert jets == [False]
 
 
 def test_quarter_turn_endo_is_conformally_invariant():

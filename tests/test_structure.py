@@ -76,3 +76,28 @@ def test_dual_defines_one_init_and_one_fresh_tag():
     names = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
     assert names.count("__init__") == 1
     assert names.count("fresh_tag") == 1
+
+
+def _einsum_specs(tree):
+    """(line, subscripts) of every np.einsum call, which must spell them out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum":
+            spec = node.args[0]
+            assert isinstance(spec, ast.Constant) and isinstance(spec.value, str), node.lineno
+            yield node.lineno, spec.value
+
+
+def test_invariants_engine_contracts_pairwise():
+    # n is the node axis, last in every operand; any other index runs over
+    # the n coordinates or frame slots, so k distinct indices loop n^k times
+    # per node.  Above n^5, or with three factors above n^4, a contraction
+    # is to go through an intermediate instead
+    offenders = []
+    for line, spec in _einsum_specs(dict(_modules())["dist_tensors"]):
+        operands, _ = spec.split("->")
+        operands = operands.split(",")
+        assert all(op.endswith("n") for op in operands), (line, spec)
+        loops = len(set("".join(operands)) - {"n"})
+        if loops > 5 or (len(operands) >= 3 and loops > 4):
+            offenders.append(f"{line}: {spec}")
+    assert offenders == []
