@@ -365,7 +365,7 @@ def dist_invariants_batch(geom, pair, cols, rotation=None):
     Valid for self-adjoint pairs (the curvature-type trace uses the reduced
     form).  Returns arrays keyed by name; forms carry frame indices (s, t).
     A norm such as |h1|^2 is <P2 x, x> with x the unprojected form, which
-    is |P2 x|^2 for an orthogonal projector and scales once with the pair.
+    is |P2 x|^2 for an orthogonal projector and is linear in the pair.
 
     Every contraction is pairwise through a shared intermediate: no loop
     nest runs above n^5 per node, and no product of three factors above
@@ -377,13 +377,13 @@ def dist_invariants_batch(geom, pair, cols, rotation=None):
     n_nodes = cols[0].shape[0]
     a_field, b_field = _frame_product_fields(geom, pair, rotation)
 
-    g0 = la.nested_to_array(geom.jet1(cols).g, n_nodes)
     gam0, dgam = _diff_field(christoffel_field(geom), cols, n_nodes)
     # the projected frame A = P1 L, B = P2 L; A's value and first partials
     # come from its second-order pass
     a0, da, d2a = (la.nested_to_array(c, n_nodes) for c in second_partials(a_field, cols))
     b0, db = _diff_field(b_field, cols, n_nodes)
     p0, dp = _diff_field(pair.total(), cols, n_nodes)
+    g0 = la.nested_to_array(geom.jet1(cols).g, n_nodes)
     p1 = la.nested_to_array(pair.p1(cols), n_nodes)
     p2 = la.nested_to_array(pair.p2(cols), n_nodes)
 
