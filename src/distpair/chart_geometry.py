@@ -18,6 +18,7 @@ With these, the round 3-sphere has sectional curvature +1 and Ric = 2g.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,85 +51,71 @@ class Chart:
     singular_locus: Optional[str] = None
 
 
-@dataclass
 class MetricJet:
-    """Metric with first derivatives at a point: dg[k][i][j] = d_k g_ij."""
+    """The metric at a point x and what the checks derive from it.
 
-    g: list
-    dg: list
-    g_inv: list
-    sqrt_det: object
+    ``g`` is evaluated when the jet is built.  ``g_inv`` and ``sqrt_det``
+    (one LU of g, whose factors are not kept), ``dg[k][i][j] = d_k g_ij``
+    (one derivative pass of the metric) and ``gamma[k][i][j] = Gamma^k_{ij}``
+    are each computed on first read and then kept, so a caller that reads
+    only g at a dual point runs no LU and no pass.  At a real point or batch
+    the LU runs when the jet is built: it validates the metric (see
+    :func:`_validate_metric`) before any pass runs, since a bad metric may not
+    be evaluable on duals at all.
+    """
 
+    def __init__(self, chart: Chart, x):
+        self._metric = chart.metric
+        self._x = x
+        self.g = chart.metric(x)
+        if not any(isinstance(c, Dual) for c in x):
+            self._inverse = _inverse_and_density(self.g, _validate_metric(self.g, x))
 
-@dataclass
-class ConnectionCoeffs:
-    """Christoffel symbols, gamma[k][i][j] = Gamma^k_{ij}."""
+    @cached_property
+    def _inverse(self):
+        return _inverse_and_density(self.g)
 
-    gamma: list
+    @property
+    def g_inv(self):
+        return self._inverse[0]
+
+    @property
+    def sqrt_det(self):
+        return self._inverse[1]
+
+    @cached_property
+    def dg(self):
+        return partials(self._metric, self._x)[1]
+
+    @cached_property
+    def gamma(self):
+        return christoffel(self)
 
 
 class Geometry:
-    """Caching wrapper around a chart.
+    """A chart and the metric jets of its points.
 
-    Points are cached by object identity, whatever they hold (floats, column
-    arrays or duals), up to 48 points at a time.  The cache keeps a strong
-    reference to each point, so its id stays valid.  A point must not be
-    mutated after it has been looked up: a later lookup of the same object
-    would return the jet of its old coordinates.  Tower evaluation hits the
-    same point object many times, which makes this worthwhile.
+    A plain map from a point to its one lazy :class:`MetricJet`, whatever the
+    point holds (floats, column arrays or duals), keyed by object identity,
+    up to 48 points at a time.  The map keeps a strong reference to each
+    point, so its id stays valid.  A point must not be mutated after it has
+    been looked up: a later lookup of the same object would return the jet of
+    its old coordinates.  Tower evaluation hits the same point object many
+    times, which makes this worthwhile.
     """
 
     def __init__(self, chart: Chart):
         self.chart = chart
         self._by_id = {}
 
-    def _slot(self, x):
-        key = id(x)
-        entry = self._by_id.get(key)
+    def jet1(self, x) -> MetricJet:
+        entry = self._by_id.get(id(x))
         if entry is None or entry[0] is not x:
             if len(self._by_id) > 48:
                 self._by_id.clear()
-            entry = (x, {})
-            self._by_id[key] = entry
+            entry = (x, _metric_jet(self.chart, x))
+            self._by_id[id(x)] = entry
         return entry[1]
-
-    def jet1(self, x) -> MetricJet:
-        slot = self._slot(x)
-        jet = slot.get("jet1")
-        if jet is None:
-            g = slot.get("g")
-            jet = _metric_jet(self.chart, x) if g is None else _jet_of(self.chart, x, g)
-            slot["jet1"] = jet
-        return jet
-
-    def metric(self, x) -> list:
-        """g at x, for a caller that reads nothing else of the jet.
-
-        At a dual point the metric is evaluated once and shared with a later
-        :meth:`jet1` there, with no inverse, determinant or derivative pass.
-        A real point or batch goes through :meth:`jet1`, which validates it.
-        """
-        slot = self._slot(x)
-        if "jet1" in slot or not any(isinstance(c, Dual) for c in x):
-            return self.jet1(x).g
-        g = slot.get("g")
-        if g is None:
-            g = slot["g"] = self.chart.metric(x)
-        return g
-
-    def gamma(self, x) -> list:
-        slot = self._slot(x)
-        gam = slot.get("gamma")
-        if gam is None:
-            gam = christoffel(self.jet1(x)).gamma
-            slot["gamma"] = gam
-        return gam
-
-
-def ensure_geometry(obj) -> Geometry:
-    if isinstance(obj, Geometry):
-        return obj
-    return Geometry(obj)
 
 
 def point_columns(points):
@@ -137,29 +124,13 @@ def point_columns(points):
 
 
 def _metric_jet(chart: Chart, x) -> MetricJet:
-    g = chart.metric(x)
-    check_pivot = None
-    if not any(isinstance(c, Dual) for c in x):
-        check_pivot = _validate_metric(g, x)
-    return _jet_of(chart, x, g, check_pivot)
+    return MetricJet(chart, x)
 
 
-def _jet_of(chart: Chart, x, g, check_pivot=None) -> MetricJet:
-    """The jet at x around its metric g, already evaluated there."""
+def _inverse_and_density(g, check_pivot=None):
+    """(g^{-1}, sqrt(det g)) from one LU of g."""
     g_inv, det = la.inverse_and_det(g, check_pivot)
-    # g comes from a plain evaluation, not from this pass: a real point is
-    # validated before any dual pass runs, since a bad metric may not be
-    # evaluable on duals at all
-    _, dg = partials(chart.metric, x)
-    return MetricJet(g=g, dg=dg, g_inv=g_inv, sqrt_det=ops.sqrt(det))
-
-
-def volume_density(chart: Chart, x):
-    """sqrt(det g) at a real point or batch x, validated as in the metric
-    jet, with no derivative pass: the density of a plain integrand."""
-    g = chart.metric(x)
-    _, upper = la.lu_nopivot(g, _validate_metric(g, x))
-    return np.sqrt(la.lu_det(upper))
+    return g_inv, ops.sqrt(det)
 
 
 def _validate_metric(g, x):
@@ -194,7 +165,8 @@ def _validate_metric(g, x):
     return check_pivot
 
 
-def christoffel(jet: MetricJet) -> ConnectionCoeffs:
+def christoffel(jet: MetricJet) -> list:
+    """Christoffel symbols of the jet, gamma[k][i][j] = Gamma^k_{ij}."""
     n = len(jet.g)
     g_inv, dg = jet.g_inv, jet.dg
     gamma = []
@@ -210,24 +182,24 @@ def christoffel(jet: MetricJet) -> ConnectionCoeffs:
                 row.append(0.5 * s)
             mk.append(row)
         gamma.append(mk)
-    return ConnectionCoeffs(gamma=gamma)
+    return gamma
 
 
 def christoffel_field(geom):
-    """Field z -> Gamma(z) past the per-point Gamma cache, for differentiating
-    Gamma: the seeded points of a pass are never looked up again."""
+    """Field z -> Gamma(z), for differentiating Gamma: computed from the jet
+    at z but not kept on it, since the seeded points of a pass are never
+    looked up again."""
 
     def fld(z):
-        return christoffel(geom.jet1(z)).gamma
+        return christoffel(geom.jet1(z))
 
     return fld
 
 
 def riemann_up(geom, x):
     """R^m_{ijk} = d_i Gamma^m_{jk} - d_j Gamma^m_{ik} + Gamma Gamma terms."""
-    geom = ensure_geometry(geom)
     n = geom.chart.dim
-    gamma = geom.gamma(x)
+    gamma = geom.jet1(x).gamma
     _, dgamma = partials(christoffel_field(geom), x)  # dgamma[l][k][i][j] = d_l Gamma^k_{ij}
     out = []
     for m in range(n):
@@ -251,7 +223,6 @@ def riemann_up(geom, x):
 
 def riemann(geom, x):
     """Fully lowered curvature R_{ijkl} = <R(d_i,d_j) d_k, d_l>."""
-    geom = ensure_geometry(geom)
     n = geom.chart.dim
     up = riemann_up(geom, x)
     g = geom.jet1(x).g
@@ -268,14 +239,12 @@ def riemann(geom, x):
 
 
 def ricci(geom, x):
-    geom = ensure_geometry(geom)
     n = geom.chart.dim
     up = riemann_up(geom, x)
     return [[sum(up[i][i][j][k] for i in range(n)) for k in range(n)] for j in range(n)]
 
 
 def scalar_curvature(geom, x):
-    geom = ensure_geometry(geom)
     n = geom.chart.dim
     ric = ricci(geom, x)
     g_inv = geom.jet1(x).g_inv
@@ -284,7 +253,6 @@ def scalar_curvature(geom, x):
 
 def einstein_tensor(geom, x):
     """Mixed (1,1) Einstein tensor E^i_j = Ric^i_j - 1/2 Scal delta^i_j."""
-    geom = ensure_geometry(geom)
     n = geom.chart.dim
     ric = ricci(geom, x)
     g_inv = geom.jet1(x).g_inv
@@ -297,7 +265,6 @@ def einstein_tensor(geom, x):
 
 
 def sectional_curvature(geom, x, u, v):
-    geom = ensure_geometry(geom)
     n = geom.chart.dim
     r4 = riemann(geom, x)
     g = geom.jet1(x).g
@@ -319,10 +286,9 @@ def sectional_curvature(geom, x, u, v):
 
 def cov_deriv_vector(geom, vec_field, x):
     """Matrix D[i][k] = (nabla_{d_i} X)^k = d_i X^k + Gamma^k_{is} X^s."""
-    geom = ensure_geometry(geom)
     n = geom.chart.dim
     xval, jac = partials(vec_field, x)
-    gamma = geom.gamma(x)
+    gamma = geom.jet1(x).gamma
     return [
         [
             jac[i][k] + sum(gamma[k][i][s] * xval[s] for s in range(n))
@@ -334,7 +300,6 @@ def cov_deriv_vector(geom, vec_field, x):
 
 def div_vector(geom, vec_field, x):
     """Divergence of a vector field: the trace of its covariant derivative."""
-    geom = ensure_geometry(geom)
     cov = cov_deriv_vector(geom, vec_field, x)
     return sum(cov[i][i] for i in range(geom.chart.dim))
 
@@ -342,9 +307,8 @@ def div_vector(geom, vec_field, x):
 def div_endo(geom, endo_field, x):
     """Divergence covector of a (1,1) field S, in Christoffel form:
     (div S)_j = S^i_{j,i} + S^l_j Gamma^i_{il} - Gamma^l_{ij} S^i_l."""
-    geom = ensure_geometry(geom)
     n = geom.chart.dim
-    gamma = geom.gamma(x)
+    gamma = geom.jet1(x).gamma
     s_val, d_s = partials(endo_field, x)
     out = []
     for j in range(n):
@@ -365,10 +329,9 @@ def cov_at(geom, z, direction, vec_field):
     connection at z.  z may itself be a dual/array point, which is what lets
     these towers nest.
     """
-    geom = ensure_geometry(geom)
     n = geom.chart.dim
     w, dw = directional(vec_field, z, direction)
-    gamma = geom.gamma(z)
+    gamma = geom.jet1(z).gamma
     res = []
     for k in range(n):
         corr = sum(
@@ -380,7 +343,6 @@ def cov_at(geom, z, direction, vec_field):
 
 def nabla_field(geom, dir_field, vec_field):
     """Field closure z -> (nabla_{U(z)} X)(z)."""
-    geom = ensure_geometry(geom)
 
     def fld(z):
         return cov_at(geom, z, dir_field(z), vec_field)
@@ -403,8 +365,7 @@ def lie_bracket(u_field, w_field):
 
 def frame_at(geom, z):
     """Metric-orthonormal frame L[i][s] at z (column s = frame vector s)."""
-    geom = ensure_geometry(geom)
-    return la.gram_schmidt_frame(geom.metric(z))
+    return la.gram_schmidt_frame(geom.jet1(z).g)
 
 
 def frame_column_field(geom, s):
@@ -416,7 +377,6 @@ def frame_column_field(geom, s):
     (1, 1, N), stacks n frame slots into one tower; s must not have more
     axes than the point, as a derivative pass puts its axis in front.
     """
-    geom = ensure_geometry(geom)
     if np.ndim(s) == 0:
         return lambda z: [row[s] for row in frame_at(geom, z)]
     masks = [(s == k).astype(float) for k in range(geom.chart.dim)]

@@ -24,10 +24,11 @@ left side is kept in the tests as a cross-check.
 
 Callers evaluate many points at once as a column batch: ``dim`` arrays over
 the nodes (:func:`chart_geometry.point_columns`).  The batch engine, the
-frame traces and :func:`endo_fields.check_pair` take only that form, and
-pass the batch object itself down, so each call builds one metric jet for it
-in the identity-keyed :class:`chart_geometry.Geometry` cache.  For a single
-point use ``point_columns([x])`` and read node 0.
+frame traces and :func:`endo_fields.check_pair` take only that form.  Every
+function takes the chart's :class:`chart_geometry.Geometry` and passes the
+batch object itself down, so each call has one metric jet for it, validated
+when it is built; its derivative pass runs only if some term reads dg or
+Gamma there.  For a single point use ``point_columns([x])`` and read node 0.
 
 The two styles double as cross-checks of each other in the test suite.
 """
@@ -38,13 +39,11 @@ import numpy as np
 
 from . import linalg as la
 from .chart_geometry import (
-    christoffel,
     christoffel_field,
     cov_at,
     cov_deriv_vector,
     div_endo,
     div_vector,
-    ensure_geometry,
     frame_column_field,
     lie_bracket,
     nabla_field,
@@ -76,45 +75,38 @@ def _slot_field(geom, outer, direction, inner, moved_fld, dir_fld):
 
 def field_b1(geom, pair, y_fld, x_fld):
     """B1(Y, X) = P1^* nabla_{P1 X} (P2 Y)."""
-    geom = ensure_geometry(geom)
     return _slot_field(geom, adjoint_field(geom, pair.p1), pair.p1, pair.p2, y_fld, x_fld)
 
 
 def field_b2(geom, pair, x_fld, y_fld):
     """B2(X, Y) = P2^* nabla_{P2 Y} (P1 X)."""
-    geom = ensure_geometry(geom)
     return _slot_field(geom, adjoint_field(geom, pair.p2), pair.p2, pair.p1, x_fld, y_fld)
 
 
 def field_hat_b1(geom, pair, y_fld, x_fld):
     """hat B1(Y, X) = P1 nabla_{P1^* X} (P2^* Y)."""
-    geom = ensure_geometry(geom)
     p1s, p2s = adjoint_field(geom, pair.p1), adjoint_field(geom, pair.p2)
     return _slot_field(geom, pair.p1, p1s, p2s, y_fld, x_fld)
 
 
 def field_hat_b2(geom, pair, x_fld, y_fld):
     """hat B2(X, Y) = P2 nabla_{P2^* Y} (P1^* X)."""
-    geom = ensure_geometry(geom)
     p1s, p2s = adjoint_field(geom, pair.p1), adjoint_field(geom, pair.p2)
     return _slot_field(geom, pair.p2, p2s, p1s, x_fld, y_fld)
 
 
 def field_check_b1(geom, pair, y_fld, x_fld):
     """check B1(Y, X) = P1 nabla_{P1 X} (P2^* Y)."""
-    geom = ensure_geometry(geom)
     return _slot_field(geom, pair.p1, pair.p1, adjoint_field(geom, pair.p2), y_fld, x_fld)
 
 
 def field_check_b2(geom, pair, x_fld, y_fld):
     """check B2(X, Y) = P2 nabla_{P2 Y} (P1^* X)."""
-    geom = ensure_geometry(geom)
     return _slot_field(geom, pair.p2, pair.p2, adjoint_field(geom, pair.p1), x_fld, y_fld)
 
 
-def b_tensors(pair, chart, x, vec_x, vec_y):
+def b_tensors(pair, geom, x, vec_x, vec_y):
     """All six structural tensors at x on (X, Y), as vectors."""
-    geom = ensure_geometry(chart)
     xf = as_field(vec_x)
     yf = as_field(vec_y)
     return {
@@ -127,14 +119,13 @@ def b_tensors(pair, chart, x, vec_x, vec_y):
     }
 
 
-def collapse_residual(pair, chart, x, vec_x, vec_y):
+def collapse_residual(pair, geom, x, vec_x, vec_y):
     """Residual vectors of the four compatibility coincidences at x.
 
     For an allowed pair, P2 B2(X,Y) = hat B2(X, P2 Y) = check B2(P1 X, Y) and
     the index-1 mirror; this returns the four differences together with their
     term-magnitude normalizers.
     """
-    geom = ensure_geometry(chart)
     xf = as_field(vec_x)
     yf = as_field(vec_y)
     g = geom.jet1(x).g
@@ -165,14 +156,13 @@ def collapse_residual(pair, chart, x, vec_x, vec_y):
 # -- the four-argument curvature identity ------------------------------------
 
 
-def tsr_tensors(pair, chart, x, y, x1, x2, z_slot):
+def tsr_tensors(pair, geom, x, y, x1, x2, z_slot):
     """The five scalars of the curvature identity at x.
 
     Arguments may be constant vectors or vector-field closures (the latter is
     used by the trace sums and the tensoriality tests).  Returns a dict with
     t1, t2, s1, s2, rp.
     """
-    geom = ensure_geometry(chart)
     yf, x1f, x2f, zf = (as_field(v) for v in (y, x1, x2, z_slot))
     p1, p2 = pair.p1, pair.p2
     p1s = adjoint_field(geom, p1)
@@ -233,9 +223,9 @@ def tsr_tensors(pair, chart, x, y, x1, x2, z_slot):
     return {"t1": t1, "t2": t2, "s1": s1, "s2": s2, "rp": rp}
 
 
-def codazzi_residual(pair, chart, x, y, x1, x2, z_slot):
+def codazzi_residual(pair, geom, x, y, x1, x2, z_slot):
     """|t1 + t2 + s1 + s2 + rp| at x, absolute and term-normalized."""
-    parts = tsr_tensors(pair, chart, x, y, x1, x2, z_slot)
+    parts = tsr_tensors(pair, geom, x, y, x1, x2, z_slot)
     total = parts["t1"] + parts["t2"] + parts["s1"] + parts["s2"] + parts["rp"]
     denom = 1.0 + sum(abs(v) for v in parts.values())
     return {"residual": abs(total), "normalized": abs(total) / denom, "parts": parts}
@@ -246,7 +236,6 @@ def codazzi_residual(pair, chart, x, y, x1, x2, z_slot):
 
 def pp_star_field(geom, p_endo):
     """Field closure z -> Q(z) = P P^*, always metric-self-adjoint."""
-    geom = ensure_geometry(geom)
 
     def fld(z):
         jet = geom.jet1(z)
@@ -256,10 +245,9 @@ def pp_star_field(geom, p_endo):
     return fld
 
 
-def div_p(p_endo, chart, vec_field, x):
+def div_p(p_endo, geom, vec_field, x):
     """div_P X in trace form, sum_{m,k} Q^m_k (nabla_m X)^k with Q = P P^*
     (no assumption on P)."""
-    geom = ensure_geometry(chart)
     q = pp_star_field(geom, p_endo)(x)
     return _div_p_of(q, cov_deriv_vector(geom, vec_field, x))
 
@@ -277,7 +265,7 @@ def _hs_inner_of(jet, q, cov):
     return la.trace(la.mat_mul(grad_star, q))
 
 
-def div_equivalence_residuals(p_endo, chart, vec_field, x, scalar_field):
+def div_equivalence_residuals(p_endo, geom, vec_field, x, scalar_field):
     """Residuals of the modified-divergence characterization at x.
 
     Returns the divergence-free defect of P P^* (the precondition), and the
@@ -285,7 +273,6 @@ def div_equivalence_residuals(p_endo, chart, vec_field, x, scalar_field):
     inner product <P P^*, nabla X> (which holds unconditionally), and the
     product rule div_P(f X) = f div(P P^* X) + (P P^* X)(f).
     """
-    geom = ensure_geometry(chart)
     jet = geom.jet1(x)
     q_field = pp_star_field(geom, p_endo)
     div_q_norm = covector_gnorm(jet.g_inv, div_endo(geom, q_field, x))
@@ -330,7 +317,6 @@ def _diff_field(field, cols, n_nodes):
 
 def batch_metric_data(geom, cols):
     """g, ginv, sqrt_det, dg, Gamma as stacked arrays at a batch of nodes."""
-    geom = ensure_geometry(geom)
     n_nodes = cols[0].shape[0]
     jet = geom.jet1(cols)
     return {
@@ -338,17 +324,14 @@ def batch_metric_data(geom, cols):
         "ginv": la.nested_to_array(jet.g_inv, n_nodes),
         "sqrt_det": np.broadcast_to(np.asarray(jet.sqrt_det, dtype=float), (n_nodes,)),
         "dg": la.nested_to_array(jet.dg, n_nodes),
-        "gamma": la.nested_to_array(christoffel(jet).gamma, n_nodes),
+        "gamma": la.nested_to_array(jet.gamma, n_nodes),
     }
 
 
-def _frame_product_fields(geom, pair, rotation):
+def _frame_product_fields(geom, pair):
     def frame(z):
-        # the metric lookup at z is shared with the pair's own metric reads there
-        frame_mat = la.gram_schmidt_frame(geom.metric(z))
-        if rotation is not None:
-            frame_mat = la.mat_mul(frame_mat, rotation)
-        return frame_mat
+        # the jet at z is shared with the pair's own metric reads there
+        return la.gram_schmidt_frame(geom.jet1(z).g)
 
     def a_field(z):
         return la.mat_mul(pair.p1(z), frame(z))
@@ -359,7 +342,7 @@ def _frame_product_fields(geom, pair, rotation):
     return a_field, b_field
 
 
-def dist_invariants_batch(geom, pair, cols, rotation=None):
+def dist_invariants_batch(geom, pair, cols):
     """All frame-summed invariants of the pair at a batch of nodes.
 
     Valid for self-adjoint pairs (the curvature-type trace uses the reduced
@@ -373,9 +356,8 @@ def dist_invariants_batch(geom, pair, cols, rotation=None):
     since numpy sums a one-node batch of a two-factor product in another
     order; so each node's outputs are the same bits at any batch size.
     """
-    geom = ensure_geometry(geom)
     n_nodes = cols[0].shape[0]
-    a_field, b_field = _frame_product_fields(geom, pair, rotation)
+    a_field, b_field = _frame_product_fields(geom, pair)
 
     gam0, dgam = _diff_field(christoffel_field(geom), cols, n_nodes)
     # the projected frame A = P1 L, B = P2 L; A's value and first partials
@@ -495,7 +477,6 @@ def _pp_star_batch(p0, data):
 
 def div_p_batch(geom, p_endo, vec_field, cols):
     """div_P X at a batch of nodes (exact AD, no finite differences)."""
-    geom = ensure_geometry(geom)
     n_nodes = cols[0].shape[0]
     data = batch_metric_data(geom, cols)
     q = _pp_star_batch(la.nested_to_array(p_endo(cols), n_nodes), data)
@@ -511,9 +492,8 @@ def mean_curvature_field(geom, pair):
     Built on nested lists, so z may be a dual point: the field can be
     differentiated, which is how walczak takes div_P(H1 + H2).
     """
-    geom = ensure_geometry(geom)
     n = geom.chart.dim
-    a_field, b_field = _frame_product_fields(geom, pair, None)
+    a_field, b_field = _frame_product_fields(geom, pair)
 
     def trace_cov(f0, df, gamma):
         # sum_s (nabla_{F_s} F_s)^k = sum_{i,s} F^i_s (d_i F^k_s + Gamma^k_{im} F^m_s)
@@ -525,7 +505,7 @@ def mean_curvature_field(geom, pair):
         ]
 
     def fld(z):
-        gamma = geom.gamma(z)
+        gamma = geom.jet1(z).gamma
         # one pass for both, so the pair's fields share the jet of its point
         (a0, b0), d = partials(lambda w: [a_field(w), b_field(w)], z)
         h1 = la.mat_vec(pair.p2(z), trace_cov(a0, [di[0] for di in d], gamma))
@@ -543,7 +523,6 @@ def walczak_residual_batch(geom, pair, cols):
     whose field nests the passes of the projected frame; the right side
     comes from the invariants engine.
     """
-    geom = ensure_geometry(geom)
     lhs = div_p_batch(geom, pair.total(), mean_curvature_field(geom, pair), cols)
     rhs, scale = formula_terms_batch(geom, pair, cols)
     residual = np.abs(lhs - rhs)
@@ -553,7 +532,7 @@ def walczak_residual_batch(geom, pair, cols):
 # -- frame-trace identities ----------------------------------------------------
 
 
-def trace_identity_residuals(pair, chart, cols):
+def trace_identity_residuals(pair, geom, cols):
     """Frame-trace identities for the four curvature-identity ingredients.
 
     The left sides sum the four-argument tensors over an orthonormal frame
@@ -568,7 +547,6 @@ def trace_identity_residuals(pair, chart, cols):
     evaluation over the (n, n, N) pairs and points, while quantities of the
     point alone (metric, frame) are computed at the N points only.
     """
-    geom = ensure_geometry(chart)
     n = geom.chart.dim
     n_nodes = cols[0].shape[0]
     shape = (n, n, n_nodes)
@@ -639,9 +617,8 @@ def trace_identity_residuals(pair, chart, cols):
 # -- contact-structure checks ------------------------------------------------
 
 
-def contact_structure_residuals(phi, xi, chart, x):
+def contact_structure_residuals(phi, xi, geom, x):
     """Residuals of the almost-contact structure equations at x."""
-    geom = ensure_geometry(chart)
     n = geom.chart.dim
     jet = geom.jet1(x)
     phi_m = phi(x)
@@ -667,7 +644,7 @@ def contact_structure_residuals(phi, xi, chart, x):
     }
 
 
-def contact_identity_residual(phi, xi, chart, vec_x, x):
+def contact_identity_residual(phi, xi, geom, vec_x, x):
     """Divergence identity for phi phi^* against both candidate signs.
 
     The identity implemented as correct:
@@ -675,7 +652,6 @@ def contact_identity_residual(phi, xi, chart, vec_x, x):
     Returns residuals of this ("plus") and of the variant with the relative
     minus sign, plus a shared normalizer.
     """
-    geom = ensure_geometry(chart)
     xf = as_field(vec_x)
     jet = geom.jet1(x)
     xv = xf(x)

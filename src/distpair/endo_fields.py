@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg as la
-from .chart_geometry import cov_at, ensure_geometry
+from .chart_geometry import cov_at
 
 
 def adjoint_matrix(g, g_inv, p):
@@ -25,16 +25,14 @@ def adjoint_matrix(g, g_inv, p):
     return la.mat_mul(g_inv, la.mat_mul(la.transpose(p), g))
 
 
-def adjoint(p_endo, chart, x):
+def adjoint(p_endo, geom, x):
     """P^*(x) for an endomorphism field on a chart."""
-    geom = ensure_geometry(chart)
     jet = geom.jet1(x)
     return adjoint_matrix(jet.g, jet.g_inv, p_endo(x))
 
 
 def adjoint_field(geom, p_endo):
     """Field closure z -> P^*(z)."""
-    geom = ensure_geometry(geom)
 
     def fld(z):
         jet = geom.jet1(z)
@@ -77,9 +75,8 @@ def frob(m):
     return np.sqrt(sum(np.float_power(v, 2) for row in m for v in row))
 
 
-def pair_product_norms(pair, chart, x):
+def pair_product_norms(pair, geom, x):
     """Frobenius norms of the four adaptedness products at x."""
-    geom = ensure_geometry(chart)
     jet = geom.jet1(x)
     p1 = pair.p1(x)
     p2 = pair.p2(x)
@@ -94,8 +91,7 @@ def pair_product_norms(pair, chart, x):
     }
 
 
-def self_adjoint_defects(pair, chart, x):
-    geom = ensure_geometry(chart)
+def self_adjoint_defects(pair, geom, x):
     jet = geom.jet1(x)
     out = {}
     for name, pf in (("p1", pair.p1), ("p2", pair.p2)):
@@ -105,17 +101,17 @@ def self_adjoint_defects(pair, chart, x):
     return out
 
 
-def check_pair(pair, chart, cols):
+def check_pair(pair, geom, cols):
     """Adaptedness (+ self-adjointness if advertised) over a column batch.
 
     Returns max_abs / max_normalized over all nodes and all product norms
     (NaN if any is).
     """
-    prods = pair_product_norms(pair, chart, cols)
+    prods = pair_product_norms(pair, geom, cols)
     scale = prods.pop("scale")
     vals = list(prods.values())
     if pair.self_adjoint:
-        vals.extend(self_adjoint_defects(pair, chart, cols).values())
+        vals.extend(self_adjoint_defects(pair, geom, cols).values())
     worst = functools.reduce(np.maximum, vals)
     return {
         "max_abs": la.max_entry(worst),
@@ -156,7 +152,7 @@ def covector_gnorm(g_inv, omega):
     return np.sqrt(np.maximum(val, 0.0))
 
 
-def allowed_forms(pair, chart, x, vec_x, vec_y):
+def allowed_forms(pair, geom, x, vec_x, vec_y):
     """The four first-order compatibility forms at x on slot vectors (X, Y).
 
     For an adapted pair each form is tensorial in both slots, so constant
@@ -164,7 +160,6 @@ def allowed_forms(pair, chart, x, vec_x, vec_y):
     normalizer sums the magnitudes of the two terms whose difference is the
     form (used for normalized residual reporting).
     """
-    geom = ensure_geometry(chart)
     x_fld = as_field(vec_x)
     y_fld = as_field(vec_y)
     g = geom.jet1(x).g
@@ -191,10 +186,9 @@ def allowed_forms(pair, chart, x, vec_x, vec_y):
     return forms, norms
 
 
-def allowed_residual(pair, chart, x, vec_x, vec_y):
+def allowed_residual(pair, geom, x, vec_x, vec_y):
     """(max residual, max normalized residual) over the four forms at x,
     per node when x is a column batch."""
-    geom = ensure_geometry(chart)
     forms, norms = allowed_forms(pair, geom, x, vec_x, vec_y)
     g = geom.jet1(x).g
     worst = 0.0

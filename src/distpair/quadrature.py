@@ -20,7 +20,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg as la
-from .chart_geometry import ensure_geometry, volume_density
 from .dist_tensors import div_p_batch, formula_terms_batch
 
 
@@ -85,28 +84,26 @@ def _default_chunk(dim):
     return 65536 if dim <= 3 else 4096
 
 
-def integrate(chart, f, grid: QuadratureGrid):
+def integrate(geom, f, grid: QuadratureGrid):
     """Integral of a scalar field over the chart with the metric volume form.
 
     ``f`` receives a list of coordinate arrays and must return an array of
     values (or a scalar, which is broadcast).
     """
-    geom = ensure_geometry(chart)
     partials = []
     for cols, wts in _chunk_nodes(grid, _default_chunk(geom.chart.dim)):
-        dens = volume_density(geom.chart, cols)
+        dens = geom.jet1(cols).sqrt_det
         vals = np.broadcast_to(np.asarray(f(cols), dtype=float), wts.shape)
         partials.append(float(np.sum(wts * dens * vals)))
     return float(la.pairwise_sum(partials))
 
 
-def volume(chart, grid: QuadratureGrid):
-    return integrate(chart, lambda cols: 1.0, grid)
+def volume(geom, grid: QuadratureGrid):
+    return integrate(geom, lambda cols: 1.0, grid)
 
 
-def stokes_check(p_endo, chart, vec_field, grid: QuadratureGrid):
+def stokes_check(p_endo, geom, vec_field, grid: QuadratureGrid):
     """Integral of div_P X over a closed chart domain (should vanish)."""
-    geom = ensure_geometry(chart)
     int_parts = []
     vol_parts = []
     for cols, wts in _chunk_nodes(grid, _default_chunk(geom.chart.dim)):
@@ -124,14 +121,13 @@ def stokes_check(p_endo, chart, vec_field, grid: QuadratureGrid):
     }
 
 
-def integral_formula_check(pair, chart, grid: QuadratureGrid):
+def integral_formula_check(pair, geom, grid: QuadratureGrid):
     """Integral of the frame-summed formula terms over a closed domain.
 
     Returns the signed integral I, the mass N = integral of |integrand|, the
     volume, I/N, and pointwise degeneracy data (an integrand that vanishes
     identically gives a pass that must be reported as degenerate).
     """
-    geom = ensure_geometry(chart)
     dim = geom.chart.dim
     chunk = 16384 if dim <= 3 else 2048
     i_parts, m_parts, v_parts = [], [], []

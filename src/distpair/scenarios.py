@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dual as ops
 from . import linalg as la
-from .chart_geometry import Chart, Geometry, div_endo, ensure_geometry, point_columns
+from .chart_geometry import Chart, Geometry, div_endo, point_columns
 from .dist_tensors import pp_star_field
 from .endo_fields import (
     EndoPair,
@@ -443,7 +443,7 @@ def _unit_field_projectors(geom, xi):
     """Complementary orthoprojectors: onto span(xi) and its complement."""
 
     def eta(z):
-        g = geom.metric(z)
+        g = geom.jet1(z).g
         xiv = xi(z)
         return [sum(g[i][j] * xiv[j] for j in range(3)) for i in range(3)]
 

@@ -59,7 +59,7 @@ def _conformal_torus():
 def test_christoffel_closed_form_on_conformal_torus():
     geom = _conformal_torus()
     u = math.pi / 4
-    gam = geom.gamma([u, 0.3])
+    gam = geom.jet1([u, 0.3]).gamma
     s, c = math.sin(u), math.cos(u)
     f = 1.0 + s * s
     # for a conformal factor f(u): Gamma^u_uu = f'/2f, Gamma^u_vv = -f'/2f,
@@ -76,7 +76,7 @@ def test_christoffel_closed_form_on_conformal_torus():
 def test_christoffel_against_finite_differences():
     geom = _conformal_torus()
     x = [0.8, 1.7]
-    gam = geom.gamma(x)
+    gam = geom.jet1(x).gamma
     h = 1e-5
     n = 2
 
@@ -106,7 +106,7 @@ def test_christoffel_against_finite_differences():
 def test_flat_torus_is_flat():
     sc = flat_torus_projectors(1, 1)
     x = [1.0, 2.0]
-    gam = sc.geom.gamma(x)
+    gam = sc.geom.jet1(x).gamma
     assert np.abs(np.array(gam)).max() == 0.0
     R = riemann_up(sc.geom, x)
     assert np.abs(np.array(R)).max() == 0.0
@@ -264,7 +264,7 @@ def test_cov_at_matches_component_formula():
             [math.sin(x[0]), -math.sin(x[1])],
         ]
     )
-    gam = np.array(sc.geom.gamma(x))
+    gam = np.array(sc.geom.jet1(x).gamma)
     yv = np.array([x[1] * math.sin(x[0]), math.cos(x[1])])
     want = jac.T @ v + np.einsum("kij,i,j->k", gam, v, yv)
     assert np.allclose(np.array(got), want, atol=1e-12)
@@ -310,7 +310,7 @@ def test_metric_validation_rejects_non_spd():
         Geometry(chart).jet1([np.array([0.5, 0.25]), np.array([0.5, 0.75])])
     # and so is a real batch whose caller reads only g
     with pytest.raises(MetricError):
-        Geometry(chart).metric([np.array([0.5, 0.25]), np.array([0.5, 0.75])])
+        Geometry(chart).jet1([np.array([0.5, 0.25]), np.array([0.5, 0.75])]).g
 
 
 @pytest.mark.parametrize(
@@ -334,9 +334,27 @@ def test_metric_validation_names_first_bad_node(metric, what):
         Geometry(chart).jet1(cols)
 
 
-def test_metric_lookup_at_a_dual_point_builds_no_jet():
-    """A caller that reads only g at a dual point gets one metric evaluation
-    and no jet; a jet built there later shares that g."""
+def _count_passes_and_lus(monkeypatch):
+    """Lists that grow by one per derivative pass started and per LU run."""
+    passes, lus = [], []
+    fresh_tag, lu_nopivot = ops.fresh_tag, la.lu_nopivot
+
+    def counting_tag():
+        passes.append(None)
+        return fresh_tag()
+
+    def counting_lu(*args):
+        lus.append(None)
+        return lu_nopivot(*args)
+
+    monkeypatch.setattr(ops, "fresh_tag", counting_tag)
+    monkeypatch.setattr(la, "lu_nopivot", counting_lu)
+    return passes, lus
+
+
+def test_reading_g_at_a_dual_point_runs_no_lu_and_no_pass(monkeypatch):
+    """A caller that reads only g at a dual point gets one metric evaluation,
+    and neither an LU nor a derivative pass runs there."""
     sc = warped_torus()
     calls = []
 
@@ -345,20 +363,36 @@ def test_metric_lookup_at_a_dual_point_builds_no_jet():
         return sc.chart.metric(z)
 
     geom = Geometry(dataclasses.replace(sc.chart, metric=counting))
+    passes, lus = _count_passes_and_lus(monkeypatch)
 
     def read_g_twice(z):
-        assert geom.metric(z) is geom.metric(z)
-        return geom.metric(z)
+        assert geom.jet1(z).g is geom.jet1(z).g
+        return geom.jet1(z).g
 
     value, _ = partials(read_g_twice, [0.3, 1.1])
     assert len(calls) == 1
+    assert len(passes) == 1  # the pass of partials itself
+    assert lus == []
     assert np.array_equal(np.array(value), np.array(sc.chart.metric([0.3, 1.1])))
 
-    def g_then_jet(z):
-        g = geom.metric(z)
-        assert geom.jet1(z).g is g
-        return g
 
-    calls.clear()
-    partials(g_then_jet, [0.3, 1.1])
-    assert len(calls) == 2  # g at the point, then the jet's own pass
+def test_dual_point_jet_runs_its_derivative_pass_on_the_first_read_of_dg(monkeypatch):
+    """Inside a pass, g and g_inv of the jet at the pass's point start no
+    derivative pass; the first read of dg starts one, a second read none."""
+    sc = hopf_contact_s3()
+    passes, _ = _count_passes_and_lus(monkeypatch)
+    started = []
+
+    def field(z):
+        before = len(passes)
+        jet = sc.geom.jet1(z)
+        _ = (jet.g, jet.g_inv)
+        started.append(len(passes) - before)
+        dg = jet.dg
+        started.append(len(passes) - before)
+        assert jet.dg is dg
+        started.append(len(passes) - before)
+        return dg
+
+    partials(field, [0.4, -0.3, 1.2])
+    assert started == [0, 1, 1]

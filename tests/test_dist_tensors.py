@@ -52,7 +52,10 @@ from distpair.endo_fields import (
     apply_endo,
     gnorm,
 )
+from distpair.quadrature import Axis
 from distpair.scenarios import (
+    ScenarioManifold,
+    _trig_scalar,
     build_scenario,
     conformal_hopf,
     einstein_s3xt2,
@@ -506,7 +509,7 @@ def multi_operand_invariants(geom, pair, cols):
     dist_invariants_batch, which contracts pairwise through shared
     intermediates; the inputs come from the same derivative passes."""
     n_nodes = cols[0].shape[0]
-    a_field, b_field = dt._frame_product_fields(geom, pair, None)
+    a_field, b_field = dt._frame_product_fields(geom, pair)
 
     def diff(field):
         val, d = partials(field, cols)
@@ -653,14 +656,20 @@ def test_smix_two_independent_routes():
         assert abs(smix_engine - smix_towers) < 1e-9
 
 
-def test_invariants_independent_of_frame_rotation():
+def test_invariants_independent_of_frame_rotation(monkeypatch):
     sc = hopf_contact_s3()
     rng = np.random.default_rng(82)
     cols = point_columns(sc.sample_points(rng, 1))
     base = dist_invariants_batch(sc.geom, sc.pair, cols)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     rot = [[float(v) for v in row] for row in q]
-    rotated = dist_invariants_batch(sc.geom, sc.pair, cols, rotation=rot)
+    gram_schmidt_frame = la.gram_schmidt_frame
+
+    def rotated_frame(g):
+        return la.mat_mul(gram_schmidt_frame(g), rot)  # L R, still orthonormal
+
+    monkeypatch.setattr(la, "gram_schmidt_frame", rotated_frame)
+    rotated = dist_invariants_batch(sc.geom, sc.pair, cols)
     assert abs(base["smix"][0] - rotated["smix"][0]) < 1e-10
     for key in ("h1", "h2", "t1", "t2", "H1", "H2"):
         key = f"norm_{key}"
@@ -705,7 +714,7 @@ def test_pass_values_equal_plain_values_bit_for_bit(name):
     sc = build_scenario(name)
     rng = np.random.default_rng(86)
     cols = sc.sample_columns(rng, 1000)
-    a_field, b_field = dt._frame_product_fields(sc.geom, sc.pair, None)
+    a_field, b_field = dt._frame_product_fields(sc.geom, sc.pair)
     fields = {
         "metric": sc.chart.metric,
         "frame_p1": a_field,
@@ -797,6 +806,43 @@ def test_walczak_closes_to_round_off(name):
 # -- frame-trace identities -----------------------------------------------------
 
 
+def split_t3(seed=3):
+    """T^3 with g = 3 I plus symmetrised trigonometric entries, P1 the
+    g-orthogonal projector onto span(d_0) and P2 = I - P1: the constant-rank
+    orthogonal case of P. Walczak, Colloq. Math. 58 (1990).  Both mean
+    curvatures have components across the other distribution, so the cross
+    terms of the frame traces are not 0 here as they are on the shipped
+    scenarios."""
+    rng = np.random.default_rng(seed)
+    bumps = {(i, j): _trig_scalar(rng, 3, 0.25) for i in range(3) for j in range(i, 3)}
+
+    def metric(z):
+        return [
+            [(3.0 if i == j else 0.0) + bumps[min(i, j), max(i, j)](z) for j in range(3)]
+            for i in range(3)
+        ]
+
+    chart = cg.Chart("split-t3", 3, metric, ((0.0, 2.0 * math.pi),) * 3, (True,) * 3)
+    geom = cg.Geometry(chart)
+
+    def p1(z):
+        g = geom.jet1(z).g
+        return [[g[0][j] / g[0][0] if i == 0 else 0.0 for j in range(3)] for i in range(3)]
+
+    def p2(z):
+        return la.mat_sub(la.eye(3), p1(z))
+
+    return ScenarioManifold(
+        name="split-t3",
+        chart=chart,
+        geom=geom,
+        pair=EndoPair(p1=p1, p2=p2, self_adjoint=True, allowed=True),
+        quad_axes=(Axis("periodic", 0.0, 2.0 * math.pi),) * 3,
+        sample_bounds=chart.domain,
+        kind="torus",
+    )
+
+
 @pytest.mark.parametrize(
     "name,npts",
     [
@@ -805,10 +851,11 @@ def test_walczak_closes_to_round_off(name):
         ("scaled-identity", 3),
         ("hopf-s3", 3),
         ("einstein-s3xt2", 1),
+        ("split-t3", 3),
     ],
 )
 def test_frame_trace_identities(name, npts):
-    sc = build_scenario(name)
+    sc = split_t3() if name == "split-t3" else build_scenario(name)
     rng = np.random.default_rng(90)
     for x in sc.sample_points(rng, npts):
         res = trace_identity_residuals(sc.pair, sc.geom, point_columns([x]))

@@ -31,7 +31,7 @@ def test_adjoint_closed_form():
     def P(_z):
         return [[0.0, 1.0], [0.0, 0.0]]
 
-    from distpair.chart_geometry import Chart
+    from distpair.chart_geometry import Chart, Geometry
 
     chart = Chart(
         name="aniso",
@@ -40,7 +40,7 @@ def test_adjoint_closed_form():
         domain=((0.0, 1.0),) * 2,
         periodic=(False, False),
     )
-    ps = adjoint(P, chart, [0.2, 0.3])
+    ps = adjoint(P, Geometry(chart), [0.2, 0.3])
     assert np.allclose(np.array(ps), [[0.0, 0.0], [0.25, 0.0]], atol=1e-15)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import distpair.dual as ops
-from distpair.chart_geometry import Chart, MetricError
+from distpair.chart_geometry import Chart, Geometry, MetricError
 from distpair.dual import Dual
 from distpair.quadrature import (
     Axis,
@@ -88,7 +88,7 @@ def test_volume_runs_no_derivative_pass_and_validates_the_metric(monkeypatch):
     bad = Chart("bad", 2, metric, ((0.0, 1.0),) * 2, (False, False))
     grid = QuadratureGrid((Axis("legendre", 0.0, 1.0),) * 2, (4, 4))
     with pytest.raises(MetricError, match="not positive definite"):
-        volume(bad, grid)
+        volume(Geometry(bad), grid)
 
 
 def test_volume_converges_under_refinement():

@@ -8,7 +8,6 @@ import math
 import numpy as np
 import pytest
 
-import distpair.chart_geometry as cg
 import distpair.dual as ops
 import distpair.linalg as la
 from distpair.chart_geometry import cov_at, div_vector, einstein_tensor
@@ -92,23 +91,34 @@ def test_hopf_field_is_unit_geodesic_divergence_free():
         assert abs(div_vector(sc.geom, xi, x)) < 1e-12
 
 
-def test_hopf_projectors_read_the_metric_without_a_jet(monkeypatch):
-    """eta reads only g, so differentiating the projectors builds no metric
-    jet at the pass's dual point; the real batch still has its one jet."""
+def test_hopf_projectors_read_g_without_an_lu_or_a_pass(monkeypatch):
+    """eta reads only g, so differentiating the projectors evaluates the
+    metric once at the pass's dual point and runs no LU and no derivative
+    pass there; the real batch's jet still validates g with its one LU."""
     sc = hopf_contact_s3()
     cols = sc.sample_columns(np.random.default_rng(12), 5)
-    jets = []
-    metric_jet = cg._metric_jet
+    calls, passes, lus = [], [], []
+    metric, fresh_tag, lu_nopivot = sc.chart.metric, ops.fresh_tag, la.lu_nopivot
 
-    def counting(chart, x):
-        jets.append(any(isinstance(c, ops.Dual) for c in x))
-        return metric_jet(chart, x)
+    def counting_metric(z):
+        calls.append(any(isinstance(c, ops.Dual) for c in z))
+        return metric(z)
 
-    monkeypatch.setattr(cg, "_metric_jet", counting)
+    def counting_tag():
+        passes.append(None)
+        return fresh_tag()
+
+    def counting_lu(*args):
+        lus.append(None)
+        return lu_nopivot(*args)
+
+    monkeypatch.setitem(vars(sc.chart), "metric", counting_metric)  # Chart is frozen
+    monkeypatch.setattr(ops, "fresh_tag", counting_tag)
+    monkeypatch.setattr(la, "lu_nopivot", counting_lu)
     value, _ = directional(sc.pair.p2, cols, [1.0, 0.0, 0.0])
-    assert jets == []
+    assert (calls, len(passes), len(lus)) == ([True], 1, 0)  # the directional pass only
     assert la.nested_to_array(value, 5).tobytes() == la.nested_to_array(sc.pair.p2(cols), 5).tobytes()
-    assert jets == [False]
+    assert (calls, len(passes), len(lus)) == ([True, False], 1, 1)
 
 
 def test_quarter_turn_endo_is_conformally_invariant():

@@ -44,6 +44,29 @@ def _names_used(tree):
             yield node.name
 
 
+def test_the_metric_jet_is_the_one_route_to_the_metric():
+    # a chart's metric is read only by MetricJet, so every other module
+    # reaches g, g_inv, sqrt_det, dg and Gamma through the one jet per point;
+    # and every function takes a Geometry, with no Chart-accepting shim
+    offenders = []
+    for stem, tree in _modules():
+        in_jet = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "MetricJet"
+            for inner in ast.walk(node)
+        }
+        offenders += [
+            f"{stem}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "metric" and id(node) not in in_jet
+        ]
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        if "ensure_geometry" in defined | set(_names_used(tree)):
+            offenders.append(f"{stem}: ensure_geometry")
+    assert offenders == []
+
+
 def test_dual_is_the_only_derivative_engine():
     # seeding a pass and tagging it happen only inside dual.py
     engine = {"fresh_tag", "seed_point"}
