@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,8 +39,7 @@ class Chart:
     ``metric(x)`` must return a nested list g[i][j] and be evaluable on
     floats, numpy arrays and dual numbers (use the ops module for sin etc.).
     ``domain`` gives per-axis (lo, hi); ``periodic`` marks axes where the
-    endpoints are identified.  ``singular_locus`` is a human-readable note
-    about where the associated endomorphism pair degenerates, if anywhere.
+    endpoints are identified.
     """
 
     name: str
@@ -48,7 +47,6 @@ class Chart:
     metric: Callable[[Sequence], list]
     domain: tuple
     periodic: tuple
-    singular_locus: Optional[str] = None
 
 
 class MetricJet:

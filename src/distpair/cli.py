@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .dist_tensors import (
     trace_identity_residuals,
     walczak_residual_batch,
 )
-from .endo_fields import allowed_residual, check_pair, gnorm
+from .endo_fields import allowed_residual, check_pair, form_residuals
 from .quadrature import integral_formula_check, refine_counts, stokes_check
 from .scenarios import (
     SCENARIO_NAMES,
@@ -104,11 +105,8 @@ def run_collapse(sc, points, seed, tol):
     cols = sc.sample_columns(rng, points)
     vx, vy = sc.sample_slot_vectors(rng, points, 2)
     forms, norms = collapse_residual(sc.pair, sc.geom, cols, vx, vy)
-    g = sc.geom.jet1(cols).g
-    residuals = {key: gnorm(g, vec) for key, vec in forms.items()}
-    max_abs = la.max_entry(*residuals.values())
-    max_norm = la.max_entry(*(r / (1.0 + norms[key]) for key, r in residuals.items()))
-    return max_abs, max_norm, points
+    a, n = form_residuals(sc.geom.jet1(cols).g, forms, norms)
+    return la.max_entry(a), la.max_entry(n), points
 
 
 def run_codazzi(sc, points, seed, tol):
@@ -189,8 +187,7 @@ def _finite(max_abs, max_norm):
     return bool(np.isfinite(max_abs) and np.isfinite(max_norm))
 
 
-def cmd_verify(scenario_name, checks, points, seed, tol):
-    sc = build_scenario(scenario_name)
+def cmd_verify(sc, checks, points, seed, tol):
     reports = []
     for check in checks:
         t0 = time.monotonic()
@@ -198,7 +195,7 @@ def cmd_verify(scenario_name, checks, points, seed, tol):
         ms = (time.monotonic() - t0) * 1000.0
         reports.append(
             ResidualReport(
-                scenario=scenario_name,
+                scenario=sc.name,
                 check=check,
                 samples=samples,
                 seed=seed,
@@ -216,10 +213,8 @@ def _grid_string(counts):
     return ",".join(str(int(c)) for c in counts)
 
 
-def cmd_integrate(scenario_name, which, counts, seed, tol):
-    sc = build_scenario(scenario_name)
-    grids = [sc.grid(counts)]
-    grids.append(sc.grid(refine_counts(grids[0].counts)))
+def cmd_integrate(sc, which, grid, seed, tol):
+    grids = [grid, sc.grid(refine_counts(grid.counts))]
     rows = []
     for grid in grids:
         t0 = time.monotonic()
@@ -252,7 +247,7 @@ def cmd_integrate(scenario_name, which, counts, seed, tol):
             passed = max_norm <= tol or fine_norm <= max_norm
         reports.append(
             ResidualReport(
-                scenario=scenario_name,
+                scenario=sc.name,
                 check=which,
                 samples=int(res["nodes"]),
                 seed=seed,
@@ -306,13 +301,22 @@ def main(argv=None):
         parser.error("--which and --check are mutually exclusive")
     if args.points <= 0:
         parser.error("--points must be positive")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        parser.error("--tol must be a finite non-negative number")
 
     if args.which is not None:
         try:
             counts = tuple(int(c) for c in args.grid.split(","))
         except ValueError:
             parser.error(f"bad --grid value: {args.grid!r}")
-        reports = cmd_integrate(args.scenario, args.which, counts, args.seed, args.tol)
+        sc = build_scenario(args.scenario)
+        try:
+            grid = sc.grid(counts)
+        except ValueError as exc:
+            parser.error(f"bad --grid value {args.grid!r}: {exc}")
+        reports = cmd_integrate(sc, args.which, grid, args.seed, args.tol)
     else:
         checks = args.check
         if checks is None:
@@ -321,7 +325,9 @@ def main(argv=None):
                 checks.append("contact")
         if "contact" in checks and args.scenario != "hopf-s3":
             parser.error("the contact check only applies to --scenario hopf-s3")
-        reports = cmd_verify(args.scenario, checks, args.points, args.seed, args.tol)
+        reports = cmd_verify(
+            build_scenario(args.scenario), checks, args.points, args.seed, args.tol
+        )
 
     for rep in reports:
         sys.stdout.write(json.dumps(rep.to_dict()) + "\n")

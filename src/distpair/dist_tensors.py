@@ -4,9 +4,9 @@ Everything here comes in two implementation styles on purpose:
 
 * generic AD towers (closures over `cov_at`) that follow the defining
   formulas slot by slot; they give the four-argument curvature identity, the
-  compatibility identities and the frame-trace left-hand sides.  A tower
-  takes a point in any form (floats, column arrays, duals), which is what
-  lets towers nest;
+  compatibility identities, the frame-trace left-hand sides and ``div_P``.
+  A tower takes a point in any form (floats, column arrays, duals), which is
+  what lets towers nest;
 * a batched component engine (numpy einsum over a node axis) for the
   frame-summed invariants (second fundamental forms, integrability tensors,
   mean curvatures, mixed scalar curvature) used by the Walczak-type residual
@@ -17,10 +17,12 @@ Everything here comes in two implementation styles on purpose:
   nabla A, B lowered once), so no loop runs above n^5 per node; the
   one-einsum-per-formula version is kept in the tests as a cross-check.
 
-The Walczak-type residual differentiates the mean curvature field
-:func:`mean_curvature_field` once more through :func:`div_p_batch`, so every
-derivative in this module is AD-exact; the finite-difference version of its
-left side is kept in the tests as a cross-check.
+``div_P`` has the one route :func:`div_p`, which the divergence checks, the
+Stokes quadrature and the Walczak-type residual all call.  The residual
+differentiates the mean curvature field :func:`mean_curvature_field` once
+more through it, so every derivative in this module is AD-exact; the
+finite-difference version of its left side is kept in the tests as a
+cross-check.
 
 Callers evaluate many points at once as a column batch: ``dim`` arrays over
 the nodes (:func:`chart_geometry.point_columns`).  The batch engine, the
@@ -44,6 +46,7 @@ from .chart_geometry import (
     cov_deriv_vector,
     div_endo,
     div_vector,
+    frame_at,
     frame_column_field,
     lie_bracket,
     nabla_field,
@@ -315,29 +318,12 @@ def _diff_field(field, cols, n_nodes):
     return la.nested_to_array(val, n_nodes), la.nested_to_array(d, n_nodes)
 
 
-def batch_metric_data(geom, cols):
-    """g, ginv, sqrt_det, dg, Gamma as stacked arrays at a batch of nodes."""
-    n_nodes = cols[0].shape[0]
-    jet = geom.jet1(cols)
-    return {
-        "g": la.nested_to_array(jet.g, n_nodes),
-        "ginv": la.nested_to_array(jet.g_inv, n_nodes),
-        "sqrt_det": np.broadcast_to(np.asarray(jet.sqrt_det, dtype=float), (n_nodes,)),
-        "dg": la.nested_to_array(jet.dg, n_nodes),
-        "gamma": la.nested_to_array(jet.gamma, n_nodes),
-    }
-
-
 def _frame_product_fields(geom, pair):
-    def frame(z):
-        # the jet at z is shared with the pair's own metric reads there
-        return la.gram_schmidt_frame(geom.jet1(z).g)
-
     def a_field(z):
-        return la.mat_mul(pair.p1(z), frame(z))
+        return la.mat_mul(pair.p1(z), frame_at(geom, z))
 
     def b_field(z):
-        return la.mat_mul(pair.p2(z), frame(z))
+        return la.mat_mul(pair.p2(z), frame_at(geom, z))
 
     return a_field, b_field
 
@@ -469,22 +455,6 @@ def formula_terms_batch(geom, pair, cols):
     return rhs, scale
 
 
-def _pp_star_batch(p0, data):
-    """Q = P P^* at a batch of nodes from stacked P and batch_metric_data."""
-    ps = np.einsum("ikn,jkn,jln->iln", data["ginv"], p0, data["g"])
-    return np.einsum("ikn,kjn->ijn", p0, ps)
-
-
-def div_p_batch(geom, p_endo, vec_field, cols):
-    """div_P X at a batch of nodes (exact AD, no finite differences)."""
-    n_nodes = cols[0].shape[0]
-    data = batch_metric_data(geom, cols)
-    q = _pp_star_batch(la.nested_to_array(p_endo(cols), n_nodes), data)
-    xv, dx = _diff_field(vec_field, cols, n_nodes)
-    cov_x = dx + np.einsum("kimn,mn->ikn", data["gamma"], xv)
-    return np.einsum("ikn,ikn->n", q, cov_x)
-
-
 def mean_curvature_field(geom, pair):
     """Field z -> H1 + H2 = P2 sum_s nabla_{A_s} A_s + P1 sum_s nabla_{B_s} B_s,
     with A = P1 L and B = P2 L the projected orthonormal frame.
@@ -519,11 +489,11 @@ def walczak_residual_batch(geom, pair, cols):
     """Pointwise residual of the divergence formula at a batch of nodes.
 
     Both sides are AD-exact: the left side div_P(H1 + H2), P = P1 + P2, is
-    :func:`div_p_batch` of :func:`mean_curvature_field`, one vector pass
-    whose field nests the passes of the projected frame; the right side
+    :func:`div_p` of :func:`mean_curvature_field` on the batch, one vector
+    pass whose field nests the passes of the projected frame; the right side
     comes from the invariants engine.
     """
-    lhs = div_p_batch(geom, pair.total(), mean_curvature_field(geom, pair), cols)
+    lhs = div_p(pair.total(), geom, mean_curvature_field(geom, pair), cols)
     rhs, scale = formula_terms_batch(geom, pair, cols)
     residual = np.abs(lhs - rhs)
     return residual, residual / (1.0 + scale + np.abs(lhs))

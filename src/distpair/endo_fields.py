@@ -25,12 +25,6 @@ def adjoint_matrix(g, g_inv, p):
     return la.mat_mul(g_inv, la.mat_mul(la.transpose(p), g))
 
 
-def adjoint(p_endo, geom, x):
-    """P^*(x) for an endomorphism field on a chart."""
-    jet = geom.jet1(x)
-    return adjoint_matrix(jet.g, jet.g_inv, p_endo(x))
-
-
 def adjoint_field(geom, p_endo):
     """Field closure z -> P^*(z)."""
 
@@ -53,7 +47,6 @@ class EndoPair:
     p1: Callable
     p2: Callable
     self_adjoint: bool = False
-    orthogonal_components: bool = True
     allowed: bool = False
     div_pp_star_zero: bool = False
     div_p_squared_zero: bool = False
@@ -186,11 +179,10 @@ def allowed_forms(pair, geom, x, vec_x, vec_y):
     return forms, norms
 
 
-def allowed_residual(pair, geom, x, vec_x, vec_y):
-    """(max residual, max normalized residual) over the four forms at x,
-    per node when x is a column batch."""
-    forms, norms = allowed_forms(pair, geom, x, vec_x, vec_y)
-    g = geom.jet1(x).g
+def form_residuals(g, forms, norms):
+    """(max residual, max normalized residual) over named residual vectors:
+    |v|_g and |v|_g / (1 + norms[key]) for each ``forms[key] = v``, per node
+    when g is a column batch, NaN where any is."""
     worst = 0.0
     worst_norm = 0.0
     for key, v in forms.items():
@@ -198,6 +190,13 @@ def allowed_residual(pair, geom, x, vec_x, vec_y):
         worst = np.maximum(worst, r)
         worst_norm = np.maximum(worst_norm, r / (1.0 + norms[key]))
     return worst, worst_norm
+
+
+def allowed_residual(pair, geom, x, vec_x, vec_y):
+    """(max residual, max normalized residual) over the four forms at x,
+    per node when x is a column batch."""
+    forms, norms = allowed_forms(pair, geom, x, vec_x, vec_y)
+    return form_residuals(geom.jet1(x).g, forms, norms)
 
 
 # -- positive-semidefinite square root -------------------------------------

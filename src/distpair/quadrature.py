@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg as la
-from .dist_tensors import div_p_batch, formula_terms_batch
+from .dist_tensors import div_p, formula_terms_batch
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def stokes_check(p_endo, geom, vec_field, grid: QuadratureGrid):
     vol_parts = []
     for cols, wts in _chunk_nodes(grid, _default_chunk(geom.chart.dim)):
         dens = geom.jet1(cols).sqrt_det
-        vals = div_p_batch(geom, p_endo, vec_field, cols)
+        vals = div_p(p_endo, geom, vec_field, cols)
         int_parts.append(float(np.sum(wts * dens * vals)))
         vol_parts.append(float(np.sum(wts * dens)))
     total = float(la.pairwise_sum(int_parts))

@@ -23,7 +23,6 @@ from .chart_geometry import Chart, Geometry, div_endo, point_columns
 from .dist_tensors import pp_star_field
 from .endo_fields import (
     EndoPair,
-    adjoint_field,
     allowed_residual,
     covector_gnorm,
     pair_product_norms,
@@ -160,7 +159,6 @@ def flat_torus_projectors(n1=1, n2=1):
         sample_bounds=((0.0, TWO_PI),) * dim,
         kind="torus",
         integrand_degenerate=True,
-        extras={"split": (n1, n2)},
     )
     probe_pair(scenario)
     return scenario
@@ -219,10 +217,8 @@ def scaled_identity(base=None, c=2.0):
         div_pp_star_zero=base.pair.div_pp_star_zero,
         div_p_squared_zero=base.pair.div_p_squared_zero,
     )
-    extras = dict(base.extras)
-    extras.update({"scale": c, "base": base.name})
     scenario = dataclasses.replace(
-        base, name="scaled-identity", pair=pair, extras=extras
+        base, name="scaled-identity", pair=pair, extras=dict(base.extras)
     )
     probe_pair(scenario)
     return scenario
@@ -260,7 +256,7 @@ def non_allowed_rotated(base=None, amplitude=0.5):
         base,
         name="warped-torus-rotated",
         pair=pair,
-        extras={**base.extras, "rotation_amplitude": amplitude},
+        extras=dict(base.extras),
     )
     probe_pair(scenario)
     return scenario
@@ -359,7 +355,6 @@ def einstein_s3xt2():
             (0.0, TWO_PI),
         ),
         periodic=(False, False, False, True, True),
-        singular_locus="pair degenerates on the S^3 factor where sin u = 0",
     )
 
     def p1(z):
@@ -400,7 +395,6 @@ def einstein_s3xt2():
         quad_jacobian=_angular_jacobian,
         extras={
             "einstein_factor": einstein_factor,
-            "a1": einstein_a1,
             "a2": sqrt3,
         },
     )
@@ -458,7 +452,7 @@ def _unit_field_projectors(geom, xi):
             [(1.0 if i == j else 0.0) - m[i][j] for j in range(3)] for i in range(3)
         ]
 
-    return p1, p2, eta
+    return p1, p2
 
 
 def _hopf_scenario(name, conformal_strength=0.0):
@@ -495,7 +489,7 @@ def _hopf_scenario(name, conformal_strength=0.0):
         return [scale * c for c in e1]
 
     phi = _cross_product_endo(geom, xi)
-    p1, p2, eta = _unit_field_projectors(geom, xi)
+    p1, p2 = _unit_field_projectors(geom, xi)
     pair = EndoPair(
         p1=p1,
         p2=p2,
@@ -515,7 +509,7 @@ def _hopf_scenario(name, conformal_strength=0.0):
         integrand_degenerate=True,
         to_chart=_angular_to_chart,
         quad_jacobian=_angular_jacobian,
-        extras={"xi": xi, "phi": phi, "eta": eta},
+        extras={"xi": xi, "phi": phi},
     )
     probe_pair(scenario)
     return scenario
@@ -661,7 +655,3 @@ def random_vector_field(scenario, rng):
         return out
 
     return fld
-
-
-def random_vectors(rng, dim, count):
-    return [list(map(float, rng.normal(size=dim))) for _ in range(count)]

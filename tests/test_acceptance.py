@@ -40,10 +40,13 @@ from distpair.scenarios import (
     non_allowed_rotated,
     random_scalar_field,
     random_vector_field,
-    random_vectors,
 )
 
 _CACHE: dict = {}
+
+
+def random_vectors(rng, dim, count):
+    return [list(map(float, rng.normal(size=dim))) for _ in range(count)]
 
 
 def scenario(name):

@@ -86,6 +86,26 @@ def test_unknown_scenario_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scenario", "warped-torus", "--which", "stokes", "--grid", "0"],
+        ["--scenario", "warped-torus", "--which", "stokes", "--grid", "4,4,4"],
+        ["--scenario", "warped-torus", "--which", "formula", "--seed", "-1"],
+        ["--scenario", "flat-torus", "--check", "pair", "--points", "2", "--tol=-1e-6"],
+        ["--scenario", "flat-torus", "--check", "pair", "--points", "2", "--tol", "nan"],
+        ["--scenario", "flat-torus", "--check", "pair", "--points", "2", "--tol", "inf"],
+    ],
+    ids=["grid-zero", "grid-count-mismatch", "negative-seed", "negative-tol", "nan-tol", "inf-tol"],
+)
+def test_bad_option_values_are_usage_errors(argv, capsys):
+    # each would otherwise raise a traceback (exit 1) or print a report
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_which_and_check_conflict():
     with pytest.raises(SystemExit) as exc:
         main(["--scenario", "flat-torus", "--which", "stokes", "--check", "pair"])

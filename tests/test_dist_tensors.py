@@ -28,7 +28,6 @@ from distpair.dist_tensors import (
     contact_structure_residuals,
     dist_invariants_batch,
     div_p,
-    div_p_batch,
     field_b1,
     field_b2,
     field_check_b1,
@@ -749,7 +748,7 @@ def test_each_batch_engine_call_builds_one_real_metric_jet(monkeypatch):
     formula_terms_batch(sc.geom, sc.pair, sc.sample_columns(rng, 100))
     assert len(real_jets) == 1
     real_jets.clear()
-    div_p_batch(sc.geom, sc.pair.total(), vec_field, sc.sample_columns(rng, 100))
+    div_p(sc.pair.total(), sc.geom, vec_field, sc.sample_columns(rng, 100))
     assert len(real_jets) == 1
 
 
@@ -771,12 +770,12 @@ def richardson_div_p_mean_curvature(geom, pair, cols, step=1e-4):
 
     # dh[d, k] = d_d H^k
     dh = np.array([(4.0 * central(0.5 * step, d) - central(step, d)) / 3.0 for d in range(n)])
-    data = dt.batch_metric_data(geom, cols)
+    jet = geom.jet1(cols)
     q = la.nested_to_array(pp_star_field(geom, pair.total())(cols), n_nodes)
-    q_up = np.einsum("iln,ljn->ijn", q, data["ginv"])
+    q_up = np.einsum("iln,ljn->ijn", q, la.nested_to_array(jet.g_inv, n_nodes))
     h0 = la.nested_to_array(h_field(cols), n_nodes)
     return np.einsum("ijn,ijn->n", q, dh) + 0.5 * np.einsum(
-        "ijn,kijn,kn->n", q_up, data["dg"], h0
+        "ijn,kijn,kn->n", q_up, la.nested_to_array(jet.dg, n_nodes), h0
     )
 
 
@@ -790,7 +789,7 @@ def test_walczak_left_side_matches_finite_differences(name):
     inv = dist_invariants_batch(sc.geom, sc.pair, cols)
     h = la.nested_to_array(h_field(cols), 20)
     assert np.allclose(h, inv["H1"] + inv["H2"], rtol=0.0, atol=1e-12)
-    ad = div_p_batch(sc.geom, sc.pair.total(), h_field, cols)
+    ad = div_p(sc.pair.total(), sc.geom, h_field, cols)
     fd = richardson_div_p_mean_curvature(sc.geom, sc.pair, cols)
     assert float(np.max(np.abs(ad - fd) / (1.0 + np.abs(ad)))) < 1e-9
 

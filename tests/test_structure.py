@@ -124,3 +124,31 @@ def test_invariants_engine_contracts_pairwise():
         if loops > 5 or (len(operands) >= 3 and loops > 4):
             offenders.append(f"{line}: {spec}")
     assert offenders == []
+
+
+def test_every_top_level_def_is_used():
+    # a module-level function or class is read somewhere in the package
+    # (its own definition does not count) or exported through __all__, so a
+    # helper only the tests call lives in the tests
+    modules = dict(_modules())
+    exported = {
+        elt.value
+        for node in modules["__init__"].body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"
+        for elt in node.value.elts
+    }
+    used = set()
+    for tree in modules.values():
+        used.update(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        )
+    unused = [
+        f"{stem}.{node.name}"
+        for stem, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in used | exported
+    ]
+    assert unused == []
