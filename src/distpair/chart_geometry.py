@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dual as ops
 from . import linalg as la
-from .dual import Dual, directional, partials
+from .dual import Dual, Point, directional, partials
 
 
 class MetricError(ValueError):
@@ -48,9 +48,21 @@ class Chart:
     domain: tuple
     periodic: tuple
 
+    def jet1(self, x) -> MetricJet:
+        """The metric jet at x.  A :class:`~distpair.dual.Point` keeps the
+        jet of its first lookup and gives it back to every later lookup under
+        this chart; any other sequence, or a point looked up under another
+        chart, gets a fresh jet."""
+        if isinstance(x, Point):
+            if x.jet is None:
+                x.jet = _metric_jet(self, x)
+            if x.jet.chart is self:
+                return x.jet
+        return _metric_jet(self, x)
+
 
 class MetricJet:
-    """The metric at a point x and what the checks derive from it.
+    """The metric of ``chart`` at a point x and what the checks derive from it.
 
     ``g`` is evaluated when the jet is built.  ``g_inv`` and ``sqrt_det``
     (one LU of g, whose factors are not kept), ``dg[k][i][j] = d_k g_ij``
@@ -60,11 +72,15 @@ class MetricJet:
     the LU runs when the jet is built: it validates the metric (see
     :func:`_validate_metric`) before any pass runs, since a bad metric may not
     be evaluable on duals at all.
+
+    The jet keeps a plain tuple of x's coordinates, never x itself: a
+    :class:`~distpair.dual.Point` holds its jet, so the jet goes with the
+    point, with no reference cycle to wait for.
     """
 
     def __init__(self, chart: Chart, x):
-        self._metric = chart.metric
-        self._x = x
+        self.chart = chart
+        self._x = tuple(x)
         self.g = chart.metric(x)
         if not any(isinstance(c, Dual) for c in x):
             self._inverse = _inverse_and_density(self.g, _validate_metric(self.g, x))
@@ -83,42 +99,16 @@ class MetricJet:
 
     @cached_property
     def dg(self):
-        return partials(self._metric, self._x)[1]
+        return partials(self.chart.metric, self._x)[1]
 
     @cached_property
     def gamma(self):
         return christoffel(self)
 
 
-class Geometry:
-    """A chart and the metric jets of its points.
-
-    A plain map from a point to its one lazy :class:`MetricJet`, whatever the
-    point holds (floats, column arrays or duals), keyed by object identity,
-    up to 48 points at a time.  The map keeps a strong reference to each
-    point, so its id stays valid.  A point must not be mutated after it has
-    been looked up: a later lookup of the same object would return the jet of
-    its old coordinates.  Tower evaluation hits the same point object many
-    times, which makes this worthwhile.
-    """
-
-    def __init__(self, chart: Chart):
-        self.chart = chart
-        self._by_id = {}
-
-    def jet1(self, x) -> MetricJet:
-        entry = self._by_id.get(id(x))
-        if entry is None or entry[0] is not x:
-            if len(self._by_id) > 48:
-                self._by_id.clear()
-            entry = (x, _metric_jet(self.chart, x))
-            self._by_id[id(x)] = entry
-        return entry[1]
-
-
 def point_columns(points):
-    """A list of sample points as one column batch: (dim,) arrays of shape (N,)."""
-    return [np.array([p[i] for p in points]) for i in range(len(points[0]))]
+    """A list of sample points as one column batch: a Point of (N,) arrays."""
+    return Point(np.array([p[i] for p in points]) for i in range(len(points[0])))
 
 
 def _metric_jet(chart: Chart, x) -> MetricJet:
@@ -183,22 +173,22 @@ def christoffel(jet: MetricJet) -> list:
     return gamma
 
 
-def christoffel_field(geom):
-    """Field z -> Gamma(z), for differentiating Gamma: computed from the jet
-    at z but not kept on it, since the seeded points of a pass are never
-    looked up again."""
+def christoffel_field(chart):
+    """Field z -> Gamma(z), for differentiating Gamma.  The jet at a seeded
+    point z lives on z and goes with it when the pass ends; Gamma is
+    computed from it but not kept there, since nothing reads it again."""
 
     def fld(z):
-        return christoffel(geom.jet1(z))
+        return christoffel(chart.jet1(z))
 
     return fld
 
 
-def riemann_up(geom, x):
+def riemann_up(chart, x):
     """R^m_{ijk} = d_i Gamma^m_{jk} - d_j Gamma^m_{ik} + Gamma Gamma terms."""
-    n = geom.chart.dim
-    gamma = geom.jet1(x).gamma
-    _, dgamma = partials(christoffel_field(geom), x)  # dgamma[l][k][i][j] = d_l Gamma^k_{ij}
+    n = chart.dim
+    gamma = chart.jet1(x).gamma
+    _, dgamma = partials(christoffel_field(chart), x)  # dgamma[l][k][i][j] = d_l Gamma^k_{ij}
     out = []
     for m in range(n):
         bm = []
@@ -219,11 +209,11 @@ def riemann_up(geom, x):
     return out
 
 
-def riemann(geom, x):
+def riemann(chart, x):
     """Fully lowered curvature R_{ijkl} = <R(d_i,d_j) d_k, d_l>."""
-    n = geom.chart.dim
-    up = riemann_up(geom, x)
-    g = geom.jet1(x).g
+    n = chart.dim
+    up = riemann_up(chart, x)
+    g = chart.jet1(x).g
     return [
         [
             [
@@ -236,24 +226,24 @@ def riemann(geom, x):
     ]
 
 
-def ricci(geom, x):
-    n = geom.chart.dim
-    up = riemann_up(geom, x)
+def ricci(chart, x):
+    n = chart.dim
+    up = riemann_up(chart, x)
     return [[sum(up[i][i][j][k] for i in range(n)) for k in range(n)] for j in range(n)]
 
 
-def scalar_curvature(geom, x):
-    n = geom.chart.dim
-    ric = ricci(geom, x)
-    g_inv = geom.jet1(x).g_inv
+def scalar_curvature(chart, x):
+    n = chart.dim
+    ric = ricci(chart, x)
+    g_inv = chart.jet1(x).g_inv
     return sum(g_inv[j][k] * ric[j][k] for j in range(n) for k in range(n))
 
 
-def einstein_tensor(geom, x):
+def einstein_tensor(chart, x):
     """Mixed (1,1) Einstein tensor E^i_j = Ric^i_j - 1/2 Scal delta^i_j."""
-    n = geom.chart.dim
-    ric = ricci(geom, x)
-    g_inv = geom.jet1(x).g_inv
+    n = chart.dim
+    ric = ricci(chart, x)
+    g_inv = chart.jet1(x).g_inv
     ric_up = [[sum(g_inv[i][k] * ric[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     scal = sum(ric_up[i][i] for i in range(n))
     return [
@@ -262,10 +252,10 @@ def einstein_tensor(geom, x):
     ]
 
 
-def sectional_curvature(geom, x, u, v):
-    n = geom.chart.dim
-    r4 = riemann(geom, x)
-    g = geom.jet1(x).g
+def sectional_curvature(chart, x, u, v):
+    n = chart.dim
+    r4 = riemann(chart, x)
+    g = chart.jet1(x).g
     num = sum(
         r4[i][j][k][l] * u[i] * v[j] * v[k] * u[l]
         for i in range(n)
@@ -282,11 +272,11 @@ def sectional_curvature(geom, x, u, v):
 # -- covariant derivatives of fields --------------------------------------
 
 
-def cov_deriv_vector(geom, vec_field, x):
+def cov_deriv_vector(chart, vec_field, x):
     """Matrix D[i][k] = (nabla_{d_i} X)^k = d_i X^k + Gamma^k_{is} X^s."""
-    n = geom.chart.dim
+    n = chart.dim
     xval, jac = partials(vec_field, x)
-    gamma = geom.jet1(x).gamma
+    gamma = chart.jet1(x).gamma
     return [
         [
             jac[i][k] + sum(gamma[k][i][s] * xval[s] for s in range(n))
@@ -296,17 +286,17 @@ def cov_deriv_vector(geom, vec_field, x):
     ]
 
 
-def div_vector(geom, vec_field, x):
+def div_vector(chart, vec_field, x):
     """Divergence of a vector field: the trace of its covariant derivative."""
-    cov = cov_deriv_vector(geom, vec_field, x)
-    return sum(cov[i][i] for i in range(geom.chart.dim))
+    cov = cov_deriv_vector(chart, vec_field, x)
+    return sum(cov[i][i] for i in range(chart.dim))
 
 
-def div_endo(geom, endo_field, x):
+def div_endo(chart, endo_field, x):
     """Divergence covector of a (1,1) field S, in Christoffel form:
     (div S)_j = S^i_{j,i} + S^l_j Gamma^i_{il} - Gamma^l_{ij} S^i_l."""
-    n = geom.chart.dim
-    gamma = geom.jet1(x).gamma
+    n = chart.dim
+    gamma = chart.jet1(x).gamma
     s_val, d_s = partials(endo_field, x)
     out = []
     for j in range(n):
@@ -320,16 +310,16 @@ def div_endo(geom, endo_field, x):
 # -- tower primitives ------------------------------------------------------
 
 
-def cov_at(geom, z, direction, vec_field):
+def cov_at(chart, z, direction, vec_field):
     """(nabla_u X)(z) for a direction vector u and a vector field closure.
 
     One dual pass gives d_u X; the Christoffel correction uses the cached
     connection at z.  z may itself be a dual/array point, which is what lets
     these towers nest.
     """
-    n = geom.chart.dim
+    n = chart.dim
     w, dw = directional(vec_field, z, direction)
-    gamma = geom.jet1(z).gamma
+    gamma = chart.jet1(z).gamma
     res = []
     for k in range(n):
         corr = sum(
@@ -339,11 +329,11 @@ def cov_at(geom, z, direction, vec_field):
     return res
 
 
-def nabla_field(geom, dir_field, vec_field):
+def nabla_field(chart, dir_field, vec_field):
     """Field closure z -> (nabla_{U(z)} X)(z)."""
 
     def fld(z):
-        return cov_at(geom, z, dir_field(z), vec_field)
+        return cov_at(chart, z, dir_field(z), vec_field)
 
     return fld
 
@@ -361,12 +351,12 @@ def lie_bracket(u_field, w_field):
     return fld
 
 
-def frame_at(geom, z):
+def frame_at(chart, z):
     """Metric-orthonormal frame L[i][s] at z (column s = frame vector s)."""
-    return la.gram_schmidt_frame(geom.jet1(z).g)
+    return la.gram_schmidt_frame(chart.jet1(z).g)
 
 
-def frame_column_field(geom, s):
+def frame_column_field(chart, s):
     """Field z -> frame vector s at z.
 
     ``s`` may also be an integer array that broadcasts against the point's
@@ -376,11 +366,11 @@ def frame_column_field(geom, s):
     axes than the point, as a derivative pass puts its axis in front.
     """
     if np.ndim(s) == 0:
-        return lambda z: [row[s] for row in frame_at(geom, z)]
-    masks = [(s == k).astype(float) for k in range(geom.chart.dim)]
+        return lambda z: [row[s] for row in frame_at(chart, z)]
+    masks = [(s == k).astype(float) for k in range(chart.dim)]
 
     def fld(z):
-        frame = frame_at(geom, z)
+        frame = frame_at(chart, z)
         return [sum(row[k] * mask for k, mask in enumerate(masks)) for row in frame]
 
     return fld

@@ -33,6 +33,7 @@ from .quadrature import integral_formula_check, refine_counts, stokes_check
 from .scenarios import (
     SCENARIO_NAMES,
     build_scenario,
+    conformal_hopf,
     random_scalar_field,
     random_vector_field,
 )
@@ -88,7 +89,7 @@ def _rng(seed, check):
 def run_pair(sc, points, seed, tol):
     rng = _rng(seed, "pair")
     cols = sc.sample_columns(rng, points)
-    res = check_pair(sc.pair, sc.geom, cols)
+    res = check_pair(sc.pair, sc.chart, cols)
     return res["max_abs"], res["max_normalized"], points
 
 
@@ -96,7 +97,7 @@ def run_allowed(sc, points, seed, tol):
     rng = _rng(seed, "allowed")
     cols = sc.sample_columns(rng, points)
     vx, vy = sc.sample_slot_vectors(rng, points, 2)
-    a, n = allowed_residual(sc.pair, sc.geom, cols, vx, vy)
+    a, n = allowed_residual(sc.pair, sc.chart, cols, vx, vy)
     return la.max_entry(a), la.max_entry(n), points
 
 
@@ -104,8 +105,8 @@ def run_collapse(sc, points, seed, tol):
     rng = _rng(seed, "collapse")
     cols = sc.sample_columns(rng, points)
     vx, vy = sc.sample_slot_vectors(rng, points, 2)
-    forms, norms = collapse_residual(sc.pair, sc.geom, cols, vx, vy)
-    a, n = form_residuals(sc.geom.jet1(cols).g, forms, norms)
+    forms, norms = collapse_residual(sc.pair, sc.chart, cols, vx, vy)
+    a, n = form_residuals(sc.chart.jet1(cols).g, forms, norms)
     return la.max_entry(a), la.max_entry(n), points
 
 
@@ -113,7 +114,7 @@ def run_codazzi(sc, points, seed, tol):
     rng = _rng(seed, "codazzi")
     cols = sc.sample_columns(rng, points)
     vecs = sc.sample_slot_vectors(rng, points, 4)
-    res = codazzi_residual(sc.pair, sc.geom, cols, *vecs)
+    res = codazzi_residual(sc.pair, sc.chart, cols, *vecs)
     return la.max_entry(res["residual"]), la.max_entry(res["normalized"]), points
 
 
@@ -122,7 +123,7 @@ def run_div_equivalence(sc, points, seed, tol):
     vec_field = random_vector_field(sc, rng)
     scalar_field = random_scalar_field(sc, rng)
     cols = sc.sample_columns(rng, points)
-    res = div_equivalence_residuals(sc.pair.total(), sc.geom, vec_field, cols, scalar_field)
+    res = div_equivalence_residuals(sc.pair.total(), sc.chart, vec_field, cols, scalar_field)
     max_abs = la.max_entry(
         res["div_pp_star"], res["vs_div_qx"], res["vs_hs_inner"], res["leibniz"]
     )
@@ -133,14 +134,14 @@ def run_div_equivalence(sc, points, seed, tol):
 def run_walczak(sc, points, seed, tol):
     rng = _rng(seed, "walczak")
     cols = sc.sample_columns(rng, points)
-    res, norm = walczak_residual_batch(sc.geom, sc.pair, cols)
+    res, norm = walczak_residual_batch(sc.chart, sc.pair, cols)
     return la.max_entry(res), la.max_entry(norm), points
 
 
 def run_traces(sc, points, seed, tol):
     rng = _rng(seed, "traces")
     cols = sc.sample_columns(rng, points)
-    res = trace_identity_residuals(sc.pair, sc.geom, cols)
+    res = trace_identity_residuals(sc.pair, sc.chart, cols)
     keys = ("t1", "t2", "s1", "s2", "aux")
     max_abs = la.max_entry(*(res[key] for key in keys))
     max_norm = la.max_entry(*(res[f"{key}_normalized"] for key in keys))
@@ -151,16 +152,16 @@ def run_contact(sc, points, seed, tol):
     rng = _rng(seed, "contact")
     phi, xi = sc.extras["phi"], sc.extras["xi"]
     cols = sc.sample_columns(rng, points)
-    structure = contact_structure_residuals(phi, xi, sc.geom, cols).values()
+    structure = contact_structure_residuals(phi, xi, sc.chart, cols).values()
     (vx,) = sc.sample_slot_vectors(rng, points, 1)
-    res = contact_identity_residual(phi, xi, sc.geom, vx, cols)
+    res = contact_identity_residual(phi, xi, sc.chart, vx, cols)
     # the two candidate signs only separate when the unit field is neither
     # geodesic nor divergence-free; a conformal rescale provides that
-    conf = sc.extras["conformal"]()
+    conf = conformal_hopf()
     ccols = conf.sample_columns(rng, points)
     (cvx,) = conf.sample_slot_vectors(rng, points, 1)
     cres = contact_identity_residual(
-        conf.extras["phi"], conf.extras["xi"], conf.geom, cvx, ccols
+        conf.extras["phi"], conf.extras["xi"], conf.chart, cvx, ccols
     )
     max_abs = la.max_entry(*structure, res["plus"], cres["plus_normalized"])
     max_norm = la.max_entry(*structure, res["plus_normalized"], cres["plus_normalized"])
@@ -221,12 +222,12 @@ def cmd_integrate(sc, which, grid, seed, tol):
         if which == "stokes":
             rng = np.random.default_rng([seed, 100])
             vec_field = random_vector_field(sc, rng)
-            res = stokes_check(sc.pair.total(), sc.geom, vec_field, grid)
+            res = stokes_check(sc.pair.total(), sc.chart, vec_field, grid)
             max_abs = abs(res["integral"])
             max_norm = res["normalized"]
             degenerate = None
         else:
-            res = integral_formula_check(sc.pair, sc.geom, grid)
+            res = integral_formula_check(sc.pair, sc.chart, grid)
             max_abs = abs(res["integral"])
             degenerate = bool(res["degenerate"])
             max_norm = (

@@ -27,10 +27,11 @@ cross-check.
 Callers evaluate many points at once as a column batch: ``dim`` arrays over
 the nodes (:func:`chart_geometry.point_columns`).  The batch engine, the
 frame traces and :func:`endo_fields.check_pair` take only that form.  Every
-function takes the chart's :class:`chart_geometry.Geometry` and passes the
-batch object itself down, so each call has one metric jet for it, validated
-when it is built; its derivative pass runs only if some term reads dg or
-Gamma there.  For a single point use ``point_columns([x])`` and read node 0.
+function takes the :class:`chart_geometry.Chart` and passes the batch object
+itself down.  The batch is a :class:`dual.Point`, which carries the one
+metric jet of all its terms, validated when it is built; its derivative pass
+runs only if some term reads dg or Gamma there.  For a single point use
+``point_columns([x])`` and read node 0.
 
 The two styles double as cross-checks of each other in the test suite.
 """
@@ -51,7 +52,7 @@ from .chart_geometry import (
     lie_bracket,
     nabla_field,
 )
-from .dual import directional, partials, second_partials
+from .dual import Point, directional, partials, second_partials
 from .endo_fields import (
     adjoint_field, adjoint_matrix, apply_endo, as_field, covector_gnorm, frob, gnorm
 )
@@ -64,65 +65,65 @@ from .endo_fields import (
 # is differentiated; the second feeds the direction.
 
 
-def _slot_field(geom, outer, direction, inner, moved_fld, dir_fld):
+def _slot_field(chart, outer, direction, inner, moved_fld, dir_fld):
     """Field z -> outer nabla_{direction dir_fld} (inner moved_fld) at z, with
     outer, direction and inner endomorphism fields."""
     moved = apply_endo(inner, moved_fld)
 
     def fld(z):
         d = la.mat_vec(direction(z), dir_fld(z))
-        return la.mat_vec(outer(z), cov_at(geom, z, d, moved))
+        return la.mat_vec(outer(z), cov_at(chart, z, d, moved))
 
     return fld
 
 
-def field_b1(geom, pair, y_fld, x_fld):
+def field_b1(chart, pair, y_fld, x_fld):
     """B1(Y, X) = P1^* nabla_{P1 X} (P2 Y)."""
-    return _slot_field(geom, adjoint_field(geom, pair.p1), pair.p1, pair.p2, y_fld, x_fld)
+    return _slot_field(chart, adjoint_field(chart, pair.p1), pair.p1, pair.p2, y_fld, x_fld)
 
 
-def field_b2(geom, pair, x_fld, y_fld):
+def field_b2(chart, pair, x_fld, y_fld):
     """B2(X, Y) = P2^* nabla_{P2 Y} (P1 X)."""
-    return _slot_field(geom, adjoint_field(geom, pair.p2), pair.p2, pair.p1, x_fld, y_fld)
+    return _slot_field(chart, adjoint_field(chart, pair.p2), pair.p2, pair.p1, x_fld, y_fld)
 
 
-def field_hat_b1(geom, pair, y_fld, x_fld):
+def field_hat_b1(chart, pair, y_fld, x_fld):
     """hat B1(Y, X) = P1 nabla_{P1^* X} (P2^* Y)."""
-    p1s, p2s = adjoint_field(geom, pair.p1), adjoint_field(geom, pair.p2)
-    return _slot_field(geom, pair.p1, p1s, p2s, y_fld, x_fld)
+    p1s, p2s = adjoint_field(chart, pair.p1), adjoint_field(chart, pair.p2)
+    return _slot_field(chart, pair.p1, p1s, p2s, y_fld, x_fld)
 
 
-def field_hat_b2(geom, pair, x_fld, y_fld):
+def field_hat_b2(chart, pair, x_fld, y_fld):
     """hat B2(X, Y) = P2 nabla_{P2^* Y} (P1^* X)."""
-    p1s, p2s = adjoint_field(geom, pair.p1), adjoint_field(geom, pair.p2)
-    return _slot_field(geom, pair.p2, p2s, p1s, x_fld, y_fld)
+    p1s, p2s = adjoint_field(chart, pair.p1), adjoint_field(chart, pair.p2)
+    return _slot_field(chart, pair.p2, p2s, p1s, x_fld, y_fld)
 
 
-def field_check_b1(geom, pair, y_fld, x_fld):
+def field_check_b1(chart, pair, y_fld, x_fld):
     """check B1(Y, X) = P1 nabla_{P1 X} (P2^* Y)."""
-    return _slot_field(geom, pair.p1, pair.p1, adjoint_field(geom, pair.p2), y_fld, x_fld)
+    return _slot_field(chart, pair.p1, pair.p1, adjoint_field(chart, pair.p2), y_fld, x_fld)
 
 
-def field_check_b2(geom, pair, x_fld, y_fld):
+def field_check_b2(chart, pair, x_fld, y_fld):
     """check B2(X, Y) = P2 nabla_{P2 Y} (P1^* X)."""
-    return _slot_field(geom, pair.p2, pair.p2, adjoint_field(geom, pair.p1), x_fld, y_fld)
+    return _slot_field(chart, pair.p2, pair.p2, adjoint_field(chart, pair.p1), x_fld, y_fld)
 
 
-def b_tensors(pair, geom, x, vec_x, vec_y):
+def b_tensors(pair, chart, x, vec_x, vec_y):
     """All six structural tensors at x on (X, Y), as vectors."""
     xf = as_field(vec_x)
     yf = as_field(vec_y)
     return {
-        "b1": field_b1(geom, pair, yf, xf)(x),
-        "b2": field_b2(geom, pair, xf, yf)(x),
-        "hat_b1": field_hat_b1(geom, pair, yf, xf)(x),
-        "hat_b2": field_hat_b2(geom, pair, xf, yf)(x),
-        "check_b1": field_check_b1(geom, pair, yf, xf)(x),
-        "check_b2": field_check_b2(geom, pair, xf, yf)(x),
+        "b1": field_b1(chart, pair, yf, xf)(x),
+        "b2": field_b2(chart, pair, xf, yf)(x),
+        "hat_b1": field_hat_b1(chart, pair, yf, xf)(x),
+        "hat_b2": field_hat_b2(chart, pair, xf, yf)(x),
+        "check_b1": field_check_b1(chart, pair, yf, xf)(x),
+        "check_b2": field_check_b2(chart, pair, xf, yf)(x),
     }
 
 
-def collapse_residual(pair, geom, x, vec_x, vec_y):
+def collapse_residual(pair, chart, x, vec_x, vec_y):
     """Residual vectors of the four compatibility coincidences at x.
 
     For an allowed pair, P2 B2(X,Y) = hat B2(X, P2 Y) = check B2(P1 X, Y) and
@@ -131,15 +132,15 @@ def collapse_residual(pair, geom, x, vec_x, vec_y):
     """
     xf = as_field(vec_x)
     yf = as_field(vec_y)
-    g = geom.jet1(x).g
+    g = chart.jet1(x).g
 
-    p2_b2 = la.mat_vec(pair.p2(x), field_b2(geom, pair, xf, yf)(x))
-    hat2 = field_hat_b2(geom, pair, xf, apply_endo(pair.p2, yf))(x)
-    chk2 = field_check_b2(geom, pair, apply_endo(pair.p1, xf), yf)(x)
+    p2_b2 = la.mat_vec(pair.p2(x), field_b2(chart, pair, xf, yf)(x))
+    hat2 = field_hat_b2(chart, pair, xf, apply_endo(pair.p2, yf))(x)
+    chk2 = field_check_b2(chart, pair, apply_endo(pair.p1, xf), yf)(x)
 
-    p1_b1 = la.mat_vec(pair.p1(x), field_b1(geom, pair, yf, xf)(x))
-    hat1 = field_hat_b1(geom, pair, yf, apply_endo(pair.p1, xf))(x)
-    chk1 = field_check_b1(geom, pair, apply_endo(pair.p2, yf), xf)(x)
+    p1_b1 = la.mat_vec(pair.p1(x), field_b1(chart, pair, yf, xf)(x))
+    hat1 = field_hat_b1(chart, pair, yf, apply_endo(pair.p1, xf))(x)
+    chk1 = field_check_b1(chart, pair, apply_endo(pair.p2, yf), xf)(x)
 
     forms = {
         "b2_vs_hat": la.vec_sub(p2_b2, hat2),
@@ -159,7 +160,7 @@ def collapse_residual(pair, geom, x, vec_x, vec_y):
 # -- the four-argument curvature identity ------------------------------------
 
 
-def tsr_tensors(pair, geom, x, y, x1, x2, z_slot):
+def tsr_tensors(pair, chart, x, y, x1, x2, z_slot):
     """The five scalars of the curvature identity at x.
 
     Arguments may be constant vectors or vector-field closures (the latter is
@@ -168,8 +169,8 @@ def tsr_tensors(pair, geom, x, y, x1, x2, z_slot):
     """
     yf, x1f, x2f, zf = (as_field(v) for v in (y, x1, x2, z_slot))
     p1, p2 = pair.p1, pair.p2
-    p1s = adjoint_field(geom, p1)
-    p2s = adjoint_field(geom, p2)
+    p1s = adjoint_field(chart, p1)
+    p2s = adjoint_field(chart, p2)
 
     p1x1 = apply_endo(p1, x1f)
     p2y = apply_endo(p2, yf)
@@ -177,7 +178,7 @@ def tsr_tensors(pair, geom, x, y, x1, x2, z_slot):
     p1x2 = apply_endo(p1, x2f)
     p1sx2 = apply_endo(p1s, x2f)
 
-    g = geom.jet1(x).g
+    g = chart.jet1(x).g
     zv = zf(x)
     x2v = x2f(x)
     p1x1_at = p1x1(x)
@@ -187,48 +188,48 @@ def tsr_tensors(pair, geom, x, y, x1, x2, z_slot):
         return la.bilinear(g, a, b)
 
     # nabla_{P1 X1}(P2 Y) and nabla_{P2 Y}(P1 X1) show up in several slots
-    v_x1_dir = cov_at(geom, x, p1x1_at, p2y)  # nabla_{P1X1} P2Y
-    v_y_dir = cov_at(geom, x, p2y_at, p1x1)  # nabla_{P2Y} P1X1
+    v_x1_dir = cov_at(chart, x, p1x1_at, p2y)  # nabla_{P1X1} P2Y
+    v_y_dir = cov_at(chart, x, p2y_at, p1x1)  # nabla_{P2Y} P1X1
 
-    t1_a = la.mat_vec(p2(x), cov_at(geom, x, p1x1_at, field_b2(geom, pair, x2f, yf)))
-    t1_b = field_check_b2(geom, pair, nabla_field(geom, p1x1, p1x2), yf)(x)
-    t1_c = field_hat_b2(geom, pair, x2f, as_field(v_x1_dir))(x)
+    t1_a = la.mat_vec(p2(x), cov_at(chart, x, p1x1_at, field_b2(chart, pair, x2f, yf)))
+    t1_b = field_check_b2(chart, pair, nabla_field(chart, p1x1, p1x2), yf)(x)
+    t1_c = field_hat_b2(chart, pair, x2f, as_field(v_x1_dir))(x)
     t1 = ip(la.vec_sub(la.vec_sub(t1_a, t1_b), t1_c), zv)
 
-    t2_a = la.mat_vec(p1(x), cov_at(geom, x, p2y_at, field_b1(geom, pair, zf, x1f)))
-    t2_b = field_check_b1(geom, pair, nabla_field(geom, p2y, p2z), x1f)(x)
-    t2_c = field_hat_b1(geom, pair, zf, as_field(v_y_dir))(x)
+    t2_a = la.mat_vec(p1(x), cov_at(chart, x, p2y_at, field_b1(chart, pair, zf, x1f)))
+    t2_b = field_check_b1(chart, pair, nabla_field(chart, p2y, p2z), x1f)(x)
+    t2_c = field_hat_b1(chart, pair, zf, as_field(v_y_dir))(x)
     t2 = ip(la.vec_sub(la.vec_sub(t2_a, t2_b), t2_c), x2v)
 
-    s1 = ip(field_hat_b2(geom, pair, x2f, as_field(v_y_dir))(x), zv)
-    s2 = ip(field_hat_b1(geom, pair, zf, as_field(v_x1_dir))(x), x2v)
+    s1 = ip(field_hat_b2(chart, pair, x2f, as_field(v_y_dir))(x), zv)
+    s2 = ip(field_hat_b1(chart, pair, zf, as_field(v_x1_dir))(x), x2v)
 
     # curvature-type term: five towers
     t_a = la.mat_vec(
-        p2s(x), cov_at(geom, x, p2y_at, apply_endo(p2, nabla_field(geom, p1x1, p1sx2)))
+        p2s(x), cov_at(chart, x, p2y_at, apply_endo(p2, nabla_field(chart, p1x1, p1sx2)))
     )
     t_b = la.mat_vec(
-        p2(x), cov_at(geom, x, p2y_at, apply_endo(p1s, nabla_field(geom, p1x1, p1x2)))
+        p2(x), cov_at(chart, x, p2y_at, apply_endo(p1s, nabla_field(chart, p1x1, p1x2)))
     )
     t_c = la.mat_vec(
-        p2s(x), cov_at(geom, x, p1x1_at, apply_endo(p1, nabla_field(geom, p2y, p1sx2)))
+        p2s(x), cov_at(chart, x, p1x1_at, apply_endo(p1, nabla_field(chart, p2y, p1sx2)))
     )
     t_d = la.mat_vec(
-        p2(x), cov_at(geom, x, p1x1_at, apply_endo(p2s, nabla_field(geom, p2y, p1x2)))
+        p2(x), cov_at(chart, x, p1x1_at, apply_endo(p2s, nabla_field(chart, p2y, p1x2)))
     )
     w = la.mat_vec(
         la.mat_add(p1s(x), p2s(x)), lie_bracket(p2y, p1x1)(x)
     )
-    t_e = la.mat_vec(p2(x), cov_at(geom, x, w, p1sx2))
+    t_e = la.mat_vec(p2(x), cov_at(chart, x, w, p1sx2))
     rp_vec = la.vec_sub(la.vec_sub(la.vec_sub(la.vec_add(t_a, t_b), t_c), t_d), t_e)
     rp = ip(rp_vec, zv)
 
     return {"t1": t1, "t2": t2, "s1": s1, "s2": s2, "rp": rp}
 
 
-def codazzi_residual(pair, geom, x, y, x1, x2, z_slot):
+def codazzi_residual(pair, chart, x, y, x1, x2, z_slot):
     """|t1 + t2 + s1 + s2 + rp| at x, absolute and term-normalized."""
-    parts = tsr_tensors(pair, geom, x, y, x1, x2, z_slot)
+    parts = tsr_tensors(pair, chart, x, y, x1, x2, z_slot)
     total = parts["t1"] + parts["t2"] + parts["s1"] + parts["s2"] + parts["rp"]
     denom = 1.0 + sum(abs(v) for v in parts.values())
     return {"residual": abs(total), "normalized": abs(total) / denom, "parts": parts}
@@ -237,22 +238,22 @@ def codazzi_residual(pair, geom, x, y, x1, x2, z_slot):
 # -- modified divergence ------------------------------------------------------
 
 
-def pp_star_field(geom, p_endo):
+def pp_star_field(chart, p_endo):
     """Field closure z -> Q(z) = P P^*, always metric-self-adjoint."""
 
     def fld(z):
-        jet = geom.jet1(z)
+        jet = chart.jet1(z)
         p = p_endo(z)
         return la.mat_mul(p, adjoint_matrix(jet.g, jet.g_inv, p))
 
     return fld
 
 
-def div_p(p_endo, geom, vec_field, x):
+def div_p(p_endo, chart, vec_field, x):
     """div_P X in trace form, sum_{m,k} Q^m_k (nabla_m X)^k with Q = P P^*
     (no assumption on P)."""
-    q = pp_star_field(geom, p_endo)(x)
-    return _div_p_of(q, cov_deriv_vector(geom, vec_field, x))
+    q = pp_star_field(chart, p_endo)(x)
+    return _div_p_of(q, cov_deriv_vector(chart, vec_field, x))
 
 
 def _div_p_of(q, cov):
@@ -268,7 +269,7 @@ def _hs_inner_of(jet, q, cov):
     return la.trace(la.mat_mul(grad_star, q))
 
 
-def div_equivalence_residuals(p_endo, geom, vec_field, x, scalar_field):
+def div_equivalence_residuals(p_endo, chart, vec_field, x, scalar_field):
     """Residuals of the modified-divergence characterization at x.
 
     Returns the divergence-free defect of P P^* (the precondition), and the
@@ -276,16 +277,16 @@ def div_equivalence_residuals(p_endo, geom, vec_field, x, scalar_field):
     inner product <P P^*, nabla X> (which holds unconditionally), and the
     product rule div_P(f X) = f div(P P^* X) + (P P^* X)(f).
     """
-    jet = geom.jet1(x)
-    q_field = pp_star_field(geom, p_endo)
-    div_q_norm = covector_gnorm(jet.g_inv, div_endo(geom, q_field, x))
+    jet = chart.jet1(x)
+    q_field = pp_star_field(chart, p_endo)
+    div_q_norm = covector_gnorm(jet.g_inv, div_endo(chart, q_field, x))
 
     # one Q and one covariant Jacobian of X serve div_P X and <Q, nabla X>
     q = q_field(x)
-    cov = cov_deriv_vector(geom, vec_field, x)
+    cov = cov_deriv_vector(chart, vec_field, x)
     dp = _div_p_of(q, cov)
     qx_field = apply_endo(q_field, vec_field)
-    div_qx = div_vector(geom, qx_field, x)
+    div_qx = div_vector(chart, qx_field, x)
     r_div = abs(dp - div_qx)
 
     hs = _hs_inner_of(jet, q, cov)
@@ -294,7 +295,7 @@ def div_equivalence_residuals(p_endo, geom, vec_field, x, scalar_field):
     def fx_field(z):
         return la.vec_scale(scalar_field(z), vec_field(z))
 
-    lhs = _div_p_of(q, cov_deriv_vector(geom, fx_field, x))
+    lhs = _div_p_of(q, cov_deriv_vector(chart, fx_field, x))
     qx_at = la.mat_vec(q, vec_field(x))
     rhs = scalar_field(x) * div_qx + directional(scalar_field, x, qx_at)[1]
     r_leibniz = abs(lhs - rhs)
@@ -318,17 +319,17 @@ def _diff_field(field, cols, n_nodes):
     return la.nested_to_array(val, n_nodes), la.nested_to_array(d, n_nodes)
 
 
-def _frame_product_fields(geom, pair):
+def _frame_product_fields(chart, pair):
     def a_field(z):
-        return la.mat_mul(pair.p1(z), frame_at(geom, z))
+        return la.mat_mul(pair.p1(z), frame_at(chart, z))
 
     def b_field(z):
-        return la.mat_mul(pair.p2(z), frame_at(geom, z))
+        return la.mat_mul(pair.p2(z), frame_at(chart, z))
 
     return a_field, b_field
 
 
-def dist_invariants_batch(geom, pair, cols):
+def dist_invariants_batch(chart, pair, cols):
     """All frame-summed invariants of the pair at a batch of nodes.
 
     Valid for self-adjoint pairs (the curvature-type trace uses the reduced
@@ -343,15 +344,15 @@ def dist_invariants_batch(geom, pair, cols):
     order; so each node's outputs are the same bits at any batch size.
     """
     n_nodes = cols[0].shape[0]
-    a_field, b_field = _frame_product_fields(geom, pair)
+    a_field, b_field = _frame_product_fields(chart, pair)
 
-    gam0, dgam = _diff_field(christoffel_field(geom), cols, n_nodes)
+    gam0, dgam = _diff_field(christoffel_field(chart), cols, n_nodes)
     # the projected frame A = P1 L, B = P2 L; A's value and first partials
     # come from its second-order pass
     a0, da, d2a = (la.nested_to_array(c, n_nodes) for c in second_partials(a_field, cols))
     b0, db = _diff_field(b_field, cols, n_nodes)
     p0, dp = _diff_field(pair.total(), cols, n_nodes)
-    g0 = la.nested_to_array(geom.jet1(cols).g, n_nodes)
+    g0 = la.nested_to_array(chart.jet1(cols).g, n_nodes)
     p1 = la.nested_to_array(pair.p1(cols), n_nodes)
     p2 = la.nested_to_array(pair.p2(cols), n_nodes)
 
@@ -430,10 +431,10 @@ def dist_invariants_batch(geom, pair, cols):
     }
 
 
-def formula_terms_batch(geom, pair, cols):
+def formula_terms_batch(chart, pair, cols):
     """(lhs-free) right-hand side of the divergence formula at a batch:
     smix + |h1|^2 + |h2|^2 - |t1|^2 - |t2|^2 - |H1|^2 - |H2|^2."""
-    raw = dist_invariants_batch(geom, pair, cols)
+    raw = dist_invariants_batch(chart, pair, cols)
     rhs = (
         raw["smix"]
         + raw["norm_h1"]
@@ -455,15 +456,15 @@ def formula_terms_batch(geom, pair, cols):
     return rhs, scale
 
 
-def mean_curvature_field(geom, pair):
+def mean_curvature_field(chart, pair):
     """Field z -> H1 + H2 = P2 sum_s nabla_{A_s} A_s + P1 sum_s nabla_{B_s} B_s,
     with A = P1 L and B = P2 L the projected orthonormal frame.
 
     Built on nested lists, so z may be a dual point: the field can be
     differentiated, which is how walczak takes div_P(H1 + H2).
     """
-    n = geom.chart.dim
-    a_field, b_field = _frame_product_fields(geom, pair)
+    n = chart.dim
+    a_field, b_field = _frame_product_fields(chart, pair)
 
     def trace_cov(f0, df, gamma):
         # sum_s (nabla_{F_s} F_s)^k = sum_{i,s} F^i_s (d_i F^k_s + Gamma^k_{im} F^m_s)
@@ -475,7 +476,7 @@ def mean_curvature_field(geom, pair):
         ]
 
     def fld(z):
-        gamma = geom.jet1(z).gamma
+        gamma = chart.jet1(z).gamma
         # one pass for both, so the pair's fields share the jet of its point
         (a0, b0), d = partials(lambda w: [a_field(w), b_field(w)], z)
         h1 = la.mat_vec(pair.p2(z), trace_cov(a0, [di[0] for di in d], gamma))
@@ -485,7 +486,7 @@ def mean_curvature_field(geom, pair):
     return fld
 
 
-def walczak_residual_batch(geom, pair, cols):
+def walczak_residual_batch(chart, pair, cols):
     """Pointwise residual of the divergence formula at a batch of nodes.
 
     Both sides are AD-exact: the left side div_P(H1 + H2), P = P1 + P2, is
@@ -493,8 +494,8 @@ def walczak_residual_batch(geom, pair, cols):
     pass whose field nests the passes of the projected frame; the right side
     comes from the invariants engine.
     """
-    lhs = div_p(pair.total(), geom, mean_curvature_field(geom, pair), cols)
-    rhs, scale = formula_terms_batch(geom, pair, cols)
+    lhs = div_p(pair.total(), chart, mean_curvature_field(chart, pair), cols)
+    rhs, scale = formula_terms_batch(chart, pair, cols)
     residual = np.abs(lhs - rhs)
     return residual, residual / (1.0 + scale + np.abs(lhs))
 
@@ -502,7 +503,7 @@ def walczak_residual_batch(geom, pair, cols):
 # -- frame-trace identities ----------------------------------------------------
 
 
-def trace_identity_residuals(pair, geom, cols):
+def trace_identity_residuals(pair, chart, cols):
     """Frame-trace identities for the four curvature-identity ingredients.
 
     The left sides sum the four-argument tensors over an orthonormal frame
@@ -517,16 +518,16 @@ def trace_identity_residuals(pair, geom, cols):
     evaluation over the (n, n, N) pairs and points, while quantities of the
     point alone (metric, frame) are computed at the N points only.
     """
-    n = geom.chart.dim
+    n = chart.dim
     n_nodes = cols[0].shape[0]
     shape = (n, n, n_nodes)
-    z = [c.reshape(1, 1, n_nodes) for c in cols]
+    z = Point(c.reshape(1, 1, n_nodes) for c in cols)
 
-    g = geom.jet1(z).g
+    g = chart.jet1(z).g
     p1, p2 = pair.p1, pair.p2
     p1_z, p2_z = p1(z), p2(z)
-    e_s = frame_column_field(geom, np.arange(n).reshape(n, 1, 1))
-    e_t = frame_column_field(geom, np.arange(n).reshape(1, n, 1))
+    e_s = frame_column_field(chart, np.arange(n).reshape(n, 1, 1))
+    e_t = frame_column_field(chart, np.arange(n).reshape(1, n, 1))
     p1_s, p1_t = apply_endo(p1, e_s), apply_endo(p1, e_t)
     p2_s, p2_t = apply_endo(p2, e_s), apply_endo(p2, e_t)
 
@@ -537,13 +538,13 @@ def trace_identity_residuals(pair, geom, cols):
         """Per-point sum over the frame pairs, in pair order."""
         return sum(np.broadcast_to(value, shape).reshape(n * n, n_nodes))
 
-    parts = tsr_tensors(pair, geom, z, e_t, e_s, e_s, e_t)
+    parts = tsr_tensors(pair, chart, z, e_t, e_s, e_s, e_t)
     lhs = {key: pair_sum(parts[key]) for key in ("t1", "t2", "s1", "s2")}
 
     # covariant derivatives of projected frame fields, na[s, t] = nabla_{P1 e_s} P1 e_t;
     # diagonal(c)[p, s] = c[s, s, p] goes back onto the s or the t axis
-    na = [np.broadcast_to(c, shape) for c in cov_at(geom, z, p1_s(z), p1_t)]
-    nb = [np.broadcast_to(c, shape) for c in cov_at(geom, z, p2_s(z), p2_t)]
+    na = [np.broadcast_to(c, shape) for c in cov_at(chart, z, p1_s(z), p1_t)]
+    nb = [np.broadcast_to(c, shape) for c in cov_at(chart, z, p2_s(z), p2_t)]
     na_ss = [np.diagonal(c).T[:, None] for c in na]
     nb_tt = [np.diagonal(c).T[None] for c in nb]
     na_ts = [np.swapaxes(c, 0, 1) for c in na]
@@ -552,16 +553,16 @@ def trace_identity_residuals(pair, geom, cols):
     # index-1 trace: <nabla_{P1 e_s} P1 e_s, P1 nabla_{P2 e_t} P2 e_t>
     #                - D_{P1 e_s} <P1 nabla_{P2 e_t} P2 e_t, P1 e_s>
     def scal_1(w):
-        v = cov_at(geom, w, p2_t(w), p2_t)
-        return la.bilinear(geom.jet1(w).g, la.mat_vec(p1(w), v), p1_s(w))
+        v = cov_at(chart, w, p2_t(w), p2_t)
+        return la.bilinear(chart.jet1(w).g, la.mat_vec(p1(w), v), p1_s(w))
 
     t1 = ip(na_ss, la.mat_vec(p1_z, nb_tt)) - directional(scal_1, z, p1_s(z))[1]
 
     # index-2 trace: D_{P2 e_t} <nabla_{P1 e_s} P2 e_t, P1 e_s>
     #                + <nabla_{P2 e_t} P2 e_t, P2 nabla_{P1 e_s} P1 e_s>
     def scal_2(w):
-        v = cov_at(geom, w, p1_s(w), p2_t)
-        return la.bilinear(geom.jet1(w).g, v, p1_s(w))
+        v = cov_at(chart, w, p1_s(w), p2_t)
+        return la.bilinear(chart.jet1(w).g, v, p1_s(w))
 
     t2 = directional(scal_2, z, p2_t(z))[1] + ip(nb_tt, la.mat_vec(p2_z, na_ss))
 
@@ -570,8 +571,8 @@ def trace_identity_residuals(pair, geom, cols):
 
     # auxiliary cancellation: <P1 nabla_{P2 e_s} P2 e_t, nabla_{P2 e_t} P2 e_s>
     #                         + <nabla_{P2 nabla_{P2 e_t} P1 e_s} P2 e_t, P1 e_s>
-    w = la.mat_vec(p2_z, cov_at(geom, z, p2_t(z), p1_s))
-    aux = pair_sum(s1 + ip(cov_at(geom, z, w, p2_t), p1_s(z)))
+    w = la.mat_vec(p2_z, cov_at(chart, z, p2_t(z), p1_s))
+    aux = pair_sum(s1 + ip(cov_at(chart, z, w, p2_t), p1_s(z)))
     rhs = {"t1": pair_sum(t1), "t2": pair_sum(t2), "s1": pair_sum(s1), "s2": pair_sum(s2)}
 
     out = {}
@@ -587,10 +588,10 @@ def trace_identity_residuals(pair, geom, cols):
 # -- contact-structure checks ------------------------------------------------
 
 
-def contact_structure_residuals(phi, xi, geom, x):
+def contact_structure_residuals(phi, xi, chart, x):
     """Residuals of the almost-contact structure equations at x."""
-    n = geom.chart.dim
-    jet = geom.jet1(x)
+    n = chart.dim
+    jet = chart.jet1(x)
     phi_m = phi(x)
     xi_v = xi(x)
     eta = [sum(jet.g[i][j] * xi_v[j] for j in range(n)) for i in range(n)]
@@ -614,7 +615,7 @@ def contact_structure_residuals(phi, xi, geom, x):
     }
 
 
-def contact_identity_residual(phi, xi, geom, vec_x, x):
+def contact_identity_residual(phi, xi, chart, vec_x, x):
     """Divergence identity for phi phi^* against both candidate signs.
 
     The identity implemented as correct:
@@ -623,14 +624,14 @@ def contact_identity_residual(phi, xi, geom, vec_x, x):
     minus sign, plus a shared normalizer.
     """
     xf = as_field(vec_x)
-    jet = geom.jet1(x)
+    jet = chart.jet1(x)
     xv = xf(x)
-    s_field = pp_star_field(geom, phi)
-    div_s = div_endo(geom, s_field, x)
+    s_field = pp_star_field(chart, phi)
+    div_s = div_endo(chart, s_field, x)
     lhs = sum(div_s[j] * xv[j] for j in range(len(xv)))
     xi_v = xi(x)
-    acc = la.bilinear(jet.g, cov_at(geom, x, xi_v, xi), xv)
-    dv = div_vector(geom, xi, x) * la.bilinear(jet.g, xi_v, xv)
+    acc = la.bilinear(jet.g, cov_at(chart, x, xi_v, xi), xv)
+    dv = div_vector(chart, xi, x) * la.bilinear(jet.g, xi_v, xv)
     scale = 1.0 + abs(acc) + abs(dv) + abs(lhs)
     return {
         "plus": abs(lhs + (acc + dv)),

@@ -194,9 +194,18 @@ def fabs(x):
 _running = []
 
 
+class Point(tuple):
+    """The coordinates of a point or column batch, fixed once built.
+    ``jet`` is the metric jet that the point's first ``Chart.jet1`` lookup
+    stores, so every term at the point shares it; it is freed with the point.
+    """
+
+    jet = None
+
+
 def seed_point(x, v, tag):
     """Perturb point ``x`` in direction ``v``: x_i + eps * v_i for pass `tag`."""
-    return [Dual(tag, xi, vi) for xi, vi in zip(x, v)]
+    return Point(Dual(tag, xi, vi) for xi, vi in zip(x, v))
 
 
 def _part(c, tag, eps):

@@ -25,11 +25,11 @@ def adjoint_matrix(g, g_inv, p):
     return la.mat_mul(g_inv, la.mat_mul(la.transpose(p), g))
 
 
-def adjoint_field(geom, p_endo):
+def adjoint_field(chart, p_endo):
     """Field closure z -> P^*(z)."""
 
     def fld(z):
-        jet = geom.jet1(z)
+        jet = chart.jet1(z)
         return adjoint_matrix(jet.g, jet.g_inv, p_endo(z))
 
     return fld
@@ -68,9 +68,9 @@ def frob(m):
     return np.sqrt(sum(np.float_power(v, 2) for row in m for v in row))
 
 
-def pair_product_norms(pair, geom, x):
+def pair_product_norms(pair, chart, x):
     """Frobenius norms of the four adaptedness products at x."""
-    jet = geom.jet1(x)
+    jet = chart.jet1(x)
     p1 = pair.p1(x)
     p2 = pair.p2(x)
     p1s = adjoint_matrix(jet.g, jet.g_inv, p1)
@@ -84,8 +84,8 @@ def pair_product_norms(pair, geom, x):
     }
 
 
-def self_adjoint_defects(pair, geom, x):
-    jet = geom.jet1(x)
+def self_adjoint_defects(pair, chart, x):
+    jet = chart.jet1(x)
     out = {}
     for name, pf in (("p1", pair.p1), ("p2", pair.p2)):
         p = pf(x)
@@ -94,17 +94,17 @@ def self_adjoint_defects(pair, geom, x):
     return out
 
 
-def check_pair(pair, geom, cols):
+def check_pair(pair, chart, cols):
     """Adaptedness (+ self-adjointness if advertised) over a column batch.
 
     Returns max_abs / max_normalized over all nodes and all product norms
     (NaN if any is).
     """
-    prods = pair_product_norms(pair, geom, cols)
+    prods = pair_product_norms(pair, chart, cols)
     scale = prods.pop("scale")
     vals = list(prods.values())
     if pair.self_adjoint:
-        vals.extend(self_adjoint_defects(pair, geom, cols).values())
+        vals.extend(self_adjoint_defects(pair, chart, cols).values())
     worst = functools.reduce(np.maximum, vals)
     return {
         "max_abs": la.max_entry(worst),
@@ -145,7 +145,7 @@ def covector_gnorm(g_inv, omega):
     return np.sqrt(np.maximum(val, 0.0))
 
 
-def allowed_forms(pair, geom, x, vec_x, vec_y):
+def allowed_forms(pair, chart, x, vec_x, vec_y):
     """The four first-order compatibility forms at x on slot vectors (X, Y).
 
     For an adapted pair each form is tensorial in both slots, so constant
@@ -155,22 +155,22 @@ def allowed_forms(pair, geom, x, vec_x, vec_y):
     """
     x_fld = as_field(vec_x)
     y_fld = as_field(vec_y)
-    g = geom.jet1(x).g
+    g = chart.jet1(x).g
 
     forms = {}
     norms = {}
     for tag, pa, pb in (("b1", pair.p1, pair.p2), ("b2", pair.p2, pair.p1)):
-        pa_adj = adjoint_field(geom, pa)
-        pb_adj = adjoint_field(geom, pb)
+        pa_adj = adjoint_field(chart, pa)
+        pb_adj = adjoint_field(chart, pb)
         d_main = la.mat_vec(pa(x), vec_x)
         pa_star_y = apply_endo(pa_adj, y_fld)
         pa_pa_star_y = apply_endo(pa, pa_star_y)
         t_shared = la.mat_vec(
-            la.mat_mul(pb_adj(x), pb(x)), cov_at(geom, x, d_main, pa_star_y)
+            la.mat_mul(pb_adj(x), pb(x)), cov_at(chart, x, d_main, pa_star_y)
         )
-        t_plain = la.mat_vec(pb_adj(x), cov_at(geom, x, d_main, pa_pa_star_y))
+        t_plain = la.mat_vec(pb_adj(x), cov_at(chart, x, d_main, pa_pa_star_y))
         d_star = la.mat_vec(la.mat_mul(pa_adj(x), pa(x)), vec_x)
-        t_star = la.mat_vec(pb(x), cov_at(geom, x, d_star, pa_star_y))
+        t_star = la.mat_vec(pb(x), cov_at(chart, x, d_star, pa_star_y))
         forms[f"{tag}_plain"] = la.vec_sub(t_shared, t_plain)
         forms[f"{tag}_star"] = la.vec_sub(t_shared, t_star)
         shared_norm = gnorm(g, t_shared)
@@ -192,11 +192,11 @@ def form_residuals(g, forms, norms):
     return worst, worst_norm
 
 
-def allowed_residual(pair, geom, x, vec_x, vec_y):
+def allowed_residual(pair, chart, x, vec_x, vec_y):
     """(max residual, max normalized residual) over the four forms at x,
     per node when x is a column batch."""
-    forms, norms = allowed_forms(pair, geom, x, vec_x, vec_y)
-    return form_residuals(geom.jet1(x).g, forms, norms)
+    forms, norms = allowed_forms(pair, chart, x, vec_x, vec_y)
+    return form_residuals(chart.jet1(x).g, forms, norms)
 
 
 # -- positive-semidefinite square root -------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import linalg as la
 from .dist_tensors import div_p, formula_terms_batch
+from .dual import Point
 
 
 @dataclass(frozen=True)
@@ -77,38 +78,38 @@ def _chunk_nodes(grid: QuadratureGrid, chunk: int):
         if grid.jacobian is not None:
             wts = wts * grid.jacobian(params)
         cols = grid.to_chart(params) if grid.to_chart is not None else params
-        yield [np.asarray(c, dtype=float) for c in cols], wts
+        yield Point(np.asarray(c, dtype=float) for c in cols), wts
 
 
 def _default_chunk(dim):
     return 65536 if dim <= 3 else 4096
 
 
-def integrate(geom, f, grid: QuadratureGrid):
+def integrate(chart, f, grid: QuadratureGrid):
     """Integral of a scalar field over the chart with the metric volume form.
 
     ``f`` receives a list of coordinate arrays and must return an array of
     values (or a scalar, which is broadcast).
     """
     partials = []
-    for cols, wts in _chunk_nodes(grid, _default_chunk(geom.chart.dim)):
-        dens = geom.jet1(cols).sqrt_det
+    for cols, wts in _chunk_nodes(grid, _default_chunk(chart.dim)):
+        dens = chart.jet1(cols).sqrt_det
         vals = np.broadcast_to(np.asarray(f(cols), dtype=float), wts.shape)
         partials.append(float(np.sum(wts * dens * vals)))
     return float(la.pairwise_sum(partials))
 
 
-def volume(geom, grid: QuadratureGrid):
-    return integrate(geom, lambda cols: 1.0, grid)
+def volume(chart, grid: QuadratureGrid):
+    return integrate(chart, lambda cols: 1.0, grid)
 
 
-def stokes_check(p_endo, geom, vec_field, grid: QuadratureGrid):
+def stokes_check(p_endo, chart, vec_field, grid: QuadratureGrid):
     """Integral of div_P X over a closed chart domain (should vanish)."""
     int_parts = []
     vol_parts = []
-    for cols, wts in _chunk_nodes(grid, _default_chunk(geom.chart.dim)):
-        dens = geom.jet1(cols).sqrt_det
-        vals = div_p(p_endo, geom, vec_field, cols)
+    for cols, wts in _chunk_nodes(grid, _default_chunk(chart.dim)):
+        dens = chart.jet1(cols).sqrt_det
+        vals = div_p(p_endo, chart, vec_field, cols)
         int_parts.append(float(np.sum(wts * dens * vals)))
         vol_parts.append(float(np.sum(wts * dens)))
     total = float(la.pairwise_sum(int_parts))
@@ -121,21 +122,21 @@ def stokes_check(p_endo, geom, vec_field, grid: QuadratureGrid):
     }
 
 
-def integral_formula_check(pair, geom, grid: QuadratureGrid):
+def integral_formula_check(pair, chart, grid: QuadratureGrid):
     """Integral of the frame-summed formula terms over a closed domain.
 
     Returns the signed integral I, the mass N = integral of |integrand|, the
     volume, I/N, and pointwise degeneracy data (an integrand that vanishes
     identically gives a pass that must be reported as degenerate).
     """
-    dim = geom.chart.dim
+    dim = chart.dim
     chunk = 16384 if dim <= 3 else 2048
     i_parts, m_parts, v_parts = [], [], []
     max_pt = 0.0
     max_pt_norm = 0.0
     for cols, wts in _chunk_nodes(grid, chunk):
-        dens = geom.jet1(cols).sqrt_det
-        vals, scale = formula_terms_batch(geom, pair, cols)
+        dens = chart.jet1(cols).sqrt_det
+        vals, scale = formula_terms_batch(chart, pair, cols)
         i_parts.append(float(np.sum(wts * dens * vals)))
         m_parts.append(float(np.sum(wts * dens * np.abs(vals))))
         v_parts.append(float(np.sum(wts * dens)))

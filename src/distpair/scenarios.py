@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dual as ops
 from . import linalg as la
-from .chart_geometry import Chart, Geometry, div_endo, point_columns
+from .chart_geometry import Chart, div_endo, point_columns
 from .dist_tensors import pp_star_field
 from .endo_fields import (
     EndoPair,
@@ -37,7 +37,6 @@ TWO_PI = 2.0 * math.pi
 class ScenarioManifold:
     name: str
     chart: Chart
-    geom: Geometry
     pair: EndoPair
     quad_axes: tuple
     sample_bounds: tuple
@@ -92,22 +91,22 @@ def probe_pair(scenario, n_points=5, seed=7):
     is the largest entry over them, NaN if any entry is NaN.
     """
     rng = np.random.default_rng(seed)
-    geom = scenario.geom
+    chart = scenario.chart
     pair = scenario.pair
     cols = scenario.sample_columns(rng, n_points)
     ev = {}
-    prods = pair_product_norms(pair, geom, cols)
+    prods = pair_product_norms(pair, chart, cols)
     prods.pop("scale")
     ev["adapted"] = la.max_entry(*prods.values())
     if pair.self_adjoint:
-        ev["self_adjoint"] = la.max_entry(*self_adjoint_defects(pair, geom, cols).values())
+        ev["self_adjoint"] = la.max_entry(*self_adjoint_defects(pair, chart, cols).values())
     if pair.allowed:
         vx, vy = scenario.sample_slot_vectors(rng, n_points, 2)
-        ev["allowed"] = la.max_entry(allowed_residual(pair, geom, cols, vx, vy)[0])
+        ev["allowed"] = la.max_entry(allowed_residual(pair, chart, cols, vx, vy)[0])
     if pair.div_pp_star_zero:
-        q_field = pp_star_field(geom, pair.total())
+        q_field = pp_star_field(chart, pair.total())
         ev["div_pp_star"] = la.max_entry(
-            covector_gnorm(geom.jet1(cols).g_inv, div_endo(geom, q_field, cols))
+            covector_gnorm(chart.jet1(cols).g_inv, div_endo(chart, q_field, cols))
         )
     if pair.div_p_squared_zero:
         p_total = pair.total()
@@ -117,7 +116,7 @@ def probe_pair(scenario, n_points=5, seed=7):
             return la.mat_mul(p, p)
 
         ev["div_p_squared"] = la.max_entry(
-            covector_gnorm(geom.jet1(cols).g_inv, div_endo(geom, p_sq, cols))
+            covector_gnorm(chart.jet1(cols).g_inv, div_endo(chart, p_sq, cols))
         )
     pair.evidence.update(ev)
     return ev
@@ -153,7 +152,6 @@ def flat_torus_projectors(n1=1, n2=1):
     scenario = ScenarioManifold(
         name="flat-torus",
         chart=chart,
-        geom=Geometry(chart),
         pair=pair,
         quad_axes=(Axis("periodic", 0.0, TWO_PI),) * dim,
         sample_bounds=((0.0, TWO_PI),) * dim,
@@ -191,7 +189,6 @@ def warped_torus(profile=None):
     scenario = ScenarioManifold(
         name="warped-torus",
         chart=chart,
-        geom=Geometry(chart),
         pair=pair,
         quad_axes=(Axis("periodic", 0.0, TWO_PI), Axis("periodic", 0.0, TWO_PI)),
         sample_bounds=((0.0, TWO_PI), (0.0, TWO_PI)),
@@ -300,7 +297,12 @@ def einstein_factor(u):
 
 
 def einstein_a1(u):
-    """sqrt(-einstein_factor): the S^3-block coefficient of P."""
+    """sqrt(-einstein_factor): the S^3-block coefficient of P.
+
+    It is |sin u| c(u) with c(u) > 0, so P1 is only C^0 where sin u = 0:
+    its u-derivative jumps from -sqrt(6) to +sqrt(6) at u = 0 and at
+    u = pi, where c = sqrt(6).  P1 squared stays smooth.
+    """
     s = ops.sin(u)
     c2 = ops.cos(u) ** 2
     return ops.fabs(s) * ops.sqrt((c2 - 5.0) * c2 + 10.0) / (1.0 + s * s) ** 1.5
@@ -378,7 +380,6 @@ def einstein_s3xt2():
     scenario = ScenarioManifold(
         name="einstein-s3xt2",
         chart=chart,
-        geom=Geometry(chart),
         pair=pair,
         quad_axes=_angular_axes()
         + (Axis("periodic", 0.0, TWO_PI), Axis("periodic", 0.0, TWO_PI)),
@@ -409,12 +410,12 @@ _EPS3 = [
 ]
 
 
-def _cross_product_endo(geom, xi):
+def _cross_product_endo(chart, xi):
     """phi^k_j = sqrt(det g) g^{kl} eps_{lmj} xi^m — rotation by a quarter
     turn around xi in its orthogonal complement (3-d charts only)."""
 
     def fld(z):
-        jet = geom.jet1(z)
+        jet = chart.jet1(z)
         xiv = xi(z)
         out = []
         for k in range(3):
@@ -433,11 +434,11 @@ def _cross_product_endo(geom, xi):
     return fld
 
 
-def _unit_field_projectors(geom, xi):
+def _unit_field_projectors(chart, xi):
     """Complementary orthoprojectors: onto span(xi) and its complement."""
 
     def eta(z):
-        g = geom.jet1(z).g
+        g = chart.jet1(z).g
         xiv = xi(z)
         return [sum(g[i][j] * xiv[j] for j in range(3)) for i in range(3)]
 
@@ -479,7 +480,6 @@ def _hopf_scenario(name, conformal_strength=0.0):
         domain=((-math.inf, math.inf),) * 3,
         periodic=(False, False, False),
     )
-    geom = Geometry(chart)
 
     def xi(z):
         e1 = _s3_frame(z)[0]
@@ -488,8 +488,8 @@ def _hopf_scenario(name, conformal_strength=0.0):
         scale = ops.exp(-psi(z))
         return [scale * c for c in e1]
 
-    phi = _cross_product_endo(geom, xi)
-    p1, p2 = _unit_field_projectors(geom, xi)
+    phi = _cross_product_endo(chart, xi)
+    p1, p2 = _unit_field_projectors(chart, xi)
     pair = EndoPair(
         p1=p1,
         p2=p2,
@@ -501,7 +501,6 @@ def _hopf_scenario(name, conformal_strength=0.0):
     scenario = ScenarioManifold(
         name=name,
         chart=chart,
-        geom=geom,
         pair=pair,
         quad_axes=_angular_axes(),
         sample_bounds=((-2.0, 2.0),) * 3,
@@ -518,9 +517,7 @@ def _hopf_scenario(name, conformal_strength=0.0):
 def hopf_contact_s3():
     """Round 3-sphere with its unit Killing circle field and the quarter-turn
     endomorphism around it; the pair splits the circle from its complement."""
-    scenario = _hopf_scenario("hopf-s3")
-    scenario.extras["conformal"] = conformal_hopf
-    return scenario
+    return _hopf_scenario("hopf-s3")
 
 
 def conformal_hopf(strength=0.3):

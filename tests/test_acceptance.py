@@ -37,6 +37,7 @@ from distpair.dist_tensors import pp_star_field, walczak_residual_batch
 from distpair.quadrature import refine_counts
 from distpair.scenarios import (
     SCENARIO_NAMES,
+    conformal_hopf,
     non_allowed_rotated,
     random_scalar_field,
     random_vector_field,
@@ -61,8 +62,8 @@ def verdict(num, label, ok, detail):
     assert ok, f"criterion {num}: {label} -- {detail}"
 
 
-def _covector_norm(geom, x, omega):
-    g_inv = geom.jet1(x).g_inv
+def _covector_norm(chart, x, omega):
+    g_inv = chart.jet1(x).g_inv
     return math.sqrt(abs(la.bilinear(g_inv, omega, omega)))
 
 
@@ -74,7 +75,7 @@ def test_c01_product_curvature_matches_closed_form():
     t0 = time.monotonic()
     worst = 0.0
     for x in pts:
-        mixed = np.array(einstein_tensor(sc.geom, x))
+        mixed = np.array(einstein_tensor(sc.chart, x))
         want = np.diag([e_factor(x[3])] * 3 + [-3.0, -3.0])
         scale = 1.0 + float(np.max(np.abs(want)))
         worst = max(worst, float(np.max(np.abs(mixed - want))) / scale)
@@ -98,15 +99,15 @@ def test_c02_pair_operator_images_divergence_free():
     rng = np.random.default_rng(102)
     pts = sc.sample_points(rng, 100)
     fields = [
-        pp_star_field(sc.geom, sc.pair.p1),
-        pp_star_field(sc.geom, sc.pair.p2),
-        pp_star_field(sc.geom, sc.pair.total()),
+        pp_star_field(sc.chart, sc.pair.p1),
+        pp_star_field(sc.chart, sc.pair.p2),
+        pp_star_field(sc.chart, sc.pair.total()),
     ]
     worst = 0.0
     for x in pts:
         for fld in fields:
-            worst = max(worst, _covector_norm(sc.geom, x, div_endo(sc.geom, fld, x)))
-    structural = check_pair(sc.pair, sc.geom, point_columns(pts[:40]))["max_normalized"]
+            worst = max(worst, _covector_norm(sc.chart, x, div_endo(sc.chart, fld, x)))
+    structural = check_pair(sc.pair, sc.chart, point_columns(pts[:40]))["max_normalized"]
     ok = worst <= 1e-8 and structural <= 1e-8
     verdict(
         2,
@@ -123,14 +124,14 @@ def test_c03_compatibility_forms_separate_allowed_pairs():
         rng = np.random.default_rng(103)
         for x in sc.sample_points(rng, 50):
             vx, vy = random_vectors(rng, sc.chart.dim, 2)
-            _, norm = allowed_residual(sc.pair, sc.geom, x, vx, vy)
+            _, norm = allowed_residual(sc.pair, sc.chart, x, vx, vy)
             worst_allowed = max(worst_allowed, norm)
     rot = non_allowed_rotated()
     rng = np.random.default_rng(203)
     worst_rot = 0.0
     for x in rot.sample_points(rng, 50):
         vx, vy = random_vectors(rng, rot.chart.dim, 2)
-        _, norm = allowed_residual(rot.pair, rot.geom, x, vx, vy)
+        _, norm = allowed_residual(rot.pair, rot.chart, x, vx, vy)
         worst_rot = max(worst_rot, norm)
     ok = worst_allowed <= 1e-8 and worst_rot >= 1e-3
     verdict(
@@ -149,7 +150,7 @@ def test_c04_codazzi_identity_closes_on_allowed_pairs():
         # one column batch: the same draws as 200 points, then 4 vectors each
         cols = sc.sample_columns(rng, 200)
         y, x1, x2, z = sc.sample_slot_vectors(rng, 200, 4)
-        res = codazzi_residual(sc.pair, sc.geom, cols, y, x1, x2, z)
+        res = codazzi_residual(sc.pair, sc.chart, cols, y, x1, x2, z)
         worst = max(worst, float(np.max(res["normalized"])))
 
     # second route for the curvature term: contract the full curvature
@@ -159,8 +160,8 @@ def test_c04_codazzi_identity_closes_on_allowed_pairs():
     worst_rp = 0.0
     for x in sc.sample_points(rng, 20):
         y, x1, x2, z = random_vectors(rng, 2, 4)
-        parts = tsr_tensors(sc.pair, sc.geom, x, y, x1, x2, z)
-        R = riemann(sc.geom, x)
+        parts = tsr_tensors(sc.pair, sc.chart, x, y, x1, x2, z)
+        R = riemann(sc.chart, x)
         a = la.mat_vec(sc.pair.p2(x), y)
         b = la.mat_vec(sc.pair.p1(x), x1)
         c = la.mat_vec(sc.pair.p1(x), x2)
@@ -191,7 +192,7 @@ def test_c05_projected_divergence_equivalences_hold():
         vec = random_vector_field(sc, rng)
         scal = random_scalar_field(sc, rng)
         for x in sc.sample_points(rng, 30):
-            res = div_equivalence_residuals(sc.pair.total(), sc.geom, vec, x, scal)
+            res = div_equivalence_residuals(sc.pair.total(), sc.chart, vec, x, scal)
             worst = max(worst, res["normalized"], res["div_pp_star"])
     ok = worst <= 1e-8
     verdict(
@@ -215,7 +216,7 @@ def test_c06_frame_trace_identities_hold():
         sc = scenario(name)
         rng = np.random.default_rng(106)
         for x in sc.sample_points(rng, budget[name]):
-            res = trace_identity_residuals(sc.pair, sc.geom, point_columns([x]))
+            res = trace_identity_residuals(sc.pair, sc.chart, point_columns([x]))
             for key in ("t1", "t2", "s1", "s2", "aux"):
                 worst = max(worst, res[f"{key}_normalized"][0])
     ok = worst <= 1e-7
@@ -234,7 +235,7 @@ def test_c07_mean_curvature_balance_holds_pointwise():
         rng = np.random.default_rng(107)
         pts = sc.sample_points(rng, 100)
         cols = [np.array([p[i] for p in pts]) for i in range(sc.chart.dim)]
-        _, norm = walczak_residual_batch(sc.geom, sc.pair, cols)
+        _, norm = walczak_residual_batch(sc.chart, sc.pair, cols)
         worst = max(worst, float(np.max(norm)))
     ok = worst <= 1e-6
     verdict(
@@ -249,17 +250,17 @@ def test_c08_divergence_integrals_vanish_on_closed_scenarios():
     flat = scenario("flat-torus")
     rng = np.random.default_rng(108)
     res_flat = stokes_check(
-        flat.pair.total(), flat.geom, random_vector_field(flat, rng), flat.grid(16)
+        flat.pair.total(), flat.chart, random_vector_field(flat, rng), flat.grid(16)
     )
 
     warped = scenario("warped-torus")
     rng = np.random.default_rng(118)
     w_field = random_vector_field(warped, rng)
     w_fine_grid = warped.grid(24)
-    res_w = stokes_check(warped.pair.total(), warped.geom, w_field, w_fine_grid)
+    res_w = stokes_check(warped.pair.total(), warped.chart, w_field, w_fine_grid)
     res_w_half = stokes_check(
         warped.pair.total(),
-        warped.geom,
+        warped.chart,
         w_field,
         warped.grid(refine_counts(w_fine_grid.counts)),
     )
@@ -268,10 +269,10 @@ def test_c08_divergence_integrals_vanish_on_closed_scenarios():
     rng = np.random.default_rng(128)
     e_field = random_vector_field(ein, rng)
     e_fine_grid = ein.grid((10, 10, 10, 6, 6))
-    res_e = stokes_check(ein.pair.total(), ein.geom, e_field, e_fine_grid)
+    res_e = stokes_check(ein.pair.total(), ein.chart, e_field, e_fine_grid)
     res_e_half = stokes_check(
         ein.pair.total(),
-        ein.geom,
+        ein.chart,
         e_field,
         ein.grid(refine_counts(e_fine_grid.counts)),
     )
@@ -298,11 +299,11 @@ def test_c08_divergence_integrals_vanish_on_closed_scenarios():
 
 def test_c09_global_balance_integral():
     warped = scenario("warped-torus")
-    res_w = integral_formula_check(warped.pair, warped.geom, warped.grid(128))
+    res_w = integral_formula_check(warped.pair, warped.chart, warped.grid(128))
     flat = scenario("flat-torus")
-    res_f = integral_formula_check(flat.pair, flat.geom, flat.grid(16))
+    res_f = integral_formula_check(flat.pair, flat.chart, flat.grid(16))
     ein = scenario("einstein-s3xt2")
-    res_e = integral_formula_check(ein.pair, ein.geom, ein.grid(6))
+    res_e = integral_formula_check(ein.pair, ein.chart, ein.grid(6))
     ok = (
         not res_w["degenerate"]
         and res_w["mass"] > 0.1
@@ -324,14 +325,14 @@ def test_c09_global_balance_integral():
 
 def test_c10_contact_structure_and_sign_variant():
     base = scenario("hopf-s3")
-    conf = base.extras["conformal"]()
+    conf = conformal_hopf()
     rng = np.random.default_rng(110)
 
     worst_structure = 0.0
     for sc in (base, conf):
         for x in sc.sample_points(rng, 40):
             res = contact_structure_residuals(
-                sc.extras["phi"], sc.extras["xi"], sc.geom, x
+                sc.extras["phi"], sc.extras["xi"], sc.chart, x
             )
             worst_structure = max(worst_structure, max(res.values()))
 
@@ -339,8 +340,8 @@ def test_c10_contact_structure_and_sign_variant():
     # and on the round metric its divergence vanishes
     worst_div = 0.0
     for x in base.sample_points(rng, 40):
-        omega = div_endo(base.geom, base.pair.p2, x)
-        worst_div = max(worst_div, _covector_norm(base.geom, x, omega))
+        omega = div_endo(base.chart, base.pair.p2, x)
+        worst_div = max(worst_div, _covector_norm(base.chart, x, omega))
 
     worst_plus = 0.0
     worst_minus_conf = 0.0
@@ -348,7 +349,7 @@ def test_c10_contact_structure_and_sign_variant():
         for x in sc.sample_points(rng, 25):
             vx = random_vectors(rng, sc.chart.dim, 1)[0]
             res = contact_identity_residual(
-                sc.extras["phi"], sc.extras["xi"], sc.geom, vx, x
+                sc.extras["phi"], sc.extras["xi"], sc.chart, vx, x
             )
             worst_plus = max(worst_plus, res["plus_normalized"])
             if sc is conf:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ import distpair.dual as ops
 import distpair.linalg as la
 from distpair.chart_geometry import (
     Chart,
-    Geometry,
     MetricError,
     cov_at,
     cov_deriv_vector,
@@ -21,14 +22,16 @@ from distpair.chart_geometry import (
     einstein_tensor,
     frame_at,
     lie_bracket,
+    point_columns,
     ricci,
     riemann,
     riemann_up,
     scalar_curvature,
     sectional_curvature,
 )
-from distpair.dual import partials
+from distpair.dual import Point, partials
 from distpair.scenarios import (
+    conformal_hopf,
     einstein_factor,
     einstein_s3xt2,
     flat_torus_projectors,
@@ -45,21 +48,19 @@ def _conformal_torus():
         f = 1.0 + ops.sin(z[0]) ** 2
         return [[f, 0.0], [0.0, f]]
 
-    return Geometry(
-        Chart(
-            name="conformal-torus",
-            dim=2,
-            metric=metric,
-            domain=((0.0, TWO_PI), (0.0, TWO_PI)),
-            periodic=(True, True),
-        )
+    return Chart(
+        name="conformal-torus",
+        dim=2,
+        metric=metric,
+        domain=((0.0, TWO_PI), (0.0, TWO_PI)),
+        periodic=(True, True),
     )
 
 
 def test_christoffel_closed_form_on_conformal_torus():
-    geom = _conformal_torus()
+    chart = _conformal_torus()
     u = math.pi / 4
-    gam = geom.jet1([u, 0.3]).gamma
+    gam = chart.jet1([u, 0.3]).gamma
     s, c = math.sin(u), math.cos(u)
     f = 1.0 + s * s
     # for a conformal factor f(u): Gamma^u_uu = f'/2f, Gamma^u_vv = -f'/2f,
@@ -74,14 +75,14 @@ def test_christoffel_closed_form_on_conformal_torus():
 
 
 def test_christoffel_against_finite_differences():
-    geom = _conformal_torus()
+    chart = _conformal_torus()
     x = [0.8, 1.7]
-    gam = geom.jet1(x).gamma
+    gam = chart.jet1(x).gamma
     h = 1e-5
     n = 2
 
     def g_at(z):
-        return np.array(geom.chart.metric(z), dtype=float)
+        return np.array(chart.metric(z), dtype=float)
 
     dg = np.zeros((n, n, n))
     for k in range(n):
@@ -106,9 +107,9 @@ def test_christoffel_against_finite_differences():
 def test_flat_torus_is_flat():
     sc = flat_torus_projectors(1, 1)
     x = [1.0, 2.0]
-    gam = sc.geom.jet1(x).gamma
+    gam = sc.chart.jet1(x).gamma
     assert np.abs(np.array(gam)).max() == 0.0
-    R = riemann_up(sc.geom, x)
+    R = riemann_up(sc.chart, x)
     assert np.abs(np.array(R)).max() == 0.0
 
 
@@ -117,17 +118,17 @@ def test_round_sphere_curvature():
     rng = np.random.default_rng(7)
     for _ in range(3):
         x = list(rng.uniform(-1.5, 1.5, size=3))
-        g = sc.geom.jet1(x).g
-        ric = ricci(sc.geom, x)
+        g = sc.chart.jet1(x).g
+        ric = ricci(sc.chart, x)
         for i in range(3):
             for j in range(3):
                 assert abs(ric[i][j] - 2.0 * g[i][j]) < 1e-10
-        assert abs(scalar_curvature(sc.geom, x) - 6.0) < 1e-10
+        assert abs(scalar_curvature(sc.chart, x) - 6.0) < 1e-10
         u = list(rng.normal(size=3))
         v = list(rng.normal(size=3))
-        assert abs(sectional_curvature(sc.geom, x, u, v) - 1.0) < 1e-10
+        assert abs(sectional_curvature(sc.chart, x, u, v) - 1.0) < 1e-10
         # mixed Einstein tensor of the unit round 3-sphere is -identity
-        E = einstein_tensor(sc.geom, x)
+        E = einstein_tensor(sc.chart, x)
         for i in range(3):
             for j in range(3):
                 want = -1.0 if i == j else 0.0
@@ -138,7 +139,7 @@ def test_warped_torus_gauss_curvature():
     sc = warped_torus()  # w = sin
     for u in (0.0, 0.7, 2.1, 4.4):
         x = [u, 0.9]
-        got = sectional_curvature(sc.geom, x, [1.0, 0.0], [0.0, 1.0])
+        got = sectional_curvature(sc.chart, x, [1.0, 0.0], [0.0, 1.0])
         want = -(-math.sin(u) + math.cos(u) ** 2)  # -(w'' + w'^2)
         assert abs(got - want) < 1e-11
 
@@ -146,7 +147,7 @@ def test_warped_torus_gauss_curvature():
 def test_riemann_first_bianchi_and_symmetries():
     sc = einstein_s3xt2()
     x = [0.2, -0.4, 0.6, 1.2, 0.5]
-    R = np.array(riemann(sc.geom, x))
+    R = np.array(riemann(sc.chart, x))
     assert np.abs(R + np.transpose(R, (1, 0, 2, 3))).max() < 1e-10
     assert np.abs(R - np.transpose(R, (2, 3, 0, 1))).max() < 1e-10
     bianchi = R + np.transpose(R, (1, 2, 0, 3)) + np.transpose(R, (2, 0, 1, 3))
@@ -159,7 +160,7 @@ def test_einstein_product_closed_forms():
     for _ in range(4):
         x = sc.sample_points(rng, 1)[0]
         u = x[3]
-        E = einstein_tensor(sc.geom, x)
+        E = einstein_tensor(sc.chart, x)
         e1 = einstein_factor(u)
         for i in range(5):
             for j in range(5):
@@ -167,7 +168,7 @@ def test_einstein_product_closed_forms():
                 assert abs(E[i][j] - want) < 1e-9
         s2 = math.sin(u) ** 2
         scal_want = 2.0 * (3.0 * s2**3 + 9.0 * s2**2 + 12.0 * s2 + 2.0) / (1.0 + s2) ** 3
-        assert abs(scalar_curvature(sc.geom, x) - scal_want) < 1e-9
+        assert abs(scalar_curvature(sc.chart, x) - scal_want) < 1e-9
 
 
 def test_einstein_factor_spot_values():
@@ -176,33 +177,33 @@ def test_einstein_factor_spot_values():
     assert abs(einstein_factor(0.0)) < 1e-14
     # mixed torus eigenvalue is the constant -3, fixed by the block scaling
     sc = einstein_s3xt2()
-    E = einstein_tensor(sc.geom, [0.1, 0.2, 0.3, 0.8, 0.4])
+    E = einstein_tensor(sc.chart, [0.1, 0.2, 0.3, 0.8, 0.4])
     assert abs(E[3][3] + 3.0) < 1e-10 and abs(E[4][4] + 3.0) < 1e-10
 
 
 # -- second routes to the divergences, kept here as independent references --
 
 
-def density_div_vector(geom, vec_field, x):
+def density_div_vector(chart, vec_field, x):
     """div X = (1/sqrt g) d_i (sqrt g X^i)."""
-    n = geom.chart.dim
+    n = chart.dim
 
     def density(z):
-        sq = geom.jet1(z).sqrt_det
+        sq = chart.jet1(z).sqrt_det
         return [sq * c for c in vec_field(z)]
 
     _, d = partials(density, x)
-    return sum(d[i][i] for i in range(n)) / geom.jet1(x).sqrt_det
+    return sum(d[i][i] for i in range(n)) / chart.jet1(x).sqrt_det
 
 
-def density_div_endo(geom, endo_field, x):
+def density_div_endo(chart, endo_field, x):
     """(div S)_j = (1/sqrt g) d_i (sqrt g S^i_j) - 1/2 S^{ik} d_j g_{ik},
     valid for metric-self-adjoint S."""
-    n = geom.chart.dim
-    jet = geom.jet1(x)
+    n = chart.dim
+    jet = chart.jet1(x)
 
     def density(z):
-        sq = geom.jet1(z).sqrt_det
+        sq = chart.jet1(z).sqrt_det
         return [[sq * c for c in row] for row in endo_field(z)]
 
     _, d = partials(density, x)
@@ -223,8 +224,8 @@ def test_divergence_two_routes_agree_and_match_hand_formula():
 
     for _ in range(4):
         x = list(rng.uniform(0, TWO_PI, size=2))
-        tr = div_vector(sc.geom, X, x)
-        dens = density_div_vector(sc.geom, X, x)
+        tr = div_vector(sc.chart, X, x)
+        dens = density_div_vector(sc.chart, X, x)
         assert abs(tr - dens) < 1e-10
         # div X = dX^u/du + dX^v/dv + w'(u) X^u for this metric
         u, v = x
@@ -244,8 +245,8 @@ def test_div_endo_routes_agree_for_self_adjoint_fields():
         return [[1.0 + f * f, 0.0], [0.0, 2.0 - f]]
 
     x = [0.9, 2.5]
-    gamma_form = div_endo(sc.geom, S, x)
-    density_form = density_div_endo(sc.geom, S, x)
+    gamma_form = div_endo(sc.chart, S, x)
+    density_form = density_div_endo(sc.chart, S, x)
     assert max(abs(gamma_form[j] - density_form[j]) for j in range(2)) < 1e-10
 
 
@@ -257,14 +258,14 @@ def test_cov_at_matches_component_formula():
         return [z[1] * ops.sin(z[0]), ops.cos(z[1])]
 
     v = [0.7, -0.3]
-    got = cov_at(sc.geom, x, v, Y)
+    got = cov_at(sc.chart, x, v, Y)
     jac = np.array(
         [
             [x[1] * math.cos(x[0]), 0.0],
             [math.sin(x[0]), -math.sin(x[1])],
         ]
     )
-    gam = np.array(sc.geom.jet1(x).gamma)
+    gam = np.array(sc.chart.jet1(x).gamma)
     yv = np.array([x[1] * math.sin(x[0]), math.cos(x[1])])
     want = jac.T @ v + np.einsum("kij,i,j->k", gam, v, yv)
     assert np.allclose(np.array(got), want, atol=1e-12)
@@ -286,8 +287,8 @@ def test_lie_bracket_oracle():
 def test_frame_is_orthonormal_on_einstein_chart():
     sc = einstein_s3xt2()
     x = [0.3, 0.1, -0.5, 2.0, 1.0]
-    g = sc.geom.jet1(x).g
-    L = frame_at(sc.geom, x)
+    g = sc.chart.jet1(x).g
+    L = frame_at(sc.chart, x)
     prod = np.array(la.mat_mul(la.transpose(L), la.mat_mul(g, L)))
     assert np.allclose(prod, np.eye(5), atol=1e-12)
 
@@ -304,13 +305,13 @@ def test_metric_validation_rejects_non_spd():
         periodic=(False, False),
     )
     with pytest.raises(MetricError):
-        Geometry(chart).jet1([0.5, 0.5])
+        chart.jet1([0.5, 0.5])
     # batched real nodes are validated too, not passed to the LU as NaN
     with pytest.raises(MetricError):
-        Geometry(chart).jet1([np.array([0.5, 0.25]), np.array([0.5, 0.75])])
+        chart.jet1([np.array([0.5, 0.25]), np.array([0.5, 0.75])])
     # and so is a real batch whose caller reads only g
     with pytest.raises(MetricError):
-        Geometry(chart).jet1([np.array([0.5, 0.25]), np.array([0.5, 0.75])]).g
+        chart.jet1([np.array([0.5, 0.25]), np.array([0.5, 0.75])]).g
 
 
 @pytest.mark.parametrize(
@@ -331,7 +332,7 @@ def test_metric_validation_names_first_bad_node(metric, what):
     # node 0 is fine, nodes 1 and 2 are not
     cols = [np.array([0.25, 0.75, 0.9]), 0.5]
     with pytest.raises(MetricError, match=f"not {what} at node 1, x = \\[0.75, 0.5\\]"):
-        Geometry(chart).jet1(cols)
+        chart.jet1(cols)
 
 
 def _count_passes_and_lus(monkeypatch):
@@ -362,12 +363,12 @@ def test_reading_g_at_a_dual_point_runs_no_lu_and_no_pass(monkeypatch):
         calls.append(z)
         return sc.chart.metric(z)
 
-    geom = Geometry(dataclasses.replace(sc.chart, metric=counting))
+    chart = dataclasses.replace(sc.chart, metric=counting)
     passes, lus = _count_passes_and_lus(monkeypatch)
 
     def read_g_twice(z):
-        assert geom.jet1(z).g is geom.jet1(z).g
-        return geom.jet1(z).g
+        assert chart.jet1(z).g is chart.jet1(z).g
+        return chart.jet1(z).g
 
     value, _ = partials(read_g_twice, [0.3, 1.1])
     assert len(calls) == 1
@@ -385,7 +386,7 @@ def test_dual_point_jet_runs_its_derivative_pass_on_the_first_read_of_dg(monkeyp
 
     def field(z):
         before = len(passes)
-        jet = sc.geom.jet1(z)
+        jet = sc.chart.jet1(z)
         _ = (jet.g, jet.g_inv)
         started.append(len(passes) - before)
         dg = jet.dg
@@ -396,3 +397,34 @@ def test_dual_point_jet_runs_its_derivative_pass_on_the_first_read_of_dg(monkeyp
 
     partials(field, [0.4, -0.3, 1.2])
     assert started == [0, 1, 1]
+
+
+def test_a_batch_jet_goes_with_its_batch():
+    """The jet lives on its point and holds no reference back to it, so
+    dropping the batch frees the jet at once, with no garbage collection."""
+    sc = hopf_contact_s3()
+    cols = point_columns(sc.sample_points(np.random.default_rng(5), 8))
+    jet = sc.chart.jet1(cols)
+    assert sc.chart.jet1(cols) is jet
+    assert len(jet.gamma) == 3
+    ref = weakref.ref(jet)
+    gc.disable()
+    try:
+        del jet, cols
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_one_point_under_two_charts_gets_each_charts_metric():
+    """A point keeps the jet of its first chart; a lookup under another
+    chart gets that chart's g, and the kept jet stays the first chart's."""
+    charts = (hopf_contact_s3().chart, conformal_hopf().chart)
+    x = Point((0.4, -0.3, 1.2))
+    first = charts[0].jet1(x)
+    for chart in charts + charts:
+        jet = chart.jet1(x)
+        assert jet.chart is chart
+        assert np.array_equal(np.array(jet.g), np.array(chart.metric([0.4, -0.3, 1.2])))
+    assert charts[0].jet1(x) is first
+    assert not np.allclose(np.array(charts[0].jet1(x).g), np.array(charts[1].jet1(x).g))

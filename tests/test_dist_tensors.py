@@ -86,7 +86,7 @@ def test_b_tensors_warped_torus_closed_form():
         u, v = rng.uniform(0, 2 * math.pi, size=2)
         X = list(rng.normal(size=2))
         Y = list(rng.normal(size=2))
-        bt = b_tensors(sc.pair, sc.geom, [float(u), float(v)], X, Y)
+        bt = b_tensors(sc.pair, sc.chart, [float(u), float(v)], X, Y)
         wprime = math.cos(u)
         # orthoprojector pair: the three index-2 tensors coincide and equal
         # (0, w' X^u Y^v); the index-1 family vanishes identically
@@ -99,7 +99,7 @@ def test_b_tensors_warped_torus_closed_form():
 
 def test_b2_at_origin_matches_hand_value():
     sc = warped_torus()
-    bt = b_tensors(sc.pair, sc.geom, [0.0, 0.7], [1.0, 0.0], [0.0, 1.0])
+    bt = b_tensors(sc.pair, sc.chart, [0.0, 0.7], [1.0, 0.0], [0.0, 1.0])
     assert np.allclose(bt["b2"], [0.0, 1.0], atol=1e-14)
 
 
@@ -112,13 +112,13 @@ def test_structural_tensors_are_tensorial_for_allowed_pair():
 
     x = sc.sample_points(rng, 1)[0]
     args = [list(rng.normal(size=2)) for _ in range(4)]
-    base = tsr_tensors(sc.pair, sc.geom, x, *args)
+    base = tsr_tensors(sc.pair, sc.chart, x, *args)
     fx = f(x)
     for slot in range(4):
         mod = list(args)
         const = mod[slot]
         mod[slot] = lambda z, c=const: la.vec_scale(f(z), c)
-        scaled = tsr_tensors(sc.pair, sc.geom, x, *mod)
+        scaled = tsr_tensors(sc.pair, sc.chart, x, *mod)
         for key in base:
             assert abs(scaled[key] - fx * base[key]) < 1e-12, (slot, key)
 
@@ -134,13 +134,13 @@ def test_tensoriality_fails_without_allowedness():
     for _ in range(3):
         x = sc.sample_points(rng, 1)[0]
         args = [list(rng.normal(size=2)) for _ in range(4)]
-        base = tsr_tensors(sc.pair, sc.geom, x, *args)
+        base = tsr_tensors(sc.pair, sc.chart, x, *args)
         fx = f(x)
         for slot in range(4):
             mod = list(args)
             const = mod[slot]
             mod[slot] = lambda z, c=const: la.vec_scale(f(z), c)
-            scaled = tsr_tensors(sc.pair, sc.geom, x, *mod)
+            scaled = tsr_tensors(sc.pair, sc.chart, x, *mod)
             worst = max(
                 worst, max(abs(scaled[k] - fx * base[k]) for k in base)
             )
@@ -154,20 +154,20 @@ def test_unconditional_identities_hold_for_any_adapted_pair():
     """Four pairings between the first-order forms and the structural tensors
     that hold for every adapted pair, allowed or not."""
     sc = non_allowed_rotated()
-    geom, pair = sc.geom, sc.pair
+    chart, pair = sc.chart, sc.pair
     rng = np.random.default_rng(55)
     for _ in range(8):
         x = sc.sample_points(rng, 1)[0]
         X, Y, Z = [list(rng.normal(size=2)) for _ in range(3)]
-        g = geom.jet1(x).g
-        forms, _ = allowed_forms(pair, geom, x, Y, Z)
+        g = chart.jet1(x).g
+        forms, _ = allowed_forms(pair, chart, x, Y, Z)
         xf, yf = as_field(X), as_field(Y)
 
         from distpair.dist_tensors import field_check_b2, field_hat_b2
 
-        hat2 = field_hat_b2(geom, pair, xf, apply_endo(pair.p2, yf))(x)
-        chk2 = field_check_b2(geom, pair, apply_endo(pair.p1, xf), yf)(x)
-        p2b2 = la.mat_vec(pair.p2(x), field_b2(geom, pair, xf, yf)(x))
+        hat2 = field_hat_b2(chart, pair, xf, apply_endo(pair.p2, yf))(x)
+        chk2 = field_check_b2(chart, pair, apply_endo(pair.p1, xf), yf)(x)
+        p2b2 = la.mat_vec(pair.p2(x), field_b2(chart, pair, xf, yf)(x))
         assert (
             abs(
                 la.bilinear(g, forms["b2_star"], X)
@@ -183,9 +183,9 @@ def test_unconditional_identities_hold_for_any_adapted_pair():
             < 1e-12
         )
 
-        hat1 = field_hat_b1(geom, pair, xf, apply_endo(pair.p1, yf))(x)
-        chk1 = field_check_b1(geom, pair, apply_endo(pair.p2, xf), yf)(x)
-        p1b1 = la.mat_vec(pair.p1(x), field_b1(geom, pair, xf, yf)(x))
+        hat1 = field_hat_b1(chart, pair, xf, apply_endo(pair.p1, yf))(x)
+        chk1 = field_check_b1(chart, pair, apply_endo(pair.p2, xf), yf)(x)
+        p1b1 = la.mat_vec(pair.p1(x), field_b1(chart, pair, xf, yf)(x))
         assert (
             abs(
                 la.bilinear(g, forms["b1_star"], X)
@@ -211,8 +211,8 @@ def test_structural_tensor_collapse_on_allowed_pairs(name):
         x = sc.sample_points(rng, 1)[0]
         vx = list(rng.normal(size=dim))
         vy = list(rng.normal(size=dim))
-        forms, _ = collapse_residual(sc.pair, sc.geom, x, vx, vy)
-        g = sc.geom.jet1(x).g
+        forms, _ = collapse_residual(sc.pair, sc.chart, x, vx, vy)
+        g = sc.chart.jet1(x).g
         for key, vec in forms.items():
             assert gnorm(g, vec) < 1e-10, key
 
@@ -225,8 +225,8 @@ def test_structural_tensor_collapse_fails_on_rotated_pair():
         x = sc.sample_points(rng, 1)[0]
         vx = list(rng.normal(size=2))
         vy = list(rng.normal(size=2))
-        forms, _ = collapse_residual(sc.pair, sc.geom, x, vx, vy)
-        g = sc.geom.jet1(x).g
+        forms, _ = collapse_residual(sc.pair, sc.chart, x, vx, vy)
+        g = sc.chart.jet1(x).g
         worst = max(worst, max(gnorm(g, v) for v in forms.values()))
     assert worst > 1e-3
 
@@ -242,7 +242,7 @@ def test_codazzi_identity(name):
     for _ in range(12):
         x = sc.sample_points(rng, 1)[0]
         vecs = [list(rng.normal(size=dim)) for _ in range(4)]
-        res = codazzi_residual(sc.pair, sc.geom, x, *vecs)
+        res = codazzi_residual(sc.pair, sc.chart, x, *vecs)
         assert res["normalized"] < 1e-10
 
 
@@ -254,8 +254,8 @@ def test_curvature_term_equals_riemann_for_projector_pairs(name):
     for _ in range(5):
         x = sc.sample_points(rng, 1)[0]
         y, x1, x2, z = [list(rng.normal(size=dim)) for _ in range(4)]
-        parts = tsr_tensors(sc.pair, sc.geom, x, y, x1, x2, z)
-        R = riemann(sc.geom, x)
+        parts = tsr_tensors(sc.pair, sc.chart, x, y, x1, x2, z)
+        R = riemann(sc.chart, x)
         a = la.mat_vec(sc.pair.p2(x), y)
         b = la.mat_vec(sc.pair.p1(x), x1)
         c = la.mat_vec(sc.pair.p1(x), x2)
@@ -270,7 +270,7 @@ def test_curvature_term_equals_riemann_for_projector_pairs(name):
         assert abs(parts["rp"] - want) < 1e-10
 
 
-def rp_reduced(pair, geom, x, y, x1, x2, z_slot):
+def rp_reduced(pair, chart, x, y, x1, x2, z_slot):
     """Curvature-type term in the reduced form valid for self-adjoint pairs:
     a second route to tsr_tensors' rp, with P = P1 + P2 in place of the
     adjoints."""
@@ -279,14 +279,14 @@ def rp_reduced(pair, geom, x, y, x1, x2, z_slot):
     p1x1 = apply_endo(pair.p1, x1f)
     p2y = apply_endo(pair.p2, yf)
     p1x2 = apply_endo(pair.p1, x2f)
-    g = geom.jet1(x).g
+    g = chart.jet1(x).g
 
-    fld1 = apply_endo(p_total, nabla_field(geom, p1x1, p1x2))
-    fld2 = apply_endo(p_total, nabla_field(geom, p2y, p1x2))
+    fld1 = apply_endo(p_total, nabla_field(chart, p1x1, p1x2))
+    fld2 = apply_endo(p_total, nabla_field(chart, p2y, p1x2))
     w = la.mat_vec(p_total(x), lie_bracket(p2y, p1x1)(x))
     vec = la.vec_sub(
-        la.vec_sub(cov_at(geom, x, p2y(x), fld1), cov_at(geom, x, p1x1(x), fld2)),
-        cov_at(geom, x, w, p1x2),
+        la.vec_sub(cov_at(chart, x, p2y(x), fld1), cov_at(chart, x, p1x1(x), fld2)),
+        cov_at(chart, x, w, p1x2),
     )
     return la.bilinear(g, la.mat_vec(pair.p2(x), vec), zf(x))
 
@@ -301,8 +301,8 @@ def test_reduced_curvature_term_for_self_adjoint_pairs(name):
     for _ in range(4):
         x = sc.sample_points(rng, 1)[0]
         vecs = [list(rng.normal(size=dim)) for _ in range(4)]
-        full = tsr_tensors(sc.pair, sc.geom, x, *vecs)["rp"]
-        red = rp_reduced(sc.pair, sc.geom, x, *vecs)
+        full = tsr_tensors(sc.pair, sc.chart, x, *vecs)["rp"]
+        red = rp_reduced(sc.pair, sc.chart, x, *vecs)
         assert abs(full - red) < 1e-9 * (1.0 + abs(full))
 
 
@@ -310,27 +310,27 @@ def test_riccati_equation_on_warped_torus():
     """One-sided case (index-1 tensors vanish): second derivative of the
     index-2 tensor along the first distribution closes against curvature."""
     sc = warped_torus()
-    geom, pair = sc.geom, sc.pair
+    chart, pair = sc.chart, sc.pair
     rng = np.random.default_rng(63)
     for _ in range(5):
         x = sc.sample_points(rng, 1)[0]
         X = [float(rng.normal()), 0.0]  # section of the first distribution
         Y = list(rng.normal(size=2))
         xf, yf = as_field(X), as_field(Y)
-        b2_field = field_b2(geom, pair, xf, yf)
+        b2_field = field_b2(chart, pair, xf, yf)
 
-        nabla_x_x = cov_at(geom, x, X, xf)
-        nabla_x_y = cov_at(geom, x, X, yf)
+        nabla_x_x = cov_at(chart, x, X, xf)
+        nabla_x_y = cov_at(chart, x, X, yf)
         deriv = la.vec_sub(
             la.vec_sub(
-                cov_at(geom, x, X, b2_field),
-                field_b2(geom, pair, as_field(nabla_x_x), yf)(x),
+                cov_at(chart, x, X, b2_field),
+                field_b2(chart, pair, as_field(nabla_x_x), yf)(x),
             ),
-            field_b2(geom, pair, xf, as_field(nabla_x_y))(x),
+            field_b2(chart, pair, xf, as_field(nabla_x_y))(x),
         )
         b2_val = b2_field(x)
-        second = field_b2(geom, pair, xf, as_field(b2_val))(x)
-        Rup = riemann_up(geom, x)
+        second = field_b2(chart, pair, xf, as_field(b2_val))(x)
+        Rup = riemann_up(chart, x)
         a = la.mat_vec(pair.p2(x), Y)
         b = la.mat_vec(pair.p1(x), X)
         curv = [
@@ -343,7 +343,7 @@ def test_riccati_equation_on_warped_torus():
             for m in range(2)
         ]
         total = la.vec_add(la.vec_add(deriv, second), curv)
-        assert gnorm(geom.jet1(x).g, total) < 1e-10
+        assert gnorm(chart.jet1(x).g, total) < 1e-10
 
 
 def test_identity_terms_scale_with_degree_five():
@@ -352,8 +352,8 @@ def test_identity_terms_scale_with_degree_five():
     rng = np.random.default_rng(64)
     x = base.sample_points(rng, 1)[0]
     vecs = [list(rng.normal(size=2)) for _ in range(4)]
-    pb = tsr_tensors(base.pair, base.geom, x, *vecs)
-    ps = tsr_tensors(scaled.pair, scaled.geom, x, *vecs)
+    pb = tsr_tensors(base.pair, base.chart, x, *vecs)
+    ps = tsr_tensors(scaled.pair, scaled.chart, x, *vecs)
     for key in pb:
         if abs(pb[key]) > 1e-12:
             assert abs(ps[key] / pb[key] - 32.0) < 1e-9  # 2**5
@@ -367,19 +367,19 @@ def test_structural_tensor_scales_with_degree_three():
     rng = np.random.default_rng(65)
     x = base.sample_points(rng, 1)[0]
     X, Y = [list(rng.normal(size=2)) for _ in range(2)]
-    bb = b_tensors(base.pair, base.geom, x, X, Y)["b2"]
-    bs = b_tensors(scaled.pair, scaled.geom, x, X, Y)["b2"]
+    bb = b_tensors(base.pair, base.chart, x, X, Y)["b2"]
+    bs = b_tensors(scaled.pair, scaled.chart, x, X, Y)["b2"]
     assert np.allclose(np.array(bs), 8.0 * np.array(bb), atol=1e-12)
 
 
 # -- modified divergence ------------------------------------------------------
 
 
-def metric_div_p(p_endo, geom, vec_field, x):
+def metric_div_p(p_endo, chart, vec_field, x):
     """div_P X in metric form, independent of the connection:
     Q^i_j d_i X^j + 1/2 Q^{ij} d_k g_ij X^k with Q = P P^*."""
-    n = geom.chart.dim
-    jet = geom.jet1(x)
+    n = chart.dim
+    jet = chart.jet1(x)
     p = p_endo(x)
     q = la.mat_mul(p, adjoint_matrix(jet.g, jet.g_inv, p))
     q_up = la.mat_mul(q, jet.g_inv)
@@ -392,12 +392,12 @@ def metric_div_p(p_endo, geom, vec_field, x):
     )
 
 
-def hs_inner_with_grad(p_endo, geom, vec_field, x):
+def hs_inner_with_grad(p_endo, chart, vec_field, x):
     """<P P^*, nabla X> = tr((nabla X)^* P P^*) in the trace inner product,
     which equals div_P X for every P."""
-    jet = geom.jet1(x)
-    q = pp_star_field(geom, p_endo)(x)
-    grad_endo = la.transpose(cov_deriv_vector(geom, vec_field, x))
+    jet = chart.jet1(x)
+    q = pp_star_field(chart, p_endo)(x)
+    grad_endo = la.transpose(cov_deriv_vector(chart, vec_field, x))
     grad_star = adjoint_matrix(jet.g, jet.g_inv, grad_endo)
     return la.trace(la.mat_mul(grad_star, q))
 
@@ -412,10 +412,10 @@ def test_div_p_two_routes_agree_even_for_nonadjoint_p():
     for _ in range(6):
         x = sc.sample_points(rng, 1)[0]
         for p in (sc.pair.p1, sc.pair.p2, sc.pair.total()):
-            tr = div_p(p, sc.geom, X, x)
-            dens = metric_div_p(p, sc.geom, X, x)
+            tr = div_p(p, sc.chart, X, x)
+            dens = metric_div_p(p, sc.chart, X, x)
             assert abs(tr - dens) < 1e-10
-            assert abs(tr - hs_inner_with_grad(p, sc.geom, X, x)) < 1e-10
+            assert abs(tr - hs_inner_with_grad(p, sc.chart, X, x)) < 1e-10
 
 
 def test_div_p_of_full_projector_sum_is_plain_divergence():
@@ -426,7 +426,7 @@ def test_div_p_of_full_projector_sum_is_plain_divergence():
         return [ops.cos(z[1]), ops.sin(z[0] + z[1])]
 
     x = [1.2, 0.8]
-    assert abs(div_p(sc.pair.total(), sc.geom, X, x) - div_vector(sc.geom, X, x)) < 1e-12
+    assert abs(div_p(sc.pair.total(), sc.chart, X, x) - div_vector(sc.chart, X, x)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
@@ -439,7 +439,7 @@ def test_div_equivalences_characterization(name):
     f = random_scalar_field(sc, rng)
     for _ in range(5):
         x = sc.sample_points(rng, 1)[0]
-        res = div_equivalence_residuals(sc.pair.total(), sc.geom, X, x, f)
+        res = div_equivalence_residuals(sc.pair.total(), sc.chart, X, x, f)
         assert res["div_pp_star"] < 1e-10
         assert res["normalized"] < 1e-10
 
@@ -465,7 +465,7 @@ def test_div_equivalence_conditional_parts_fail_without_divergence_free_q():
     rng = np.random.default_rng(72)
     for _ in range(5):
         x = ft.sample_points(rng, 1)[0]
-        res = div_equivalence_residuals(p_endo, ft.geom, X, x, h)
+        res = div_equivalence_residuals(p_endo, ft.chart, X, x, h)
         assert res["vs_hs_inner"] < 1e-12  # unconditional route always holds
         # defect of the conditional route: |(div (f^2 id))(X)| = |X(f^2)|
         u, v = x
@@ -488,9 +488,9 @@ def test_div_equivalence_builds_each_covariant_jacobian_once(monkeypatch):
     fields = []
     cov_deriv_vector = dt.cov_deriv_vector
 
-    def counting(geom, vec_field, x):
+    def counting(chart, vec_field, x):
         fields.append(vec_field)
-        return cov_deriv_vector(geom, vec_field, x)
+        return cov_deriv_vector(chart, vec_field, x)
 
     monkeypatch.setattr(dt, "cov_deriv_vector", counting)
     run_div_equivalence(hopf_contact_s3(), 5, 42, 1e-6)
@@ -501,25 +501,25 @@ def test_div_equivalence_builds_each_covariant_jacobian_once(monkeypatch):
 # -- frame-summed invariants ---------------------------------------------------
 
 
-def multi_operand_invariants(geom, pair, cols):
+def multi_operand_invariants(chart, pair, cols):
     """The frame-summed invariants by their multi-operand contractions, one
     einsum per defining formula: n^6 loops per node for the derivative of
     nabla_{B_t} A_s, and four factors for each norm.  A second route to
     dist_invariants_batch, which contracts pairwise through shared
     intermediates; the inputs come from the same derivative passes."""
     n_nodes = cols[0].shape[0]
-    a_field, b_field = dt._frame_product_fields(geom, pair)
+    a_field, b_field = dt._frame_product_fields(chart, pair)
 
     def diff(field):
         val, d = partials(field, cols)
         return la.nested_to_array(val, n_nodes), la.nested_to_array(d, n_nodes)
 
-    gam0, dgam = diff(cg.christoffel_field(geom))
+    gam0, dgam = diff(cg.christoffel_field(chart))
     a0, da = diff(a_field)
     b0, db = diff(b_field)
     d2a = la.nested_to_array(second_partials(a_field, cols)[2], n_nodes)
     p0, dp = diff(pair.total())
-    g0 = la.nested_to_array(geom.jet1(cols).g, n_nodes)
+    g0 = la.nested_to_array(chart.jet1(cols).g, n_nodes)
     p1 = la.nested_to_array(pair.p1(cols), n_nodes)
     p2 = la.nested_to_array(pair.p2(cols), n_nodes)
     cov_a = da + np.einsum("kimn,mtn->iktn", gam0, a0)
@@ -575,8 +575,8 @@ def multi_operand_invariants(geom, pair, cols):
 def test_invariants_match_the_multi_operand_contractions(name):
     sc = build_scenario(name)
     cols = sc.sample_columns(np.random.default_rng(93), 30)
-    got = dist_invariants_batch(sc.geom, sc.pair, cols)
-    want = multi_operand_invariants(sc.geom, sc.pair, cols)
+    got = dist_invariants_batch(sc.chart, sc.pair, cols)
+    want = multi_operand_invariants(sc.chart, sc.pair, cols)
     assert got.keys() == want.keys()
     for key, ref in want.items():
         scale = float(np.max(np.abs(ref)))
@@ -589,10 +589,10 @@ def test_invariants_do_not_depend_on_the_batch_size(name):
     no contraction may take a route that only a one-node batch takes."""
     sc = build_scenario(name)
     pts = sc.sample_points(np.random.default_rng(91), 3)
-    batch = dist_invariants_batch(sc.geom, sc.pair, point_columns(pts))
+    batch = dist_invariants_batch(sc.chart, sc.pair, point_columns(pts))
     assert len(batch) == 13
     for p, x in enumerate(pts):
-        single = dist_invariants_batch(sc.geom, sc.pair, point_columns([x]))
+        single = dist_invariants_batch(sc.chart, sc.pair, point_columns([x]))
         assert single.keys() == batch.keys()
         for key, val in single.items():
             assert val[..., 0].tobytes() == batch[key][..., p].tobytes(), (key, p)
@@ -600,7 +600,7 @@ def test_invariants_do_not_depend_on_the_batch_size(name):
 
 def test_invariants_closed_form_on_warped_torus():
     sc = warped_torus()
-    inv = dist_invariants_batch(sc.geom, sc.pair, point_columns([[0.0, 1.4]]))
+    inv = dist_invariants_batch(sc.chart, sc.pair, point_columns([[0.0, 1.4]]))
     # at u = 0: w' = 1, w'' = 0; the second distribution is totally geodesic
     # inside its own leaves but has mean curvature -w' relative to the first
     assert abs(inv["norm_h2"][0] - 1.0) < 1e-12
@@ -615,7 +615,7 @@ def test_invariants_closed_form_on_hopf():
     rng = np.random.default_rng(80)
     for _ in range(3):
         x = sc.sample_points(rng, 1)[0]
-        inv = dist_invariants_batch(sc.geom, sc.pair, point_columns([x]))
+        inv = dist_invariants_batch(sc.chart, sc.pair, point_columns([x]))
         # the circle fibration is totally geodesic with antisymmetric mixing
         assert abs(inv["norm_t1"][0] - 2.0) < 1e-10
         assert abs(inv["smix"][0] - 2.0) < 1e-10
@@ -627,7 +627,7 @@ def test_mean_curvature_closed_form_on_warped_torus():
     sc = warped_torus()
     u = 0.6
     cols = [np.array([u]), np.array([2.0])]
-    H = mean_curvature_field(sc.geom, sc.pair)(cols)
+    H = mean_curvature_field(sc.chart, sc.pair)(cols)
     assert abs(H[0][0] + math.cos(u)) < 1e-12  # H = (-w'(u), 0)
     assert abs(H[1][0]) < 1e-12
 
@@ -644,13 +644,13 @@ def test_smix_two_independent_routes():
         x = sc.sample_points(rng, 1)[0]
         dim = sc.chart.dim
         cols = [np.array([c]) for c in x]
-        smix_engine = float(dist_invariants_batch(sc.geom, sc.pair, cols)["smix"][0])
-        frames = [frame_column_field(sc.geom, s) for s in range(dim)]
+        smix_engine = float(dist_invariants_batch(sc.chart, sc.pair, cols)["smix"][0])
+        frames = [frame_column_field(sc.chart, s) for s in range(dim)]
         smix_towers = 0.0
         for s in range(dim):
             for t in range(dim):
                 smix_towers += rp_reduced(
-                    sc.pair, sc.geom, x, frames[t], frames[s], frames[s], frames[t]
+                    sc.pair, sc.chart, x, frames[t], frames[s], frames[s], frames[t]
                 )
         assert abs(smix_engine - smix_towers) < 1e-9
 
@@ -659,7 +659,7 @@ def test_invariants_independent_of_frame_rotation(monkeypatch):
     sc = hopf_contact_s3()
     rng = np.random.default_rng(82)
     cols = point_columns(sc.sample_points(rng, 1))
-    base = dist_invariants_batch(sc.geom, sc.pair, cols)
+    base = dist_invariants_batch(sc.chart, sc.pair, cols)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     rot = [[float(v) for v in row] for row in q]
     gram_schmidt_frame = la.gram_schmidt_frame
@@ -668,7 +668,7 @@ def test_invariants_independent_of_frame_rotation(monkeypatch):
         return la.mat_mul(gram_schmidt_frame(g), rot)  # L R, still orthonormal
 
     monkeypatch.setattr(la, "gram_schmidt_frame", rotated_frame)
-    rotated = dist_invariants_batch(sc.geom, sc.pair, cols)
+    rotated = dist_invariants_batch(sc.chart, sc.pair, cols)
     assert abs(base["smix"][0] - rotated["smix"][0]) < 1e-10
     for key in ("h1", "h2", "t1", "t2", "H1", "H2"):
         key = f"norm_{key}"
@@ -681,7 +681,7 @@ def test_divergence_formula_pointwise(name):
     rng = np.random.default_rng(83)
     pts = sc.sample_points(rng, 20)
     cols = [np.array([p[i] for p in pts]) for i in range(sc.chart.dim)]
-    _, norm = walczak_residual_batch(sc.geom, sc.pair, cols)
+    _, norm = walczak_residual_batch(sc.chart, sc.pair, cols)
     assert float(np.max(norm)) < 1e-6
 
 
@@ -690,9 +690,9 @@ def test_divergence_formula_closed_form_on_warped_torus():
     sc = warped_torus()
     for u in (0.0, 0.9, 3.1):
         cols = point_columns([[u, 0.3]])
-        _, norm = walczak_residual_batch(sc.geom, sc.pair, cols)
+        _, norm = walczak_residual_batch(sc.chart, sc.pair, cols)
         assert norm[0] < 1e-8
-        inv = dist_invariants_batch(sc.geom, sc.pair, cols)
+        inv = dist_invariants_batch(sc.chart, sc.pair, cols)
         rhs = (
             inv["smix"][0]
             + inv["norm_h1"][0]
@@ -713,14 +713,14 @@ def test_pass_values_equal_plain_values_bit_for_bit(name):
     sc = build_scenario(name)
     rng = np.random.default_rng(86)
     cols = sc.sample_columns(rng, 1000)
-    a_field, b_field = dt._frame_product_fields(sc.geom, sc.pair)
+    a_field, b_field = dt._frame_product_fields(sc.chart, sc.pair)
     fields = {
         "metric": sc.chart.metric,
         "frame_p1": a_field,
         "frame_p2": b_field,
         "p1_plus_p2": sc.pair.total(),
-        "pp_star": pp_star_field(sc.geom, sc.pair.total()),
-        "christoffel": cg.christoffel_field(sc.geom),
+        "pp_star": pp_star_field(sc.chart, sc.pair.total()),
+        "christoffel": cg.christoffel_field(sc.chart),
         "vector": random_vector_field(sc, rng),
     }
     for key, field in fields.items():
@@ -730,9 +730,9 @@ def test_pass_values_equal_plain_values_bit_for_bit(name):
 
 
 def test_each_batch_engine_call_builds_one_real_metric_jet(monkeypatch):
-    """The batch object itself is passed down, so the identity-keyed cache
-    builds (and validates) its metric jet once per call; the dual points of
-    the derivative passes are not counted."""
+    """The batch object itself is passed down and carries its metric jet, so
+    the jet is built (and validated) once per call; the dual points of the
+    derivative passes are not counted."""
     sc = hopf_contact_s3()
     rng = np.random.default_rng(84)
     vec_field = random_vector_field(sc, rng)
@@ -745,20 +745,20 @@ def test_each_batch_engine_call_builds_one_real_metric_jet(monkeypatch):
         return metric_jet(chart, x)
 
     monkeypatch.setattr(cg, "_metric_jet", counting)
-    formula_terms_batch(sc.geom, sc.pair, sc.sample_columns(rng, 100))
+    formula_terms_batch(sc.chart, sc.pair, sc.sample_columns(rng, 100))
     assert len(real_jets) == 1
     real_jets.clear()
-    div_p(sc.pair.total(), sc.geom, vec_field, sc.sample_columns(rng, 100))
+    div_p(sc.pair.total(), sc.chart, vec_field, sc.sample_columns(rng, 100))
     assert len(real_jets) == 1
 
 
-def richardson_div_p_mean_curvature(geom, pair, cols, step=1e-4):
+def richardson_div_p_mean_curvature(chart, pair, cols, step=1e-4):
     """div_P(H1 + H2) with the derivative of H taken by central differences
     and Richardson extrapolation (h and h/2); the metric terms stay AD-exact.
     A second route to the left side of the Walczak-type balance."""
-    n = geom.chart.dim
+    n = chart.dim
     n_nodes = cols[0].shape[0]
-    h_field = mean_curvature_field(geom, pair)
+    h_field = mean_curvature_field(chart, pair)
 
     def h_at(shift, d):
         return la.nested_to_array(
@@ -770,8 +770,8 @@ def richardson_div_p_mean_curvature(geom, pair, cols, step=1e-4):
 
     # dh[d, k] = d_d H^k
     dh = np.array([(4.0 * central(0.5 * step, d) - central(step, d)) / 3.0 for d in range(n)])
-    jet = geom.jet1(cols)
-    q = la.nested_to_array(pp_star_field(geom, pair.total())(cols), n_nodes)
+    jet = chart.jet1(cols)
+    q = la.nested_to_array(pp_star_field(chart, pair.total())(cols), n_nodes)
     q_up = np.einsum("iln,ljn->ijn", q, la.nested_to_array(jet.g_inv, n_nodes))
     h0 = la.nested_to_array(h_field(cols), n_nodes)
     return np.einsum("ijn,ijn->n", q, dh) + 0.5 * np.einsum(
@@ -785,12 +785,12 @@ def test_walczak_left_side_matches_finite_differences(name):
     walczak's AD left side with the Richardson stencil."""
     sc = build_scenario(name)
     cols = sc.sample_columns(np.random.default_rng(85), 20)
-    h_field = mean_curvature_field(sc.geom, sc.pair)
-    inv = dist_invariants_batch(sc.geom, sc.pair, cols)
+    h_field = mean_curvature_field(sc.chart, sc.pair)
+    inv = dist_invariants_batch(sc.chart, sc.pair, cols)
     h = la.nested_to_array(h_field(cols), 20)
     assert np.allclose(h, inv["H1"] + inv["H2"], rtol=0.0, atol=1e-12)
-    ad = div_p(sc.pair.total(), sc.geom, h_field, cols)
-    fd = richardson_div_p_mean_curvature(sc.geom, sc.pair, cols)
+    ad = div_p(sc.pair.total(), sc.chart, h_field, cols)
+    fd = richardson_div_p_mean_curvature(sc.chart, sc.pair, cols)
     assert float(np.max(np.abs(ad - fd) / (1.0 + np.abs(ad)))) < 1e-9
 
 
@@ -822,10 +822,9 @@ def split_t3(seed=3):
         ]
 
     chart = cg.Chart("split-t3", 3, metric, ((0.0, 2.0 * math.pi),) * 3, (True,) * 3)
-    geom = cg.Geometry(chart)
 
     def p1(z):
-        g = geom.jet1(z).g
+        g = chart.jet1(z).g
         return [[g[0][j] / g[0][0] if i == 0 else 0.0 for j in range(3)] for i in range(3)]
 
     def p2(z):
@@ -834,7 +833,6 @@ def split_t3(seed=3):
     return ScenarioManifold(
         name="split-t3",
         chart=chart,
-        geom=geom,
         pair=EndoPair(p1=p1, p2=p2, self_adjoint=True, allowed=True),
         quad_axes=(Axis("periodic", 0.0, 2.0 * math.pi),) * 3,
         sample_bounds=chart.domain,
@@ -857,7 +855,7 @@ def test_frame_trace_identities(name, npts):
     sc = split_t3() if name == "split-t3" else build_scenario(name)
     rng = np.random.default_rng(90)
     for x in sc.sample_points(rng, npts):
-        res = trace_identity_residuals(sc.pair, sc.geom, point_columns([x]))
+        res = trace_identity_residuals(sc.pair, sc.chart, point_columns([x]))
         for key in ("t1", "t2", "s1", "s2", "aux"):
             assert res[f"{key}_normalized"][0] < 1e-9, (key, x)
 
@@ -876,7 +874,7 @@ def test_traces_build_the_real_metric_jet_at_the_points_only(monkeypatch):
         return metric_jet(chart, x)
 
     monkeypatch.setattr(cg, "_metric_jet", counting)
-    trace_identity_residuals(sc.pair, sc.geom, sc.sample_columns(rng, 4))
+    trace_identity_residuals(sc.pair, sc.chart, sc.sample_columns(rng, 4))
     assert real_sizes and set(real_sizes) == {4}
 
 
@@ -905,25 +903,25 @@ def test_batched_towers_match_the_point_loop(name):
         return fn
 
     def codazzi(x, v):
-        res = codazzi_residual(sc.pair, sc.geom, x, *v)
+        res = codazzi_residual(sc.pair, sc.chart, x, *v)
         return {"residual": res["residual"], "normalized": res["normalized"], **res["parts"]}
 
     checks = {
         "allowed": lambda x, v: dict(
-            enumerate(allowed_residual(sc.pair, sc.geom, x, v[0], v[1]))
+            enumerate(allowed_residual(sc.pair, sc.chart, x, v[0], v[1]))
         ),
         "codazzi": codazzi,
         "divergence": lambda x, v: div_equivalence_residuals(
-            sc.pair.total(), sc.geom, vec_field, x, scalar_field
+            sc.pair.total(), sc.chart, vec_field, x, scalar_field
         ),
-        "traces": one_node(lambda c: trace_identity_residuals(sc.pair, sc.geom, c)),
+        "traces": one_node(lambda c: trace_identity_residuals(sc.pair, sc.chart, c)),
         "walczak": one_node(
-            lambda c: dict(enumerate(walczak_residual_batch(sc.geom, sc.pair, c)))
+            lambda c: dict(enumerate(walczak_residual_batch(sc.chart, sc.pair, c)))
         ),
     }
     if "phi" in sc.extras:
         checks["contact"] = lambda x, v: contact_structure_residuals(
-            sc.extras["phi"], sc.extras["xi"], sc.geom, x
+            sc.extras["phi"], sc.extras["xi"], sc.chart, x
         )
     for check, fn in checks.items():
         batch = fn(cols, slots)
@@ -945,7 +943,7 @@ def test_contact_structure_equations():
         phi, xi = sc.extras["phi"], sc.extras["xi"]
         for _ in range(6):
             x = sc.sample_points(rng, 1)[0]
-            res = contact_structure_residuals(phi, xi, sc.geom, x)
+            res = contact_structure_residuals(phi, xi, sc.chart, x)
             assert max(res.values()) < 1e-12, res
 
 
@@ -960,7 +958,7 @@ def test_contact_divergence_identity_sign():
         x = base.sample_points(rng, 1)[0]
         vx = list(rng.normal(size=3))
         res = contact_identity_residual(
-            base.extras["phi"], base.extras["xi"], base.geom, vx, x
+            base.extras["phi"], base.extras["xi"], base.chart, vx, x
         )
         assert res["plus_normalized"] < 1e-12
 
@@ -970,7 +968,7 @@ def test_contact_divergence_identity_sign():
         x = conf.sample_points(rng, 1)[0]
         vx = list(rng.normal(size=3))
         res = contact_identity_residual(
-            conf.extras["phi"], conf.extras["xi"], conf.geom, vx, x
+            conf.extras["phi"], conf.extras["xi"], conf.chart, vx, x
         )
         assert res["plus_normalized"] < 1e-12
         worst_minus = max(worst_minus, res["minus_normalized"])

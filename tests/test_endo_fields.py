@@ -31,7 +31,7 @@ def test_adjoint_closed_form():
     def P(_z):
         return [[0.0, 1.0], [0.0, 0.0]]
 
-    from distpair.chart_geometry import Chart, Geometry
+    from distpair.chart_geometry import Chart
 
     chart = Chart(
         name="aniso",
@@ -40,7 +40,7 @@ def test_adjoint_closed_form():
         domain=((0.0, 1.0),) * 2,
         periodic=(False, False),
     )
-    ps = adjoint_field(Geometry(chart), P)([0.2, 0.3])
+    ps = adjoint_field(chart, P)([0.2, 0.3])
     assert np.allclose(np.array(ps), [[0.0, 0.0], [0.25, 0.0]], atol=1e-15)
 
 
@@ -56,8 +56,8 @@ def test_adjoint_pairing_identity():
 
     for _ in range(5):
         x = sc.sample_points(rng, 1)[0]
-        g = sc.geom.jet1(x).g
-        ps = adjoint_field(sc.geom, P)(x)
+        g = sc.chart.jet1(x).g
+        ps = adjoint_field(sc.chart, P)(x)
         u = list(rng.normal(size=2))
         v = list(rng.normal(size=2))
         lhs = la.bilinear(g, la.mat_vec(P(x), u), v)
@@ -78,7 +78,7 @@ def test_adjoint_pairing_identity():
 def test_check_pair_on_adapted_scenarios(builder):
     sc = builder()
     rng = np.random.default_rng(31)
-    res = check_pair(sc.pair, sc.geom, sc.sample_columns(rng, 20))
+    res = check_pair(sc.pair, sc.chart, sc.sample_columns(rng, 20))
     assert res["samples"] == 20
     assert res["max_normalized"] < 1e-10
 
@@ -86,7 +86,7 @@ def test_check_pair_on_adapted_scenarios(builder):
 def test_rotated_pair_is_adapted_but_not_allowed():
     sc = non_allowed_rotated()
     rng = np.random.default_rng(33)
-    res = check_pair(sc.pair, sc.geom, sc.sample_columns(rng, 20))
+    res = check_pair(sc.pair, sc.chart, sc.sample_columns(rng, 20))
     assert res["max_normalized"] < 1e-10  # adaptedness survives the rotation
 
     worst = 0.0
@@ -94,7 +94,7 @@ def test_rotated_pair_is_adapted_but_not_allowed():
         x = sc.sample_points(rng, 1)[0]
         vx = list(rng.normal(size=2))
         vy = list(rng.normal(size=2))
-        _, norm = allowed_residual(sc.pair, sc.geom, x, vx, vy)
+        _, norm = allowed_residual(sc.pair, sc.chart, x, vx, vy)
         worst = max(worst, norm)
     assert worst > 1e-3  # the derivative forms detect the failure
 
@@ -108,14 +108,14 @@ def test_allowed_residual_vanishes_on_allowed_pairs(builder):
         x = sc.sample_points(rng, 1)[0]
         vx = list(rng.normal(size=dim))
         vy = list(rng.normal(size=dim))
-        max_abs, _ = allowed_residual(sc.pair, sc.geom, x, vx, vy)
+        max_abs, _ = allowed_residual(sc.pair, sc.chart, x, vx, vy)
         assert max_abs < 1e-10
 
 
 def test_product_norms_report_scale():
     sc = scaled_identity()  # doubled warped-torus projectors
     x = [0.4, 0.8]
-    norms = pair_product_norms(sc.pair, sc.geom, x)
+    norms = pair_product_norms(sc.pair, sc.chart, x)
     assert abs(norms["scale"] - 4.0) < 1e-12  # |P1|_F = |P2|_F = 2
     assert max(v for k, v in norms.items() if k != "scale") < 1e-12
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import distpair.dual as ops
-from distpair.chart_geometry import Chart, Geometry, MetricError
+from distpair.chart_geometry import Chart, MetricError
 from distpair.dual import Dual
 from distpair.quadrature import (
     Axis,
@@ -52,18 +52,18 @@ def test_legendre_rule_is_spectrally_accurate():
 
 def test_volumes_match_closed_forms():
     ft = flat_torus_projectors(1, 1)
-    assert abs(volume(ft.geom, ft.grid(16)) - TWO_PI**2) < 1e-12
+    assert abs(volume(ft.chart, ft.grid(16)) - TWO_PI**2) < 1e-12
 
     wt = warped_torus()
     want = TWO_PI**2 * BESSEL_I0_1
-    assert abs(volume(wt.geom, wt.grid(48)) - want) < 1e-10 * want
+    assert abs(volume(wt.chart, wt.grid(48)) - want) < 1e-10 * want
 
     h = hopf_contact_s3()
-    assert abs(volume(h.geom, h.grid((20, 20, 20))) - 2.0 * math.pi**2) < 1e-10
+    assert abs(volume(h.chart, h.grid((20, 20, 20))) - 2.0 * math.pi**2) < 1e-10
 
     e = einstein_s3xt2()
     want = 12.0 * math.pi**4
-    got = volume(e.geom, e.grid((12, 12, 12, 8, 8)))
+    got = volume(e.chart, e.grid((12, 12, 12, 8, 8)))
     assert abs(got - want) < 1e-9 * want
 
 
@@ -79,7 +79,7 @@ def test_volume_runs_no_derivative_pass_and_validates_the_metric(monkeypatch):
         return fresh_tag()
 
     monkeypatch.setattr(ops, "fresh_tag", counting)
-    assert volume(e.geom, e.grid((4, 4, 4, 3, 3))) > 0.0
+    assert volume(e.chart, e.grid((4, 4, 4, 3, 3))) > 0.0
     assert passes == []
 
     def metric(z):
@@ -88,14 +88,14 @@ def test_volume_runs_no_derivative_pass_and_validates_the_metric(monkeypatch):
     bad = Chart("bad", 2, metric, ((0.0, 1.0),) * 2, (False, False))
     grid = QuadratureGrid((Axis("legendre", 0.0, 1.0),) * 2, (4, 4))
     with pytest.raises(MetricError, match="not positive definite"):
-        volume(Geometry(bad), grid)
+        volume(bad, grid)
 
 
 def test_volume_converges_under_refinement():
     h = hopf_contact_s3()
     want = 2.0 * math.pi**2
-    coarse = abs(volume(h.geom, h.grid((8, 8, 8))) - want)
-    fine = abs(volume(h.geom, h.grid((16, 16, 16))) - want)
+    coarse = abs(volume(h.chart, h.grid((8, 8, 8))) - want)
+    fine = abs(volume(h.chart, h.grid((16, 16, 16))) - want)
     assert fine <= max(coarse, 1e-12)
 
 
@@ -108,7 +108,7 @@ def test_integrate_handles_chart_substitution():
         q0 = (r2 - 1.0) / (r2 + 1.0)
         return q0 * q0
 
-    got = integrate(h.geom, f, h.grid((24, 24, 24)))
+    got = integrate(h.chart, f, h.grid((24, 24, 24)))
     # mean of q0^2 over the unit sphere in R^4 is 1/4
     assert abs(got - 0.25 * 2.0 * math.pi**2) < 1e-10
 
@@ -141,7 +141,7 @@ def test_stokes_for_modified_divergence(builder, counts, tol):
     sc = builder()
     rng = np.random.default_rng(101)
     X = random_vector_field(sc, rng)
-    res = stokes_check(sc.pair.total(), sc.geom, X, sc.grid(counts))
+    res = stokes_check(sc.pair.total(), sc.chart, X, sc.grid(counts))
     assert res["normalized"] < tol
 
 
@@ -149,14 +149,14 @@ def test_stokes_improves_under_refinement():
     sc = warped_torus()
     rng = np.random.default_rng(102)
     X = random_vector_field(sc, rng)
-    coarse = stokes_check(sc.pair.total(), sc.geom, X, sc.grid(12))
-    fine = stokes_check(sc.pair.total(), sc.geom, X, sc.grid(24))
+    coarse = stokes_check(sc.pair.total(), sc.chart, X, sc.grid(12))
+    fine = stokes_check(sc.pair.total(), sc.chart, X, sc.grid(24))
     assert fine["normalized"] <= max(coarse["normalized"], 1e-12)
 
 
 def test_integral_formula_warped_torus():
     sc = warped_torus()
-    res = integral_formula_check(sc.pair, sc.geom, sc.grid(128))
+    res = integral_formula_check(sc.pair, sc.chart, sc.grid(128))
     assert not res["degenerate"]
     assert res["mass"] > 1.0  # the individual terms are genuinely nonzero
     assert res["ratio"] < 1e-6
@@ -164,11 +164,11 @@ def test_integral_formula_warped_torus():
 
 def test_integral_formula_degenerate_scenarios():
     ft = flat_torus_projectors(1, 1)
-    res = integral_formula_check(ft.pair, ft.geom, ft.grid(8))
+    res = integral_formula_check(ft.pair, ft.chart, ft.grid(8))
     assert res["degenerate"] and res["max_pointwise_normalized"] < 1e-9
 
     h = hopf_contact_s3()
-    res = integral_formula_check(h.pair, h.geom, h.grid((10, 10, 10)))
+    res = integral_formula_check(h.pair, h.chart, h.grid((10, 10, 10)))
     assert res["degenerate"] and res["max_pointwise_normalized"] < 1e-9
 
 
@@ -176,7 +176,7 @@ def test_formula_check_reports_nan_integrand_as_not_degenerate():
     sc = warped_torus()
     nan = float("nan")
     pair = dataclasses.replace(sc.pair, p1=lambda _z: [[nan, nan], [nan, nan]])
-    res = integral_formula_check(pair, sc.geom, sc.grid(16))
+    res = integral_formula_check(pair, sc.chart, sc.grid(16))
     assert math.isnan(res["max_pointwise"])
     assert math.isnan(res["max_pointwise_normalized"])
     assert math.isnan(res["ratio"])
@@ -201,8 +201,8 @@ def test_one_chunk_evaluates_the_metric_at_its_nodes_once(builder, monkeypatch):
         return metric(z)
 
     monkeypatch.setitem(vars(sc.chart), "metric", counting)  # Chart is frozen
-    integral_formula_check(sc.pair, sc.geom, grid)
+    integral_formula_check(sc.pair, sc.chart, grid)
     assert len(real_calls) == 1
     real_calls.clear()
-    stokes_check(sc.pair.total(), sc.geom, vec_field, grid)
+    stokes_check(sc.pair.total(), sc.chart, vec_field, grid)
     assert len(real_calls) == 1

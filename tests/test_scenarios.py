@@ -69,9 +69,9 @@ def test_einstein_pair_is_psd_root_of_minus_einstein_tensor():
     rng = np.random.default_rng(8)
     for _ in range(4):
         x = sc.sample_points(rng, 1)[0]
-        E = einstein_tensor(sc.geom, x)
+        E = einstein_tensor(sc.chart, x)
         minus_e = [[-v for v in row] for row in E]
-        g = sc.geom.jet1(x).g
+        g = sc.chart.jet1(x).g
         root = sqrt_psd(minus_e, g=g)
         total = sc.pair.total()(x)
         assert np.allclose(np.array(root), np.array(total), atol=1e-8)
@@ -83,12 +83,12 @@ def test_hopf_field_is_unit_geodesic_divergence_free():
     rng = np.random.default_rng(9)
     for _ in range(5):
         x = sc.sample_points(rng, 1)[0]
-        g = sc.geom.jet1(x).g
+        g = sc.chart.jet1(x).g
         v = xi(x)
         assert abs(la.bilinear(g, v, v) - 1.0) < 1e-12
-        acc = cov_at(sc.geom, x, v, xi)
+        acc = cov_at(sc.chart, x, v, xi)
         assert la.bilinear(g, acc, acc) < 1e-20
-        assert abs(div_vector(sc.geom, xi, x)) < 1e-12
+        assert abs(div_vector(sc.chart, xi, x)) < 1e-12
 
 
 def test_hopf_projectors_read_g_without_an_lu_or_a_pass(monkeypatch):
@@ -139,12 +139,12 @@ def test_conformal_field_is_not_geodesic():
     worst_acc = worst_div = 0.0
     for _ in range(6):
         x = conf.sample_points(rng, 1)[0]
-        g = conf.geom.jet1(x).g
+        g = conf.chart.jet1(x).g
         v = xi(x)
         assert abs(la.bilinear(g, v, v) - 1.0) < 1e-12  # still unit length
-        acc = cov_at(conf.geom, x, v, xi)
+        acc = cov_at(conf.chart, x, v, xi)
         worst_acc = max(worst_acc, math.sqrt(max(la.bilinear(g, acc, acc), 0.0)))
-        worst_div = max(worst_div, abs(div_vector(conf.geom, xi, x)))
+        worst_div = max(worst_div, abs(div_vector(conf.chart, xi, x)))
     assert worst_acc > 1e-2 and worst_div > 1e-2
 
 
@@ -155,7 +155,7 @@ def test_sampled_fields_are_differentiable_everywhere_sampled():
         X = random_vector_field(sc, rng)
         f = random_scalar_field(sc, rng)
         x = sc.sample_points(rng, 1)[0]
-        d = cov_at(sc.geom, x, list(rng.normal(size=sc.chart.dim)), X)
+        d = cov_at(sc.chart, x, list(rng.normal(size=sc.chart.dim)), X)
         assert all(np.isfinite(float(c)) for c in d)
         df = directional(f, x, list(rng.normal(size=sc.chart.dim)))[1]
         assert np.isfinite(float(df))

@@ -46,8 +46,7 @@ def _names_used(tree):
 
 def test_the_metric_jet_is_the_one_route_to_the_metric():
     # a chart's metric is read only by MetricJet, so every other module
-    # reaches g, g_inv, sqrt_det, dg and Gamma through the one jet per point;
-    # and every function takes a Geometry, with no Chart-accepting shim
+    # reaches g, g_inv, sqrt_det, dg and Gamma through the one jet per point
     offenders = []
     for stem, tree in _modules():
         in_jet = {
@@ -152,3 +151,36 @@ def test_every_top_level_def_is_used():
         and node.name not in used | exported
     ]
     assert unused == []
+
+
+def test_no_cache_keyed_by_object_identity():
+    # a point carries its metric jet, so no map from id(point) comes back
+    offenders = [
+        f"{stem}:{node.lineno}"
+        for stem, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "id"
+    ]
+    assert offenders == []
+
+
+def test_chart_geometry_defines_one_jet1_and_one_metric_jet():
+    # the benchmark's trace counts jet lookups and jets built by these names
+    tree = dict(_modules())["chart_geometry"]
+    names = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert names.count("jet1") == 1
+    assert names.count("_metric_jet") == 1
+
+
+def test_no_module_defines_or_imports_geometry():
+    # every function takes the Chart; no wrapper type stands in for it
+    offenders = [
+        stem
+        for stem, tree in _modules()
+        if "Geometry" in set(_names_used(tree))
+        or any(
+            isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == "Geometry"
+            for node in ast.walk(tree)
+        )
+    ]
+    assert offenders == []
