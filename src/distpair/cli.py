@@ -13,8 +13,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -48,39 +46,6 @@ CHECK_NAMES = (
     "traces",
     "contact",
 )
-
-@dataclass
-class ResidualReport:
-    scenario: str
-    check: str
-    samples: int
-    seed: int
-    max_abs: float
-    max_normalized: float
-    tolerance: float
-    passed: bool
-    degenerate: Optional[bool] = None
-    grid: Optional[str] = None
-    runtime_ms: float = 0.0
-
-    def to_dict(self):
-        out = {
-            "scenario": self.scenario,
-            "check": self.check,
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_abs": self.max_abs,
-            "max_normalized": self.max_normalized,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-        if self.degenerate is not None:
-            out["degenerate"] = self.degenerate
-        if self.grid is not None:
-            out["grid"] = self.grid
-        out["runtime_ms"] = self.runtime_ms
-        return out
-
 
 def _rng(seed, check):
     return np.random.default_rng([seed, CHECK_NAMES.index(check)])
@@ -183,9 +148,24 @@ CHECK_RUNNERS = {
 }
 
 
-def _finite(max_abs, max_norm):
-    """A report with a NaN or infinite residual fails whatever its tolerance."""
-    return bool(np.isfinite(max_abs) and np.isfinite(max_norm))
+def _report(sc, check, samples, seed, tol, max_abs, max_norm, passed, t0, **extra):
+    """One report line, timed from ``t0``.
+
+    A report with a NaN or infinite residual fails whatever its tolerance.
+    """
+    finite = bool(np.isfinite(max_abs) and np.isfinite(max_norm))
+    return {
+        "scenario": sc.name,
+        "check": check,
+        "samples": samples,
+        "seed": seed,
+        "max_abs": float(max_abs),
+        "max_normalized": float(max_norm),
+        "tolerance": tol,
+        "pass": finite and bool(passed),
+        **extra,
+        "runtime_ms": round((time.monotonic() - t0) * 1000.0, 3),
+    }
 
 
 def cmd_verify(sc, checks, points, seed, tol):
@@ -193,72 +173,38 @@ def cmd_verify(sc, checks, points, seed, tol):
     for check in checks:
         t0 = time.monotonic()
         max_abs, max_norm, samples = CHECK_RUNNERS[check](sc, points, seed, tol)
-        ms = (time.monotonic() - t0) * 1000.0
         reports.append(
-            ResidualReport(
-                scenario=sc.name,
-                check=check,
-                samples=samples,
-                seed=seed,
-                max_abs=float(max_abs),
-                max_normalized=float(max_norm),
-                tolerance=tol,
-                passed=_finite(max_abs, max_norm) and bool(max_norm <= tol),
-                runtime_ms=round(ms, 3),
-            )
+            _report(sc, check, samples, seed, tol, max_abs, max_norm, max_norm <= tol, t0)
         )
     return reports
 
 
-def _grid_string(counts):
-    return ",".join(str(int(c)) for c in counts)
+def _integral(sc, which, grid, seed):
+    """(max_abs, max_normalized, extra report keys) of one quadrature check."""
+    if which == "stokes":
+        vec_field = random_vector_field(sc, np.random.default_rng([seed, 100]))
+        res = stokes_check(sc.pair.total(), sc.chart, vec_field, grid)
+        return abs(res["integral"]), res["normalized"], {}
+    res = integral_formula_check(sc.pair, sc.chart, grid)
+    degenerate = bool(res["degenerate"])
+    max_norm = res["max_pointwise_normalized"] if degenerate else res["ratio"]
+    return abs(res["integral"]), max_norm, {"degenerate": degenerate}
 
 
 def cmd_integrate(sc, which, grid, seed, tol):
-    grids = [grid, sc.grid(refine_counts(grid.counts))]
-    rows = []
-    for grid in grids:
-        t0 = time.monotonic()
-        if which == "stokes":
-            rng = np.random.default_rng([seed, 100])
-            vec_field = random_vector_field(sc, rng)
-            res = stokes_check(sc.pair.total(), sc.chart, vec_field, grid)
-            max_abs = abs(res["integral"])
-            max_norm = res["normalized"]
-            degenerate = None
-        else:
-            res = integral_formula_check(sc.pair, sc.chart, grid)
-            max_abs = abs(res["integral"])
-            degenerate = bool(res["degenerate"])
-            max_norm = (
-                res["max_pointwise_normalized"] if degenerate else res["ratio"]
-            )
-        ms = (time.monotonic() - t0) * 1000.0
-        rows.append((grid, res, max_abs, max_norm, degenerate, ms))
-
-    fine_norm = rows[0][3]
     reports = []
-    for i, (grid, res, max_abs, max_norm, degenerate, ms) in enumerate(rows):
-        if i == 0:
-            passed = max_norm <= tol
-        else:
-            # The coarse companion exists to show convergence under
-            # refinement; it passes when it meets tolerance outright or
-            # when the requested grid improved on it.
-            passed = max_norm <= tol or fine_norm <= max_norm
+    for grid in (grid, sc.grid(refine_counts(grid.counts))):
+        t0 = time.monotonic()
+        max_abs, max_norm, extra = _integral(sc, which, grid, seed)
+        # The coarse companion exists to show convergence under
+        # refinement; it passes when it meets tolerance outright or
+        # when the requested grid improved on it.
+        improved = bool(reports) and reports[0]["max_normalized"] <= max_norm
+        extra["grid"] = ",".join(str(int(c)) for c in grid.counts)
         reports.append(
-            ResidualReport(
-                scenario=sc.name,
-                check=which,
-                samples=int(res["nodes"]),
-                seed=seed,
-                max_abs=float(max_abs),
-                max_normalized=float(max_norm),
-                tolerance=tol,
-                passed=_finite(max_abs, max_norm) and bool(passed),
-                degenerate=degenerate,
-                grid=_grid_string(grid.counts),
-                runtime_ms=round(ms, 3),
+            _report(
+                sc, which, grid.total_nodes, seed, tol, max_abs, max_norm,
+                max_norm <= tol or improved, t0, **extra,
             )
         )
     return reports
@@ -331,13 +277,13 @@ def main(argv=None):
         )
 
     for rep in reports:
-        sys.stdout.write(json.dumps(rep.to_dict()) + "\n")
+        sys.stdout.write(json.dumps(rep) + "\n")
     sys.stdout.flush()
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump([rep.to_dict() for rep in reports], fh, indent=2)
+            json.dump(reports, fh, indent=2)
             fh.write("\n")
-    return 0 if all(rep.passed for rep in reports) else 1
+    return 0 if all(rep["pass"] for rep in reports) else 1
 
 
 if __name__ == "__main__":

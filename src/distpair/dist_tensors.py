@@ -161,22 +161,19 @@ def collapse_residual(pair, chart, x, vec_x, vec_y):
 
 
 def tsr_tensors(pair, chart, x, y, x1, x2, z_slot):
-    """The five scalars of the curvature identity at x.
+    """Four of the five scalars of the curvature identity at x.
 
     Arguments may be constant vectors or vector-field closures (the latter is
     used by the trace sums and the tensoriality tests).  Returns a dict with
-    t1, t2, s1, s2, rp.
+    t1, t2, s1, s2; the fifth term rp is :func:`curvature_term`.
     """
     yf, x1f, x2f, zf = (as_field(v) for v in (y, x1, x2, z_slot))
     p1, p2 = pair.p1, pair.p2
-    p1s = adjoint_field(chart, p1)
-    p2s = adjoint_field(chart, p2)
 
     p1x1 = apply_endo(p1, x1f)
     p2y = apply_endo(p2, yf)
     p2z = apply_endo(p2, zf)
     p1x2 = apply_endo(p1, x2f)
-    p1sx2 = apply_endo(p1s, x2f)
 
     g = chart.jet1(x).g
     zv = zf(x)
@@ -204,7 +201,26 @@ def tsr_tensors(pair, chart, x, y, x1, x2, z_slot):
     s1 = ip(field_hat_b2(chart, pair, x2f, as_field(v_y_dir))(x), zv)
     s2 = ip(field_hat_b1(chart, pair, zf, as_field(v_x1_dir))(x), x2v)
 
-    # curvature-type term: five towers
+    return {"t1": t1, "t2": t2, "s1": s1, "s2": s2}
+
+
+def curvature_term(pair, chart, x, y, x1, x2, z_slot):
+    """The curvature-type fifth term rp of the identity at x: five towers.
+
+    Takes the same arguments as :func:`tsr_tensors`.
+    """
+    yf, x1f, x2f, zf = (as_field(v) for v in (y, x1, x2, z_slot))
+    p1, p2 = pair.p1, pair.p2
+    p1s = adjoint_field(chart, p1)
+    p2s = adjoint_field(chart, p2)
+
+    p1x1 = apply_endo(p1, x1f)
+    p2y = apply_endo(p2, yf)
+    p1x2 = apply_endo(p1, x2f)
+    p1sx2 = apply_endo(p1s, x2f)
+    p1x1_at = p1x1(x)
+    p2y_at = p2y(x)
+
     t_a = la.mat_vec(
         p2s(x), cov_at(chart, x, p2y_at, apply_endo(p2, nabla_field(chart, p1x1, p1sx2)))
     )
@@ -222,14 +238,13 @@ def tsr_tensors(pair, chart, x, y, x1, x2, z_slot):
     )
     t_e = la.mat_vec(p2(x), cov_at(chart, x, w, p1sx2))
     rp_vec = la.vec_sub(la.vec_sub(la.vec_sub(la.vec_add(t_a, t_b), t_c), t_d), t_e)
-    rp = ip(rp_vec, zv)
-
-    return {"t1": t1, "t2": t2, "s1": s1, "s2": s2, "rp": rp}
+    return la.bilinear(chart.jet1(x).g, rp_vec, zf(x))
 
 
 def codazzi_residual(pair, chart, x, y, x1, x2, z_slot):
     """|t1 + t2 + s1 + s2 + rp| at x, absolute and term-normalized."""
     parts = tsr_tensors(pair, chart, x, y, x1, x2, z_slot)
+    parts["rp"] = curvature_term(pair, chart, x, y, x1, x2, z_slot)
     total = parts["t1"] + parts["t2"] + parts["s1"] + parts["s2"] + parts["rp"]
     denom = 1.0 + sum(abs(v) for v in parts.values())
     return {"residual": abs(total), "normalized": abs(total) / denom, "parts": parts}

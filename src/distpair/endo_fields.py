@@ -11,7 +11,7 @@ conditions gating the curvature-level identities in dist_tensors.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,8 +39,8 @@ def adjoint_field(chart, p_endo):
 class EndoPair:
     """A pair of endomorphism fields plus advertised structural flags.
 
-    Flags describe what the pair is supposed to satisfy; ``evidence`` holds
-    measured residuals from the construction-time probe.  Nothing downstream
+    Flags describe what the pair is supposed to satisfy;
+    ``scenarios.probe_pair`` measures them on demand.  Nothing downstream
     trusts the flags without re-measuring.
     """
 
@@ -50,7 +50,6 @@ class EndoPair:
     allowed: bool = False
     div_pp_star_zero: bool = False
     div_p_squared_zero: bool = False
-    evidence: dict = field(default_factory=dict)
 
     def total(self):
         def fld(z):

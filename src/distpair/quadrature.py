@@ -118,7 +118,6 @@ def stokes_check(p_endo, chart, vec_field, grid: QuadratureGrid):
         "integral": total,
         "volume": vol,
         "normalized": abs(total) / vol,
-        "nodes": grid.total_nodes,
     }
 
 
@@ -154,7 +153,6 @@ def integral_formula_check(pair, chart, grid: QuadratureGrid):
         "max_pointwise": max_pt,
         "max_pointwise_normalized": max_pt_norm,
         "degenerate": degenerate,
-        "nodes": grid.total_nodes,
     }
 
 

@@ -2,9 +2,10 @@
 
 Each scenario bundles a chart, an endomorphism pair with advertised flags,
 sampling bounds for pointwise checks, and the per-axis quadrature layout.
-Advertised flags are probed numerically at construction (small seeded point
-set, stored in ``pair.evidence``) and re-verified at full strength by the
-checks — nothing downstream trusts a flag that has not been measured.
+Building a scenario evaluates nothing.  Its advertised flags are measured on
+demand by :func:`probe_pair` (small seeded point set) and re-verified at full
+strength by the checks — nothing downstream trusts a flag that has not been
+measured.
 """
 
 from __future__ import annotations
@@ -85,10 +86,11 @@ class ScenarioManifold:
 
 
 def probe_pair(scenario, n_points=5, seed=7):
-    """Light construction-time measurement of the advertised flags.
+    """Light measurement of the advertised flags; returns the evidence dict.
 
-    The probe points are evaluated as one column batch; every evidence value
-    is the largest entry over them, NaN if any entry is NaN.
+    Nothing is stored on the scenario or its pair.  The probe points are
+    evaluated as one column batch; every evidence value is the largest entry
+    over them, NaN if any entry is NaN.
     """
     rng = np.random.default_rng(seed)
     chart = scenario.chart
@@ -118,7 +120,6 @@ def probe_pair(scenario, n_points=5, seed=7):
         ev["div_p_squared"] = la.max_entry(
             covector_gnorm(chart.jet1(cols).g_inv, div_endo(chart, p_sq, cols))
         )
-    pair.evidence.update(ev)
     return ev
 
 
@@ -149,7 +150,7 @@ def flat_torus_projectors(n1=1, n2=1):
         div_pp_star_zero=True,
         div_p_squared_zero=True,
     )
-    scenario = ScenarioManifold(
+    return ScenarioManifold(
         name="flat-torus",
         chart=chart,
         pair=pair,
@@ -158,8 +159,6 @@ def flat_torus_projectors(n1=1, n2=1):
         kind="torus",
         integrand_degenerate=True,
     )
-    probe_pair(scenario)
-    return scenario
 
 
 def warped_torus(profile=None):
@@ -186,7 +185,7 @@ def warped_torus(profile=None):
         div_pp_star_zero=True,
         div_p_squared_zero=True,
     )
-    scenario = ScenarioManifold(
+    return ScenarioManifold(
         name="warped-torus",
         chart=chart,
         pair=pair,
@@ -195,8 +194,6 @@ def warped_torus(profile=None):
         kind="torus",
         extras={"warp": w},
     )
-    probe_pair(scenario)
-    return scenario
 
 
 def scaled_identity(base=None, c=2.0):
@@ -214,11 +211,9 @@ def scaled_identity(base=None, c=2.0):
         div_pp_star_zero=base.pair.div_pp_star_zero,
         div_p_squared_zero=base.pair.div_p_squared_zero,
     )
-    scenario = dataclasses.replace(
+    return dataclasses.replace(
         base, name="scaled-identity", pair=pair, extras=dict(base.extras)
     )
-    probe_pair(scenario)
-    return scenario
 
 
 def non_allowed_rotated(base=None, amplitude=0.5):
@@ -249,14 +244,12 @@ def non_allowed_rotated(base=None, amplitude=0.5):
         return [[0.0, r[0][1]], [0.0, r[1][1]]]
 
     pair = EndoPair(p1=p1, p2=p2, self_adjoint=False, allowed=False)
-    scenario = dataclasses.replace(
+    return dataclasses.replace(
         base,
         name="warped-torus-rotated",
         pair=pair,
         extras=dict(base.extras),
     )
-    probe_pair(scenario)
-    return scenario
 
 
 # -- sphere-product scenarios -------------------------------------------------
@@ -377,7 +370,7 @@ def einstein_s3xt2():
         div_pp_star_zero=True,
         div_p_squared_zero=True,
     )
-    scenario = ScenarioManifold(
+    return ScenarioManifold(
         name="einstein-s3xt2",
         chart=chart,
         pair=pair,
@@ -399,8 +392,6 @@ def einstein_s3xt2():
             "a2": sqrt3,
         },
     )
-    probe_pair(scenario)
-    return scenario
 
 
 _EPS3 = [
@@ -498,7 +489,7 @@ def _hopf_scenario(name, conformal_strength=0.0):
         div_pp_star_zero=True,
         div_p_squared_zero=True,
     )
-    scenario = ScenarioManifold(
+    return ScenarioManifold(
         name=name,
         chart=chart,
         pair=pair,
@@ -510,8 +501,6 @@ def _hopf_scenario(name, conformal_strength=0.0):
         quad_jacobian=_angular_jacobian,
         extras={"xi": xi, "phi": phi},
     )
-    probe_pair(scenario)
-    return scenario
 
 
 def hopf_contact_s3():

@@ -255,7 +255,7 @@ def test_traces_sample_every_requested_point(capsys):
 def test_tower_checks_evaluate_one_batch(monkeypatch, capsys):
     """One tower evaluation per check, whatever the number of points: a
     fallback to per-point loops would multiply these counts."""
-    calls = {"tsr_tensors": 0, "trace_identity_residuals": 0}
+    calls = {"tsr_tensors": 0, "curvature_term": 0, "trace_identity_residuals": 0}
 
     def counting(module, name):
         fn = getattr(module, name)
@@ -267,9 +267,11 @@ def test_tower_checks_evaluate_one_batch(monkeypatch, capsys):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(dist_tensors, "tsr_tensors")
+    counting(dist_tensors, "curvature_term")
     counting(cli, "trace_identity_residuals")
     assert main(["--scenario", "hopf-s3", "--check", "codazzi", "--points", "10"]) == 0
-    assert calls == {"tsr_tensors": 1, "trace_identity_residuals": 0}
+    assert calls == {"tsr_tensors": 1, "curvature_term": 1, "trace_identity_residuals": 0}
+    # the frame traces read t1, t2, s1, s2 only: no curvature-term towers
     assert main(["--scenario", "hopf-s3", "--check", "traces", "--points", "3"]) == 0
-    assert calls == {"tsr_tensors": 2, "trace_identity_residuals": 1}
+    assert calls == {"tsr_tensors": 2, "curvature_term": 1, "trace_identity_residuals": 1}
     capsys.readouterr()

@@ -34,6 +34,7 @@ from distpair.dist_tensors import (
     field_hat_b1,
     formula_terms_batch,
     collapse_residual,
+    curvature_term,
     mean_curvature_field,
     div_equivalence_residuals,
     pp_star_field,
@@ -103,6 +104,11 @@ def test_b2_at_origin_matches_hand_value():
     assert np.allclose(bt["b2"], [0.0, 1.0], atol=1e-14)
 
 
+def five_terms(pair, chart, x, *args):
+    """tsr_tensors' four terms and the curvature term rp, in one dict."""
+    return {**tsr_tensors(pair, chart, x, *args), "rp": curvature_term(pair, chart, x, *args)}
+
+
 def test_structural_tensors_are_tensorial_for_allowed_pair():
     sc = warped_torus()
     rng = np.random.default_rng(51)
@@ -112,13 +118,13 @@ def test_structural_tensors_are_tensorial_for_allowed_pair():
 
     x = sc.sample_points(rng, 1)[0]
     args = [list(rng.normal(size=2)) for _ in range(4)]
-    base = tsr_tensors(sc.pair, sc.chart, x, *args)
+    base = five_terms(sc.pair, sc.chart, x, *args)
     fx = f(x)
     for slot in range(4):
         mod = list(args)
         const = mod[slot]
         mod[slot] = lambda z, c=const: la.vec_scale(f(z), c)
-        scaled = tsr_tensors(sc.pair, sc.chart, x, *mod)
+        scaled = five_terms(sc.pair, sc.chart, x, *mod)
         for key in base:
             assert abs(scaled[key] - fx * base[key]) < 1e-12, (slot, key)
 
@@ -134,13 +140,13 @@ def test_tensoriality_fails_without_allowedness():
     for _ in range(3):
         x = sc.sample_points(rng, 1)[0]
         args = [list(rng.normal(size=2)) for _ in range(4)]
-        base = tsr_tensors(sc.pair, sc.chart, x, *args)
+        base = five_terms(sc.pair, sc.chart, x, *args)
         fx = f(x)
         for slot in range(4):
             mod = list(args)
             const = mod[slot]
             mod[slot] = lambda z, c=const: la.vec_scale(f(z), c)
-            scaled = tsr_tensors(sc.pair, sc.chart, x, *mod)
+            scaled = five_terms(sc.pair, sc.chart, x, *mod)
             worst = max(
                 worst, max(abs(scaled[k] - fx * base[k]) for k in base)
             )
@@ -254,7 +260,7 @@ def test_curvature_term_equals_riemann_for_projector_pairs(name):
     for _ in range(5):
         x = sc.sample_points(rng, 1)[0]
         y, x1, x2, z = [list(rng.normal(size=dim)) for _ in range(4)]
-        parts = tsr_tensors(sc.pair, sc.chart, x, y, x1, x2, z)
+        rp = curvature_term(sc.pair, sc.chart, x, y, x1, x2, z)
         R = riemann(sc.chart, x)
         a = la.mat_vec(sc.pair.p2(x), y)
         b = la.mat_vec(sc.pair.p1(x), x1)
@@ -267,12 +273,12 @@ def test_curvature_term_equals_riemann_for_projector_pairs(name):
             for k in range(dim)
             for l in range(dim)
         )
-        assert abs(parts["rp"] - want) < 1e-10
+        assert abs(rp - want) < 1e-10
 
 
 def rp_reduced(pair, chart, x, y, x1, x2, z_slot):
     """Curvature-type term in the reduced form valid for self-adjoint pairs:
-    a second route to tsr_tensors' rp, with P = P1 + P2 in place of the
+    a second route to curvature_term, with P = P1 + P2 in place of the
     adjoints."""
     yf, x1f, x2f, zf = (as_field(v) for v in (y, x1, x2, z_slot))
     p_total = pair.total()
@@ -301,7 +307,7 @@ def test_reduced_curvature_term_for_self_adjoint_pairs(name):
     for _ in range(4):
         x = sc.sample_points(rng, 1)[0]
         vecs = [list(rng.normal(size=dim)) for _ in range(4)]
-        full = tsr_tensors(sc.pair, sc.chart, x, *vecs)["rp"]
+        full = curvature_term(sc.pair, sc.chart, x, *vecs)
         red = rp_reduced(sc.pair, sc.chart, x, *vecs)
         assert abs(full - red) < 1e-9 * (1.0 + abs(full))
 
@@ -352,8 +358,8 @@ def test_identity_terms_scale_with_degree_five():
     rng = np.random.default_rng(64)
     x = base.sample_points(rng, 1)[0]
     vecs = [list(rng.normal(size=2)) for _ in range(4)]
-    pb = tsr_tensors(base.pair, base.chart, x, *vecs)
-    ps = tsr_tensors(scaled.pair, scaled.chart, x, *vecs)
+    pb = five_terms(base.pair, base.chart, x, *vecs)
+    ps = five_terms(scaled.pair, scaled.chart, x, *vecs)
     for key in pb:
         if abs(pb[key]) > 1e-12:
             assert abs(ps[key] / pb[key] - 32.0) < 1e-9  # 2**5

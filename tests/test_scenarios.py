@@ -33,7 +33,7 @@ from distpair.scenarios import (
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_construction_probe_supports_advertised_flags(name):
     sc = build_scenario(name)
-    ev = sc.pair.evidence
+    ev = probe_pair(sc)
     assert ev["adapted"] < 1e-8
     if sc.pair.self_adjoint:
         assert ev["self_adjoint"] < 1e-8
@@ -45,9 +45,21 @@ def test_construction_probe_supports_advertised_flags(name):
         assert ev["div_p_squared"] < 1e-8
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda name=name: build_scenario(name) for name in SCENARIO_NAMES]
+    + [conformal_hopf, non_allowed_rotated],
+    ids=list(SCENARIO_NAMES) + ["conformal-hopf", "non-allowed-rotated"],
+)
+def test_building_a_scenario_runs_no_derivative_pass(build):
+    a = ops.fresh_tag()
+    build()
+    assert ops.fresh_tag() == a + 1
+
+
 def test_rotated_pair_flags():
     sc = non_allowed_rotated()
-    assert sc.pair.evidence["adapted"] < 1e-10
+    assert probe_pair(sc)["adapted"] < 1e-10
     assert not sc.pair.allowed and not sc.pair.self_adjoint
 
 
@@ -183,7 +195,7 @@ def test_grid_builder_broadcasts_single_count():
 
 def _nan_p1_pair(sc):
     nan = float("nan")
-    return dataclasses.replace(sc.pair, p1=lambda _z: [[nan, nan], [nan, nan]], evidence={})
+    return dataclasses.replace(sc.pair, p1=lambda _z: [[nan, nan], [nan, nan]])
 
 
 def test_probe_propagates_nan_evidence():
