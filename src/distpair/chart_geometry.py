@@ -157,20 +157,15 @@ def christoffel(jet: MetricJet) -> list:
     """Christoffel symbols of the jet, gamma[k][i][j] = Gamma^k_{ij}."""
     n = len(jet.g)
     g_inv, dg = jet.g_inv, jet.dg
-    gamma = []
-    for k in range(n):
-        mk = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                s = sum(
-                    g_inv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                    for l in range(n)
-                )
-                row.append(0.5 * s)
-            mk.append(row)
-        gamma.append(mk)
-    return gamma
+    # first[i][j][l] = d_i g_jl + d_j g_il - d_l g_ij, shared by every k
+    first = [
+        [[dg[i][j][l] + dg[j][i][l] - dg[l][i][j] for l in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
+    return [
+        [[0.5 * la.dot(zip(g_inv[k], first[i][j])) for j in range(n)] for i in range(n)]
+        for k in range(n)
+    ]
 
 
 def christoffel_field(chart):

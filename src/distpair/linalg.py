@@ -1,11 +1,22 @@
 """Small dense linear algebra over generic payloads.
 
 Matrices are nested lists; entries may be floats, numpy arrays (batched
-evaluation) or dual numbers, so nothing here may branch on entry values.
-The LU factorization therefore runs without pivoting — it is only ever
-applied to symmetric positive-definite matrices (the metric), where no-pivot
-LU is numerically safe.  :func:`nested_to_array` turns a nested list over a
-batch of nodes into one stacked array for the einsum engines.
+evaluation) or dual numbers.  Arrays and duals are never inspected, so the
+LU factorization runs without pivoting — it is only ever applied to
+symmetric positive-definite matrices (the metric), where no-pivot LU is
+numerically safe.  :func:`nested_to_array` turns a nested list over a batch
+of nodes into one stacked array for the einsum engines.
+
+A Python ``float`` equal to 0.0 is a *structural zero*: the constant zeros
+of diagonal metrics, projectors, identity columns and triangular frames.
+Products, sums, LU steps and frame entries skip it and keep it a float, so
+it is never multiplied into a dual (Griewank & Walther, *Evaluating
+Derivatives*, ch. 3 and ch. 13).  For a finite factor ``x``, ``0.0 * x`` is
+±0.0 and ``a ± 0.0`` is ``a``, so every value equals the one the full
+products give (a zero may differ only in its sign).  A skipped
+``0.0 * nan`` hides no NaN: a metric is validated at real points before any
+pass, and each frame's diagonal ``v_k / |v|`` is never a structural zero, so
+a NaN entry ``P[i][k]`` still reaches column k of ``P L``.
 """
 
 from __future__ import annotations
@@ -21,13 +32,25 @@ def eye(n):
     return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
 
 
+def is_zero(x):
+    """True for a structural zero: a Python float equal to 0.0."""
+    return type(x) is float and x == 0.0
+
+
+def dot(pairs):
+    """sum(a * b) over the pairs in order, skipping every pair with a
+    structural-zero factor; the structural zero 0.0 if all are skipped."""
+    terms = [a * b for a, b in pairs if not (is_zero(a) or is_zero(b))]
+    return sum(terms) if terms else 0.0
+
+
 def mat_vec(a, x):
-    return [sum(ai[j] * x[j] for j in range(len(x))) for ai in a]
+    return [dot(zip(ai, x)) for ai in a]
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][s] * b[s][j] for s in range(k)) for j in range(m)] for i in range(n)]
+    cols = list(zip(*b))
+    return [[dot(zip(ai, col)) for col in cols] for ai in a]
 
 
 def mat_add(a, b):
@@ -64,13 +87,15 @@ def vec_scale(c, x):
 
 def bilinear(g, x, y):
     """<x, y>_g = sum_ij x_i g_ij y_j."""
-    return sum(x[i] * sum(g[i][j] * y[j] for j in range(len(y))) for i in range(len(x)))
+    return dot((xi, dot(zip(gi, y))) for xi, gi in zip(x, g) if not is_zero(xi))
 
 
 def lu_nopivot(a, check_pivot=None):
     """Doolittle LU without pivoting.  Caller guarantees nonzero pivots
     (metric matrices are SPD); entries may be duals or arrays.  When given,
-    ``check_pivot(k, pivot)`` sees each pivot before anything divides by it."""
+    ``check_pivot(k, pivot)`` sees each pivot before anything divides by it.
+    A row whose entry below the pivot is a structural zero is not eliminated,
+    and no update subtracts a multiple of a structural zero."""
     n = len(a)
     upper = [row[:] for row in a]
     lower = eye(n)
@@ -79,10 +104,13 @@ def lu_nopivot(a, check_pivot=None):
         if check_pivot is not None:
             check_pivot(k, piv)
         for i in range(k + 1, n):
+            if is_zero(upper[i][k]):
+                continue
             m = upper[i][k] / piv
             lower[i][k] = m
             for j in range(k, n):
-                upper[i][j] = upper[i][j] - m * upper[k][j]
+                if not is_zero(upper[k][j]):
+                    upper[i][j] = upper[i][j] - m * upper[k][j]
     return lower, upper
 
 
@@ -93,14 +121,20 @@ def lu_det(upper):
     return d
 
 
+def _minus(a, b):
+    return a if is_zero(b) else a - b
+
+
 def lu_solve(lower, upper, b):
+    """Solve L U x = b; a structural zero on the right stays one in x."""
     n = len(b)
     y = [None] * n
     for i in range(n):
-        y[i] = b[i] - sum(lower[i][j] * y[j] for j in range(i))
+        y[i] = _minus(b[i], dot(zip(lower[i][:i], y)))
     x = [None] * n
     for i in reversed(range(n)):
-        x[i] = (y[i] - sum(upper[i][j] * x[j] for j in range(i + 1, n))) / upper[i][i]
+        r = _minus(y[i], dot(zip(upper[i][i + 1 :], x[i + 1 :])))
+        x[i] = r if is_zero(r) else r / upper[i][i]
     return x
 
 
@@ -117,7 +151,8 @@ def gram_schmidt_frame(g):
 
     Returns L with columns L[i][s] = components of the s-th orthonormal frame
     vector, so that L^T g L = Id.  Uses only +,-,*,/ and sqrt, hence works on
-    dual/array payloads.
+    dual/array payloads.  Structural zeros stay 0.0, so L is upper
+    triangular with no zero entry ever multiplied or divided.
     """
     n = len(g)
     cols = []
@@ -125,9 +160,10 @@ def gram_schmidt_frame(g):
         v = [1.0 if k == s else 0.0 for k in range(n)]
         for u in cols:
             c = bilinear(g, u, v)
-            v = [v[k] - c * u[k] for k in range(n)]
+            if not is_zero(c):
+                v = [vk if is_zero(uk) else vk - c * uk for vk, uk in zip(v, u)]
         nv = ops.sqrt(bilinear(g, v, v))
-        cols.append([v[k] / nv for k in range(n)])
+        cols.append([vk if is_zero(vk) else vk / nv for vk in v])
     return [[cols[s][i] for s in range(n)] for i in range(n)]
 
 

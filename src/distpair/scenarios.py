@@ -408,19 +408,8 @@ def _cross_product_endo(chart, xi):
     def fld(z):
         jet = chart.jet1(z)
         xiv = xi(z)
-        out = []
-        for k in range(3):
-            row = []
-            for j in range(3):
-                acc = 0.0
-                for l in range(3):
-                    for m in range(3):
-                        e = _EPS3[l][m][j]
-                        if e != 0.0:
-                            acc = acc + jet.g_inv[k][l] * (e * xiv[m])
-                row.append(jet.sqrt_det * acc)
-            out.append(row)
-        return out
+        cross = [la.mat_vec(la.transpose(eps_l), xiv) for eps_l in _EPS3]  # eps_{lmj} xi^m
+        return la.mat_scale(jet.sqrt_det, la.mat_mul(jet.g_inv, cross))
 
     return fld
 
@@ -429,9 +418,7 @@ def _unit_field_projectors(chart, xi):
     """Complementary orthoprojectors: onto span(xi) and its complement."""
 
     def eta(z):
-        g = chart.jet1(z).g
-        xiv = xi(z)
-        return [sum(g[i][j] * xiv[j] for j in range(3)) for i in range(3)]
+        return la.mat_vec(chart.jet1(z).g, xi(z))
 
     def p2(z):
         xiv = xi(z)

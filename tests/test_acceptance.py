@@ -7,7 +7,6 @@ tolerance below is pinned; loosening one is a regression, not a fix.
 from __future__ import annotations
 
 import math
-import os
 import re
 import subprocess
 import sys
@@ -371,7 +370,7 @@ def test_c10_contact_structure_and_sign_variant():
     )
 
 
-def test_c11_cli_reports_are_deterministic():
+def test_c11_cli_reports_are_deterministic(child_env):
     cmd = [
         sys.executable,
         "-m",
@@ -391,8 +390,7 @@ def test_c11_cli_reports_are_deterministic():
     ]
     outs = []
     for threads in ("1", "4"):
-        env = dict(
-            os.environ,
+        env = child_env(
             OMP_NUM_THREADS=threads,
             OPENBLAS_NUM_THREADS=threads,
             MKL_NUM_THREADS=threads,

@@ -170,7 +170,7 @@ def test_report_file_contains_all_reports(tmp_path, capsys):
     assert isinstance(data, list) and data[0]["check"] == "pair"
 
 
-def test_cli_output_is_deterministic_for_fixed_seed():
+def test_cli_output_is_deterministic_for_fixed_seed(child_env):
     cmd = [
         sys.executable,
         "-m",
@@ -188,7 +188,7 @@ def test_cli_output_is_deterministic_for_fixed_seed():
     ]
     outs = []
     for _ in range(2):
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         masked = re.sub(r'"runtime_ms": [0-9.]+', '"runtime_ms": 0', proc.stdout)
         outs.append(masked)
@@ -243,6 +243,43 @@ def test_non_finite_integral_fails_closed(monkeypatch, capsys):
     reports = _parse_lines(capsys.readouterr().out)
     assert code == 1
     assert [r["pass"] for r in reports] == [False, False]
+
+
+POINTWISE_CHECKS = ("pair", "allowed", "collapse", "codazzi", "divergence", "walczak", "traces")
+SINGLE_NAN_CASES = [
+    (name, field, i, j)
+    for name, n in (("warped-torus", 2), ("hopf-s3", 3))
+    for field in ("p1", "p2")
+    for i in range(n)
+    for j in range(n)
+]
+
+
+@pytest.mark.parametrize("name,field,i,j", SINGLE_NAN_CASES)
+def test_single_nan_entry_fails_every_check(monkeypatch, capsys, name, field, i, j):
+    """One NaN entry of P1 or P2 fails every pointwise and integral check:
+    no product skipped as a structural zero may hide it."""
+    sc = build_scenario(name)
+    intact = getattr(sc.pair, field)
+
+    def broken(z):
+        p = [list(row) for row in intact(z)]
+        p[i][j] = float("nan")
+        return p
+
+    broken_sc = dataclasses.replace(sc, pair=dataclasses.replace(sc.pair, **{field: broken}))
+    monkeypatch.setattr(cli, "build_scenario", lambda _name: broken_sc)
+    argv = ["--scenario", name, "--points", "3"]
+    runs = [argv + [a for c in POINTWISE_CHECKS for a in ("--check", c)]]
+    runs += [["--scenario", name, "--which", w, "--grid", "8"] for w in ("formula", "stokes")]
+    checks = []
+    for run in runs:
+        assert main(run) == 1
+        for r in _parse_lines(capsys.readouterr().out):
+            checks.append(r["check"])
+            assert r["pass"] is False, r
+            assert math.isnan(r["max_abs"]), r
+    assert checks == [*POINTWISE_CHECKS, "formula", "formula", "stokes", "stokes"]
 
 
 def test_traces_sample_every_requested_point(capsys):

@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
+import distpair.dual as ops
 import distpair.linalg as la
 
 
@@ -65,3 +67,91 @@ def test_pairwise_sum_is_deterministic_and_accurate():
     assert abs(s1 - math.fsum(vals)) < 1e-4 * max(1.0, abs(math.fsum(vals)))
     assert la.pairwise_sum([]) == 0.0
     assert la.pairwise_sum([3.25]) == 3.25
+
+
+# -- structural zeros ------------------------------------------------------
+#
+# A float 0.0 entry is skipped; an ndarray of zeros is not inspected, so it is
+# multiplied through like any other entry.  With ``is_zero`` patched off,
+# nothing is skipped at all: the reference every skipped result must equal.
+
+NODES = 4
+SHAPES = {
+    "diagonal": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "block": [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]],
+    "dense": [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+}
+
+
+def _dual_spd(shape, zero):
+    """An SPD matrix over NODES nodes with dual entries where ``shape`` is 1
+    and ``zero()`` elsewhere; diagonally dominant at every node."""
+    rng = np.random.default_rng(len(shape) + sum(map(sum, shape)))
+    tag = ops.fresh_tag()
+    n = len(shape)
+    g = [[zero() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if shape[i][j]:
+                lo, hi = (2.0 + n, 4.0 + 2 * n) if i == j else (-1.0, 1.0)
+                val = rng.uniform(lo, hi, NODES)
+                g[i][j] = g[j][i] = ops.Dual(tag, val, rng.normal(size=NODES))
+    return g
+
+
+def _parts(x):
+    """(value, eps) of an entry as arrays over the nodes; a float is constant."""
+    if isinstance(x, ops.Dual):
+        return np.broadcast_to(x.val, NODES), np.broadcast_to(x.eps, NODES)
+    return np.broadcast_to(x, NODES), np.zeros(NODES)
+
+
+def _assert_same(got, want):
+    if isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same(a, b)
+        return
+    for a, b in zip(_parts(got), _parts(want)):
+        assert np.array_equal(a, b), (a, b)
+
+
+def _results(g):
+    n = len(g)
+    x = [g[i][0] if i % 2 == 0 else g[i][i] for i in range(n)]  # zero where g is
+    y = [g[i][i] for i in range(n)]
+    inv, det = la.inverse_and_det(g)
+    return {
+        "mat_mul": la.mat_mul(g, g),
+        "mat_vec": la.mat_vec(g, y),
+        "bilinear": la.bilinear(g, x, y),
+        "inverse": inv,
+        "det": det,
+        "frame": la.gram_schmidt_frame(g),
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_structural_zeros_leave_values_unchanged(monkeypatch, shape):
+    skipped = _results(_dual_spd(SHAPES[shape], lambda: 0.0))
+    monkeypatch.setattr(la, "is_zero", lambda _x: False)
+    full = _results(_dual_spd(SHAPES[shape], lambda: np.zeros(NODES)))
+    for name, want in full.items():
+        _assert_same(skipped[name], want)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_structural_zeros_stay_floats(shape):
+    g = _dual_spd(SHAPES[shape], lambda: 0.0)
+    n = len(g)
+    frame = la.gram_schmidt_frame(g)
+    inv, _ = la.inverse_and_det(g)
+    for i in range(n):
+        for j in range(n):
+            # the frame is upper triangular; g_inv keeps g's block pattern
+            if i > j:
+                assert type(frame[i][j]) is float and frame[i][j] == 0.0
+            if not SHAPES[shape][i][j]:
+                assert type(inv[i][j]) is float and inv[i][j] == 0.0
+                if shape == "diagonal":
+                    assert type(frame[i][j]) is float and frame[i][j] == 0.0
