@@ -13,9 +13,11 @@ Everything here comes in two implementation styles on purpose:
   and the quadrature module.  It takes each field's value from the field's
   derivative pass, which gives the plain value bit for bit, and the
   projected frame's value and first partials from its second-order pass.
-  It contracts pairwise through shared intermediates (the partials of
-  nabla A, B lowered once), so no loop runs above n^5 per node; the
-  one-einsum-per-formula version is kept in the tests as a cross-check.
+  It contracts pairwise through shared intermediates and reads each
+  derivative along its frame vector first, so no loop runs above n^4 per
+  node apart from the one contraction (d Gamma) A, and each phase's arrays
+  are freed when the phase ends; the one-einsum-per-formula version is kept
+  in the tests as a cross-check.
 
 ``div_P`` has the one route :func:`div_p`, which the divergence checks, the
 Stokes quadrature and the Walczak-type residual all call.  The residual
@@ -344,106 +346,151 @@ def _frame_product_fields(chart, pair):
     return a_field, b_field
 
 
+def _frame_jet(a_field, cols, n_nodes):
+    """A's value a0 and first partials da, and its second partials read
+    along A: a_d2a[d, k, s] = sum_i A^i_s d_d d_i A^k_s.
+
+    second_partials fills d2[d][i] and d2[i][d] with one object, so a_d2a is
+    also the derivative along A_s of d_d A_s.  The n^4 array of all second
+    partials is freed on return."""
+    val, d, d2 = second_partials(a_field, cols)
+    a0 = la.nested_to_array(val, n_nodes)
+    d2a = la.nested_to_array(d2, n_nodes)
+    return a0, la.nested_to_array(d, n_nodes), np.einsum("isn,diksn->dksn", a0, d2a)
+
+
+def _christoffel_along(chart, cols, n_nodes, a0):
+    """Gamma, gam_a[i, k, t] = Gamma^k_{im} A^m_t and the partials of Gamma
+    read along A in each slot: q_low[d, k, s] = A^i_s d_d Gamma^k_{im} A^m_s
+    and q_dir[i, k, s] = A^d_s d_d Gamma^k_{im} A^m_s.
+
+    q = (d Gamma) A is the engine's one n^5 contraction; it and d Gamma are
+    freed on return."""
+    gam0, dgam = _diff_field(christoffel_field(chart), cols, n_nodes)
+    q = np.einsum("dkimn,mtn->dkitn", dgam, a0)
+    return (
+        gam0,
+        np.einsum("kimn,mtn->iktn", gam0, a0),
+        np.einsum("isn,dkisn->dksn", a0, q),
+        np.einsum("dsn,dkisn->iksn", a0, q),
+    )
+
+
+def _second_forms(g0, frames):
+    """h, T and the mean curvature vector H of each distribution, with their
+    norms.  frames holds (F, cov_f, P) per distribution: its projected frame,
+    cov_f[i, k, t] = (nabla_{d_i} F_t)^k and the projector onto the other one.
+
+    A norm such as |h1|^2 is <P2 x, x> with x the unprojected form, which is
+    |P2 x|^2 for an orthogonal projector and is linear in the pair."""
+    out = {}
+    for i, (f0, cov_f, proj) in enumerate(frames, 1):
+        m = np.einsum("isn,iktn->kstn", f0, cov_f)  # nabla_{F_s} F_t
+        for key, sign in (("h", 1.0), ("t", -1.0)):
+            pre = 0.5 * (m + sign * np.swapaxes(m, 1, 2))
+            form = np.einsum("kmn,mstn->kstn", proj, pre)
+            out[f"{key}{i}"] = form
+            # <P pre, pre> summed over the frame indices s, t
+            out[f"norm_{key}{i}"] = np.einsum("kstn,kln,lstn->n", form, g0, pre)
+        # the mean curvature is the trace of the form
+        hv = np.einsum("kssn->kn", out[f"h{i}"])
+        out[f"H{i}"] = hv
+        out[f"norm_H{i}"] = np.einsum("kn,kln,ln->n", hv, g0, np.einsum("kssn->kn", m))
+    return out
+
+
+def _b_derivative_term(gam0, gam_a, q_low, a0, da, a_d2a, cov_a, p0, dp, b0, b_low):
+    """sum_{s,t} <nabla_{B_t}(P nabla_{A_s} A_s), B_t>.
+
+    Gamma is symmetric in its lower slots, so A^j_s Gamma^m_{jq} is
+    gam_a[q, m, s]; the same holds in :func:`_a_derivative_terms`."""
+    m1 = np.einsum("isn,iksn->ksn", a0, cov_a)  # nabla_{A_s} A_s
+    # d_d of A^j_s (d_j A^m_s + Gamma^m_{jq} A^q_s), term by term
+    dm1 = (
+        np.einsum("djsn,jmsn->dmsn", da, cov_a)
+        + a_d2a
+        + q_low
+        + np.einsum("qmsn,dqsn->dmsn", gam_a, da)
+    )
+    g1 = np.einsum("kmn,msn->ksn", p0, m1)
+    dg1 = np.einsum("dkmn,msn->dksn", dp, m1) + np.einsum("kmn,dmsn->dksn", p0, dm1)
+    cg1 = dg1 + np.einsum("kimn,msn->iksn", gam0, g1)
+    return np.einsum("itn,iksn,ktn->n", b0, cg1, b_low)
+
+
+def _a_derivative_terms(gam0, gam_a, q_dir, a0, da, a_d2a, cov_a, p0, dp, b0, db, g0, b_low):
+    """sum_{s,t} <nabla_{A_s}(P nabla_{B_t} A_s), B_t> and
+    sum_{s,t} <nabla_{P [B_t, A_s]} A_s, B_t>.
+
+    Every derivative is read along A_s before anything is expanded, so no
+    array carries a free derivative index."""
+    adb = np.einsum("dsn,djtn->jtsn", a0, db)  # D_{A_s} B_t
+    m3 = np.einsum("jtn,jmsn->mtsn", b0, cov_a)  # nabla_{B_t} A_s
+    # D_{A_s} of (nabla_{d_j} A_s)^m = d_j A^m_s + Gamma^m_{jq} A^q_s
+    a_da = np.einsum("dsn,dmsn->msn", a0, da)  # D_{A_s} A_s
+    a_cov = a_d2a + q_dir + np.einsum("kimn,msn->iksn", gam0, a_da)
+    a_m3 = np.einsum("jtsn,jmsn->mtsn", adb, cov_a) + np.einsum("jtn,jmsn->mtsn", b0, a_cov)
+    g2 = np.einsum("kmn,mtsn->ktsn", p0, m3)
+    # nabla_{A_s} g2 = D_{A_s} P . m3 + P D_{A_s} m3 + Gamma(A_s, g2)
+    cg2 = (
+        np.einsum("kmsn,mtsn->ktsn", np.einsum("isn,ikmn->kmsn", a0, dp), m3)
+        + np.einsum("kmn,mtsn->ktsn", p0, a_m3)
+        + np.einsum("mksn,mtsn->ktsn", gam_a, g2)
+    )
+    term2 = np.einsum("ktsn,kln,ltn->n", cg2, g0, b0)
+
+    lie = np.einsum("itn,imsn->mtsn", b0, da) - adb
+    v_lie = np.einsum("kmn,mtsn->ktsn", p0, lie)
+    term3 = np.einsum("itsn,iksn,ktn->n", v_lie, cov_a, b_low)
+    return term2, term3
+
+
 def dist_invariants_batch(chart, pair, cols):
     """All frame-summed invariants of the pair at a batch of nodes.
 
     Valid for self-adjoint pairs (the curvature-type trace uses the reduced
     form).  Returns arrays keyed by name; forms carry frame indices (s, t).
-    A norm such as |h1|^2 is <P2 x, x> with x the unprojected form, which
-    is |P2 x|^2 for an orthogonal projector and is linear in the pair.
 
-    Every contraction is pairwise through a shared intermediate: no loop
-    nest runs above n^5 per node, and no product of three factors above
-    n^4.  The reductions to one value per node multiply three factors,
-    since numpy sums a one-node batch of a two-factor product in another
-    order; so each node's outputs are the same bits at any batch size.
+    Each derivative index is contracted with the frame vector it is read
+    along before anything is expanded, so no loop nest runs above n^4 per
+    node apart from the one contraction (d Gamma) A, and no product of three
+    factors above n^4.  Each phase (the second partials of A, the partials of
+    Gamma, the forms, the derivative terms of the mixed curvature) runs in a
+    helper whose arrays are freed when it returns.  The reductions to one
+    value per node multiply three factors, since numpy sums a one-node batch
+    of a two-factor product in another order; so each node's outputs are the
+    same bits at any batch size.
     """
     n_nodes = cols[0].shape[0]
     a_field, b_field = _frame_product_fields(chart, pair)
 
-    gam0, dgam = _diff_field(christoffel_field(chart), cols, n_nodes)
     # the projected frame A = P1 L, B = P2 L; A's value and first partials
     # come from its second-order pass
-    a0, da, d2a = (la.nested_to_array(c, n_nodes) for c in second_partials(a_field, cols))
+    a0, da, a_d2a = _frame_jet(a_field, cols, n_nodes)
+    gam0, gam_a, q_low, q_dir = _christoffel_along(chart, cols, n_nodes, a0)
     b0, db = _diff_field(b_field, cols, n_nodes)
     p0, dp = _diff_field(pair.total(), cols, n_nodes)
     g0 = la.nested_to_array(chart.jet1(cols).g, n_nodes)
-    p1 = la.nested_to_array(pair.p1(cols), n_nodes)
-    p2 = la.nested_to_array(pair.p2(cols), n_nodes)
 
-    # cov_a[i, k, t] = (nabla_{d_i} A_t)^k, and its partials
-    # dcov_a[d, i, k, t] = d_d (nabla_{d_i} A_t)^k
-    cov_a = da + np.einsum("kimn,mtn->iktn", gam0, a0)
-    cov_b = db + np.einsum("kimn,mtn->iktn", gam0, b0)
-    dcov_a = (
-        d2a
-        + np.einsum("dkimn,mtn->diktn", dgam, a0)
-        + np.einsum("kimn,dmtn->diktn", gam0, da)
-    )
-
-    m1 = np.einsum("isn,iktn->kstn", a0, cov_a)  # nabla_{A_s} A_t
-    m2 = np.einsum("isn,iktn->kstn", b0, cov_b)  # nabla_{B_s} B_t
-    m3 = np.einsum("itn,iksn->ktsn", b0, cov_a)  # nabla_{B_t} A_s
-
-    h1_pre = 0.5 * (m1 + np.swapaxes(m1, 1, 2))
-    t1_pre = 0.5 * (m1 - np.swapaxes(m1, 1, 2))
-    h2_pre = 0.5 * (m2 + np.swapaxes(m2, 1, 2))
-    t2_pre = 0.5 * (m2 - np.swapaxes(m2, 1, 2))
-    h1 = np.einsum("kmn,mstn->kstn", p2, h1_pre)
-    t1 = np.einsum("kmn,mstn->kstn", p2, t1_pre)
-    h2 = np.einsum("kmn,mstn->kstn", p1, h2_pre)
-    t2 = np.einsum("kmn,mstn->kstn", p1, t2_pre)
-
-    def pnorm_sq(form, pre):
-        """<P pre, pre> summed over the frame indices s, t, from form = P pre."""
-        return np.einsum("kstn,kln,lstn->n", form, g0, pre)
-
-    # the mean curvatures are the traces of the forms
-    hv1 = np.einsum("kssn->kn", h1)
-    hv2 = np.einsum("kssn->kn", h2)
+    # cov_a[i, k, t] = (nabla_{d_i} A_t)^k
+    cov_a = da + gam_a
 
     # mixed curvature trace, reduced form: sum over frame pairs (s, t) of
     #   <nabla_{B_t}(P nabla_{A_s} A_s), B_t> - <nabla_{A_s}(P nabla_{B_t} A_s), B_t>
     #   - <nabla_{P [B_t, A_s]} A_s, B_t>
     b_low = np.einsum("kln,ltn->ktn", g0, b0)  # <., B_t>
-
-    # d_d of nabla_{A_s} A_s
-    dm1_diag = np.einsum("djsn,jmsn->dmsn", da, cov_a) + np.einsum(
-        "jsn,djmsn->dmsn", a0, dcov_a
+    term1 = _b_derivative_term(gam0, gam_a, q_low, a0, da, a_d2a, cov_a, p0, dp, b0, b_low)
+    term2, term3 = _a_derivative_terms(
+        gam0, gam_a, q_dir, a0, da, a_d2a, cov_a, p0, dp, b0, db, g0, b_low
     )
-    g1 = np.einsum("kmn,mssn->ksn", p0, m1)
-    dg1 = np.einsum("dkmn,mssn->dksn", dp, m1) + np.einsum("kmn,dmsn->dksn", p0, dm1_diag)
-    cg1 = dg1 + np.einsum("kimn,msn->iksn", gam0, g1)
-    term1 = np.einsum("itn,iksn,ktn->n", b0, cg1, b_low)
 
-    # d_d of nabla_{B_t} A_s
-    dm3 = np.einsum("djtn,jmsn->dmtsn", db, cov_a) + np.einsum(
-        "jtn,djmsn->dmtsn", b0, dcov_a
-    )
-    g2 = np.einsum("kmn,mtsn->ktsn", p0, m3)
-    dg2 = np.einsum("dkmn,mtsn->dktsn", dp, m3) + np.einsum("kmn,dmtsn->dktsn", p0, dm3)
-    cg2 = dg2 + np.einsum("kimn,mtsn->iktsn", gam0, g2)
-    term2 = np.einsum("isn,iktsn,ktn->n", a0, cg2, b_low)
-
-    lie = np.einsum("itn,imsn->mtsn", b0, da) - np.einsum("isn,imtn->mtsn", a0, db)
-    v_lie = np.einsum("kmn,mtsn->ktsn", p0, lie)
-    term3 = np.einsum("itsn,iksn,ktn->n", v_lie, cov_a, b_low)
-
-    return {
-        "h1": h1,
-        "h2": h2,
-        "t1": t1,
-        "t2": t2,
-        "H1": hv1,
-        "H2": hv2,
-        "norm_h1": pnorm_sq(h1, h1_pre),
-        "norm_h2": pnorm_sq(h2, h2_pre),
-        "norm_t1": pnorm_sq(t1, t1_pre),
-        "norm_t2": pnorm_sq(t2, t2_pre),
-        "norm_H1": np.einsum("kn,kln,ln->n", hv1, g0, np.einsum("kssn->kn", m1)),
-        "norm_H2": np.einsum("kn,kln,ln->n", hv2, g0, np.einsum("kssn->kn", m2)),
-        "smix": term1 - term2 - term3,
-    }
+    # the forms go last, so their outputs are not held through the terms
+    p1 = la.nested_to_array(pair.p1(cols), n_nodes)
+    p2 = la.nested_to_array(pair.p2(cols), n_nodes)
+    cov_b = db + np.einsum("kimn,mtn->iktn", gam0, b0)
+    out = _second_forms(g0, ((a0, cov_a, p2), (b0, cov_b, p1)))
+    out["smix"] = term1 - term2 - term3
+    return out
 
 
 def formula_terms_batch(chart, pair, cols):

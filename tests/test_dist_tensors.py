@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ from distpair.endo_fields import (
     apply_endo,
     gnorm,
 )
-from distpair.quadrature import Axis
+from distpair.quadrature import Axis, _chunk_nodes
 from distpair.scenarios import (
     ScenarioManifold,
     _trig_scalar,
@@ -577,9 +578,9 @@ def multi_operand_invariants(chart, pair, cols):
     return out
 
 
-@pytest.mark.parametrize("name", ALL_SCENARIOS)
+@pytest.mark.parametrize("name", ALL_SCENARIOS + ("split-t3",))
 def test_invariants_match_the_multi_operand_contractions(name):
-    sc = build_scenario(name)
+    sc = split_t3() if name == "split-t3" else build_scenario(name)
     cols = sc.sample_columns(np.random.default_rng(93), 30)
     got = dist_invariants_batch(sc.chart, sc.pair, cols)
     want = multi_operand_invariants(sc.chart, sc.pair, cols)
@@ -589,11 +590,11 @@ def test_invariants_match_the_multi_operand_contractions(name):
         assert float(np.max(np.abs(got[key] - ref))) <= 1e-12 * (1.0 + scale), key
 
 
-@pytest.mark.parametrize("name", ALL_SCENARIOS)
+@pytest.mark.parametrize("name", ALL_SCENARIOS + ("split-t3",))
 def test_invariants_do_not_depend_on_the_batch_size(name):
     """Each node's invariants are the same bits in a 3-node batch and alone:
     no contraction may take a route that only a one-node batch takes."""
-    sc = build_scenario(name)
+    sc = split_t3() if name == "split-t3" else build_scenario(name)
     pts = sc.sample_points(np.random.default_rng(91), 3)
     batch = dist_invariants_batch(sc.chart, sc.pair, point_columns(pts))
     assert len(batch) == 13
@@ -602,6 +603,32 @@ def test_invariants_do_not_depend_on_the_batch_size(name):
         assert single.keys() == batch.keys()
         for key, val in single.items():
             assert val[..., 0].tobytes() == batch[key][..., p].tobytes(), (key, p)
+
+
+@pytest.mark.parametrize(
+    "name,counts,bound_mb",
+    [
+        pytest.param("hopf-s3", (24, 24, 24), 80.0, id="hopf-s3"),
+        pytest.param("einstein-s3xt2", (5, 5, 5, 4, 4), 55.0, id="einstein-s3xt2"),
+    ],
+)
+def test_invariants_engine_frees_each_phase(name, counts, bound_mb):
+    """One engine call on the formula's first quadrature chunk holds its
+    inputs, its outputs and one phase's arrays at a time.  numpy reports its
+    buffers to tracemalloc, so the traced peak above the call's start is the
+    same on every run; holding every phase's arrays to the end takes about
+    twice the bound."""
+    sc = build_scenario(name)
+    chunk = 16384 if sc.chart.dim <= 3 else 2048  # integral_formula_check's
+    cols, _ = next(_chunk_nodes(sc.grid(counts), chunk))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        dist_invariants_batch(sc.chart, sc.pair, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / 1e6 <= bound_mb
 
 
 def test_invariants_closed_form_on_warped_torus():
