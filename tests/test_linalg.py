@@ -72,7 +72,8 @@ def test_pairwise_sum_is_deterministic_and_accurate():
 # -- structural zeros ------------------------------------------------------
 #
 # A float 0.0 entry is skipped; an ndarray of zeros is not inspected, so it is
-# multiplied through like any other entry.  With ``is_zero`` patched off,
+# multiplied through like any other entry.  With ``is_zero`` patched off and
+# ``dot``, which spells the test out, replaced by the sum of every product,
 # nothing is skipped at all: the reference every skipped result must equal.
 
 NODES = 4
@@ -131,10 +132,16 @@ def _results(g):
     }
 
 
+def _dot_of_every_product(pairs):
+    terms = [a * b for a, b in pairs]
+    return sum(terms) if terms else 0.0
+
+
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_structural_zeros_leave_values_unchanged(monkeypatch, shape):
     skipped = _results(_dual_spd(SHAPES[shape], lambda: 0.0))
     monkeypatch.setattr(la, "is_zero", lambda _x: False)
+    monkeypatch.setattr(la, "dot", _dot_of_every_product)
     full = _results(_dual_spd(SHAPES[shape], lambda: np.zeros(NODES)))
     for name, want in full.items():
         _assert_same(skipped[name], want)
