@@ -616,8 +616,8 @@ def test_invariants_engine_frees_each_phase(name, counts, bound_mb):
     """One engine call on the formula's first quadrature chunk holds its
     inputs, its outputs and one phase's arrays at a time.  numpy reports its
     buffers to tracemalloc, so the traced peak above the call's start is the
-    same on every run; holding every phase's arrays to the end takes about
-    twice the bound."""
+    same on every run.  An engine that holds every phase's arrays to its end
+    peaks far above the bound."""
     sc = build_scenario(name)
     chunk = 16384 if sc.chart.dim <= 3 else 2048  # integral_formula_check's
     cols, _ = next(_chunk_nodes(sc.grid(counts), chunk))
