@@ -30,6 +30,10 @@ INVOCATIONS = (
     ["--scenario", "einstein-s3xt2", "--points", "4", "--seed", "5"],
     ["--scenario", "warped-torus", "--which", "formula", "--seed", "5"],
     ["--scenario", "warped-torus", "--which", "stokes", "--grid", "16", "--seed", "5"],
+    ["--scenario", "hopf-s3", "--which", "stokes", "--grid", "8", "--seed", "5"],
+    ["--scenario", "hopf-s3", "--which", "formula", "--grid", "8", "--seed", "5"],
+    ["--scenario", "einstein-s3xt2", "--which", "stokes", "--grid", "4", "--seed", "5"],
+    ["--scenario", "einstein-s3xt2", "--which", "formula", "--grid", "4,4,4,3,3", "--seed", "5"],
 )
 
 
