@@ -260,25 +260,43 @@ def _round_sphere_factor(z3):
     return 2.0 / (1.0 + x * x + y * y + w * w)
 
 
+def _s3_half(z3):
+    """(|z|^2 - 1) / 2, the diagonal term of every :func:`_s3_frame` vector."""
+    x, y, w = z3[0], z3[1], z3[2]
+    return (x * x + y * y + w * w - 1.0) * 0.5
+
+
+def _s3_e1(z3, half):
+    """The first vector of :func:`_s3_frame` alone (the unit Hopf field);
+    ``half`` is :func:`_s3_half` of the same point."""
+    x, y, w = z3[0], z3[1], z3[2]
+    return [half - x * x, w - x * y, -y - x * w]
+
+
 def _s3_frame(z3):
     """Orthonormal left-invariant frame of the round 3-sphere, in the
     stereographic chart (unit vectors for the conformally flat metric)."""
     x, y, w = z3[0], z3[1], z3[2]
-    r2 = x * x + y * y + w * w
-    half = (r2 - 1.0) * 0.5
-    e1 = [half - x * x, w - x * y, -y - x * w]
+    half = _s3_half(z3)
     e2 = [-w - x * y, half - y * y, x - w * y]
     e3 = [y - x * w, -x - y * w, half - w * w]
-    return e1, e2, e3
+    return _s3_e1(z3, half), e2, e3
+
+
+def _sphere_q0(z3):
+    """(q0, 1 / (1 + |z|^2)): the first embedding coordinate of the chart
+    point and the factor of the other three."""
+    x, y, w = z3[0], z3[1], z3[2]
+    r2 = x * x + y * y + w * w
+    den = 1.0 / (1.0 + r2)
+    return (r2 - 1.0) * den, den
 
 
 def _sphere_coords(z3):
     """Embedding coordinates (q0, q1, q2, q3) of the chart point — smooth,
     bounded building blocks for globally smooth test fields."""
-    x, y, w = z3[0], z3[1], z3[2]
-    r2 = x * x + y * y + w * w
-    den = 1.0 / (1.0 + r2)
-    return [(r2 - 1.0) * den, 2.0 * x * den, 2.0 * y * den, 2.0 * w * den]
+    q0, den = _sphere_q0(z3)
+    return [q0, 2.0 * z3[0] * den, 2.0 * z3[1] * den, 2.0 * z3[2] * den]
 
 
 def einstein_factor(u):
@@ -415,14 +433,13 @@ def _cross_product_endo(chart, xi):
 
 
 def _unit_field_projectors(chart, xi):
-    """Complementary orthoprojectors: onto span(xi) and its complement."""
+    """Complementary orthoprojectors: onto span(xi) and its complement.
 
-    def eta(z):
-        return la.mat_vec(chart.jet1(z).g, xi(z))
+    ``p2`` evaluates xi once and lowers it with g for the covector eta."""
 
     def p2(z):
         xiv = xi(z)
-        ev = eta(z)
+        ev = la.mat_vec(chart.jet1(z).g, xiv)
         return [[xiv[i] * ev[j] for j in range(3)] for i in range(3)]
 
     def p1(z):
@@ -438,7 +455,7 @@ def _hopf_scenario(name, conformal_strength=0.0):
     def psi(z):
         if conformal_strength == 0.0:
             return 0.0
-        return conformal_strength * _sphere_coords(z)[0]
+        return conformal_strength * _sphere_q0(z)[0]
 
     def metric(z):
         lam = _round_sphere_factor(z)
@@ -460,7 +477,7 @@ def _hopf_scenario(name, conformal_strength=0.0):
     )
 
     def xi(z):
-        e1 = _s3_frame(z)[0]
+        e1 = _s3_e1(z, _s3_half(z))
         if conformal_strength == 0.0:
             return e1
         scale = ops.exp(-psi(z))
@@ -555,11 +572,13 @@ def _trig_scalar(rng, dim, scale=1.0):
 
 
 def _sphere_scalar(rng, scale=1.0):
+    """Random quadratic in the embedding coordinates ``q`` (from
+    :func:`_sphere_coords`); callers compute q once per point for all of
+    their coefficients."""
     lin = rng.normal(size=(5,)) * scale
     quad = rng.normal(size=(4, 4)) * (0.5 * scale)
 
-    def f(z3):
-        q = _sphere_coords(z3)
+    def f(q):
         val = lin[0]
         for i in range(4):
             val = val + lin[i + 1] * q[i]
@@ -576,11 +595,12 @@ def random_scalar_field(scenario, rng):
         return _trig_scalar(rng, dim)
     sphere = _sphere_scalar(rng)
     if dim == 3:
-        return sphere
+        return lambda z: sphere(_sphere_coords(z))
     tail = _trig_scalar(rng, dim - 3, scale=0.5)
 
     def f(z):
-        return sphere(z[:3]) * (1.0 + 0.3 * tail(z[3:])) + tail(z[3:])
+        t = tail(z[3:])
+        return sphere(_sphere_coords(z[:3])) * (1.0 + 0.3 * t) + t
 
     return f
 
@@ -600,7 +620,8 @@ def random_vector_field(scenario, rng):
 
         def fld3(z):
             frame = _s3_frame(z)
-            cs = [c(z) for c in coeffs]
+            q = _sphere_coords(z)
+            cs = [c(q) for c in coeffs]
             return [
                 cs[0] * frame[0][i] + cs[1] * frame[1][i] + cs[2] * frame[2][i]
                 for i in range(3)
@@ -616,15 +637,16 @@ def random_vector_field(scenario, rng):
     def fld(z):
         s3 = z[:3]
         frame = _s3_frame(s3)
+        q = _sphere_coords(s3)
         cs = [
-            sphere_coeffs[m](s3) * (1.0 + 0.5 * angle_coeffs[m](z[3:]))
+            sphere_coeffs[m](q) * (1.0 + 0.5 * angle_coeffs[m](z[3:]))
             for m in range(3)
         ]
         out = [
             cs[0] * frame[0][i] + cs[1] * frame[1][i] + cs[2] * frame[2][i]
             for i in range(3)
         ]
-        out.extend(tail_s[a](s3) * tail_t[a](z[3:]) for a in range(dim - 3))
+        out.extend(tail_s[a](q) * tail_t[a](z[3:]) for a in range(dim - 3))
         return out
 
     return fld
