@@ -421,13 +421,21 @@ _EPS3 = [
 
 def _cross_product_endo(chart, xi):
     """phi^k_j = sqrt(det g) g^{kl} eps_{lmj} xi^m — rotation by a quarter
-    turn around xi in its orthogonal complement (3-d charts only)."""
+    turn around xi in its orthogonal complement (3-d charts only).
+
+    sqrt(det g) multiplies only the entries of g^{-1} cross that are not
+    structural zeros.  Each row of cross holds two entries of xi, so a NaN
+    in xi or in sqrt(det g) still reaches phi."""
 
     def fld(z):
         jet = chart.jet1(z)
         xiv = xi(z)
         cross = [la.mat_vec(la.transpose(eps_l), xiv) for eps_l in _EPS3]  # eps_{lmj} xi^m
-        return la.mat_scale(jet.sqrt_det, la.mat_mul(jet.g_inv, cross))
+        s = jet.sqrt_det
+        return [
+            [x if la.is_zero(x) else s * x for x in row]
+            for row in la.mat_mul(jet.g_inv, cross)
+        ]
 
     return fld
 

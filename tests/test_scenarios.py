@@ -13,8 +13,15 @@ import distpair.linalg as la
 from distpair.chart_geometry import cov_at, div_vector, einstein_tensor
 from distpair.dual import directional
 from distpair.endo_fields import sqrt_psd
+from distpair import scenarios
+from distpair.cli import cmd_verify
 from distpair.scenarios import (
     SCENARIO_NAMES,
+    _cross_product_endo,
+    _s3_e1,
+    _s3_frame,
+    _s3_half,
+    _unit_field_projectors,
     build_scenario,
     conformal_hopf,
     einstein_a1,
@@ -205,3 +212,134 @@ def test_probe_propagates_nan_evidence():
     ev = probe_pair(sc)
     for key in ("adapted", "self_adjoint", "allowed"):
         assert math.isnan(ev[key]), (key, ev[key])
+
+
+def _bits(obj, n_nodes):
+    return la.nested_to_array(obj, n_nodes).tobytes()
+
+
+def _float_columns_and_dual_values(f, sc):
+    """f at a float point, at a column batch, and the parts of a directional
+    and a second-order pass, each as bytes."""
+    rng = np.random.default_rng(21)
+    x = sc.sample_points(rng, 1)[0]
+    cols = sc.sample_columns(rng, 4)
+    v = list(rng.normal(size=len(x)))
+    out = [_bits(f(x), 1), _bits(f(cols), 4)]
+    out += [_bits(part, 1) for part in directional(f, x, v)]
+    val, d, d2 = ops.second_partials(f, cols)
+    out += [_bits(val, 4), _bits(d, 4), _bits(d2, 4)]
+    return out
+
+
+def test_hopf_e1_equals_first_frame_vector_bit_for_bit():
+    sc = hopf_contact_s3()
+    e1 = _float_columns_and_dual_values(lambda z: _s3_e1(z, _s3_half(z)), sc)
+    frame = _float_columns_and_dual_values(lambda z: _s3_frame(z)[0], sc)
+    assert e1 == frame
+    assert _float_columns_and_dual_values(sc.extras["xi"], sc) == frame
+
+
+@pytest.mark.parametrize("strength", [0.0, 0.3])
+def test_each_projector_call_evaluates_xi_once(strength):
+    sc = hopf_contact_s3() if strength == 0.0 else conformal_hopf(strength)
+    xi, calls = sc.extras["xi"], []
+
+    def counting_xi(z):
+        calls.append(None)
+        return xi(z)
+
+    p1, p2 = _unit_field_projectors(sc.chart, counting_xi)
+    rng = np.random.default_rng(22)
+    x = sc.sample_points(rng, 1)[0]
+    cols = sc.sample_columns(rng, 3)
+    for p in (p1, p2):
+        for evaluate in (
+            lambda: p(x),
+            lambda: p(cols),
+            lambda: directional(p, cols, [0.0, 1.0, 0.0]),
+            lambda: ops.second_partials(p, x),
+        ):
+            calls.clear()
+            evaluate()
+            # a second-order pass evaluates the field once, at its nested point
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["hopf-s3", "einstein-s3xt2"])
+@pytest.mark.parametrize("make", [random_scalar_field, random_vector_field])
+def test_random_sphere_fields_embed_each_point_once(monkeypatch, name, make):
+    sc = build_scenario(name)
+    fld = make(sc, np.random.default_rng(23))
+    calls, coords = [], scenarios._sphere_coords
+
+    def counting_coords(z3):
+        calls.append(None)
+        return coords(z3)
+
+    monkeypatch.setattr(scenarios, "_sphere_coords", counting_coords)
+    rng = np.random.default_rng(24)
+    x = sc.sample_points(rng, 1)[0]
+    cols = sc.sample_columns(rng, 3)
+    for evaluate in (
+        lambda: fld(x),
+        lambda: fld(cols),
+        lambda: ops.partials(fld, cols),
+        lambda: ops.second_partials(fld, x),
+    ):
+        calls.clear()
+        evaluate()
+        assert len(calls) == 1
+
+
+def _counting_zero_products(monkeypatch):
+    """Patch Dual multiplication to record each product with a float 0.0."""
+    zeros, mul = [], ops.Dual.__mul__
+
+    def counting_mul(a, b):
+        if type(b) is float and b == 0.0:
+            zeros.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(ops.Dual, "__mul__", counting_mul)
+    monkeypatch.setattr(ops.Dual, "__rmul__", counting_mul)
+    return zeros
+
+
+def test_quarter_turn_endo_multiplies_no_structural_zero(monkeypatch):
+    sc = hopf_contact_s3()
+    phi, xi, chart = sc.extras["phi"], sc.extras["xi"], sc.chart
+
+    def scaled_everywhere(z):
+        """phi with sqrt(det g) multiplied into every entry, zeros too."""
+        jet = chart.jet1(z)
+        cross = [la.mat_vec(la.transpose(e), xi(z)) for e in scenarios._EPS3]
+        return la.mat_scale(jet.sqrt_det, la.mat_mul(jet.g_inv, cross))
+
+    # equal values; a skipped zero may differ in sign (0.0 for -0.0)
+    for got, want in zip(
+        _float_columns_and_dual_values(phi, sc),
+        _float_columns_and_dual_values(scaled_everywhere, sc),
+    ):
+        assert np.array_equal(np.frombuffer(got), np.frombuffer(want))
+    zeros = _counting_zero_products(monkeypatch)
+    directional(scaled_everywhere, sc.sample_points(np.random.default_rng(25), 1)[0], [1.0, 0.0, 0.0])
+    assert zeros  # the count sees the products skipped below
+    zeros.clear()
+    (report,) = cmd_verify(sc, ["contact"], 40, 42, 1e-6)
+    assert report["pass"]
+    assert zeros == []
+
+
+def test_contact_fails_on_a_nan_entry_of_xi():
+    sc = hopf_contact_s3()
+    xi = sc.extras["xi"]
+
+    def nan_xi(z):
+        v = xi(z)
+        return [v[0], v[1], v[2] * math.nan]
+
+    extras = {"xi": nan_xi, "phi": _cross_product_endo(sc.chart, nan_xi)}
+    (report,) = cmd_verify(dataclasses.replace(sc, extras=extras), ["contact"], 8, 5, 1e-6)
+    assert math.isnan(report["max_normalized"])
+    assert report["pass"] is False
