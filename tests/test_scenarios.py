@@ -292,20 +292,6 @@ def test_random_sphere_fields_embed_each_point_once(monkeypatch, name, make):
         assert len(calls) == 1
 
 
-def _counting_zero_products(monkeypatch):
-    """Patch Dual multiplication to record each product with a float 0.0."""
-    zeros, mul = [], ops.Dual.__mul__
-
-    def counting_mul(a, b):
-        if type(b) is float and b == 0.0:
-            zeros.append(None)
-        return mul(a, b)
-
-    monkeypatch.setattr(ops.Dual, "__mul__", counting_mul)
-    monkeypatch.setattr(ops.Dual, "__rmul__", counting_mul)
-    return zeros
-
-
 def test_quarter_turn_endo_multiplies_no_structural_zero(monkeypatch):
     sc = hopf_contact_s3()
     phi, xi, chart = sc.extras["phi"], sc.extras["xi"], sc.chart
@@ -322,7 +308,15 @@ def test_quarter_turn_endo_multiplies_no_structural_zero(monkeypatch):
         _float_columns_and_dual_values(scaled_everywhere, sc),
     ):
         assert np.array_equal(np.frombuffer(got), np.frombuffer(want))
-    zeros = _counting_zero_products(monkeypatch)
+    zeros, mul = [], ops.Dual.__mul__
+
+    def counting_mul(a, b):
+        if type(b) is float and b == 0.0:
+            zeros.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(ops.Dual, "__mul__", counting_mul)
+    monkeypatch.setattr(ops.Dual, "__rmul__", counting_mul)
     directional(scaled_everywhere, sc.sample_points(np.random.default_rng(25), 1)[0], [1.0, 0.0, 0.0])
     assert zeros  # the count sees the products skipped below
     zeros.clear()
