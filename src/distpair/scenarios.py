@@ -555,25 +555,33 @@ def build_scenario(name):
     raise KeyError(name)
 
 
+def _trig_basis(z):
+    """The trigonometric building blocks of every :func:`_trig_scalar` over
+    the coordinates ``z``: (sin z_i, cos z_i, sin 2z_i, cos 2z_i) for each
+    coordinate, and cos(z_i - z_j) for each pair i < j.  A field computes
+    them once per point and passes them to all of its trig coefficients."""
+    per_coord = []
+    for zi in z:
+        per_coord.append((ops.sin(zi), ops.cos(zi), ops.sin(zi + zi), ops.cos(zi + zi)))
+    cross = [ops.cos(z[i] - z[j]) for i, j in itertools.combinations(range(len(z)), 2)]
+    return per_coord, cross
+
+
 def _trig_scalar(rng, dim, scale=1.0):
+    """Random trigonometric polynomial in ``dim`` angles, evaluated on the
+    angles' :func:`_trig_basis`."""
     c0 = float(rng.normal()) * scale
     amp = rng.normal(size=(dim, 4)) * (scale / math.sqrt(dim))
-    pairs = list(itertools.combinations(range(dim), 2))
-    cross = rng.normal(size=(len(pairs),)) * (scale / max(1.0, math.sqrt(len(pairs))))
+    n_pairs = dim * (dim - 1) // 2
+    cross = rng.normal(size=(n_pairs,)) * (scale / max(1.0, math.sqrt(n_pairs)))
 
-    def f(z):
+    def f(basis):
+        per_coord, cross_cos = basis
         val = c0
-        for i in range(dim):
-            zi = z[i]
-            val = (
-                val
-                + amp[i][0] * ops.sin(zi)
-                + amp[i][1] * ops.cos(zi)
-                + amp[i][2] * ops.sin(zi + zi)
-                + amp[i][3] * ops.cos(zi + zi)
-            )
-        for idx, (i, j) in enumerate(pairs):
-            val = val + cross[idx] * ops.cos(z[i] - z[j])
+        for a, (s1, c1, s2, c2) in zip(amp, per_coord):
+            val = val + a[0] * s1 + a[1] * c1 + a[2] * s2 + a[3] * c2
+        for w, c in zip(cross, cross_cos):
+            val = val + w * c
         return val
 
     return f
@@ -600,14 +608,15 @@ def _sphere_scalar(rng, scale=1.0):
 def random_scalar_field(scenario, rng):
     dim = scenario.chart.dim
     if scenario.kind == "torus":
-        return _trig_scalar(rng, dim)
+        trig = _trig_scalar(rng, dim)
+        return lambda z: trig(_trig_basis(z))
     sphere = _sphere_scalar(rng)
     if dim == 3:
         return lambda z: sphere(_sphere_coords(z))
     tail = _trig_scalar(rng, dim - 3, scale=0.5)
 
     def f(z):
-        t = tail(z[3:])
+        t = tail(_trig_basis(z[3:]))
         return sphere(_sphere_coords(z[:3])) * (1.0 + 0.3 * t) + t
 
     return f
@@ -619,7 +628,8 @@ def random_vector_field(scenario, rng):
         comps = [_trig_scalar(rng, dim) for _ in range(dim)]
 
         def fld(z):
-            return [c(z) for c in comps]
+            basis = _trig_basis(z)
+            return [c(basis) for c in comps]
 
         return fld
 
@@ -646,15 +656,16 @@ def random_vector_field(scenario, rng):
         s3 = z[:3]
         frame = _s3_frame(s3)
         q = _sphere_coords(s3)
+        basis = _trig_basis(z[3:])
         cs = [
-            sphere_coeffs[m](q) * (1.0 + 0.5 * angle_coeffs[m](z[3:]))
+            sphere_coeffs[m](q) * (1.0 + 0.5 * angle_coeffs[m](basis))
             for m in range(3)
         ]
         out = [
             cs[0] * frame[0][i] + cs[1] * frame[1][i] + cs[2] * frame[2][i]
             for i in range(3)
         ]
-        out.extend(tail_s[a](q) * tail_t[a](z[3:]) for a in range(dim - 3))
+        out.extend(tail_s[a](q) * tail_t[a](basis) for a in range(dim - 3))
         return out
 
     return fld

@@ -56,6 +56,7 @@ from distpair.endo_fields import (
 from distpair.quadrature import Axis, _chunk_nodes
 from distpair.scenarios import (
     ScenarioManifold,
+    _trig_basis,
     _trig_scalar,
     build_scenario,
     conformal_hopf,
@@ -849,8 +850,9 @@ def split_t3(seed=3):
     bumps = {(i, j): _trig_scalar(rng, 3, 0.25) for i in range(3) for j in range(i, 3)}
 
     def metric(z):
+        basis = _trig_basis(z)
         return [
-            [(3.0 if i == j else 0.0) + bumps[min(i, j), max(i, j)](z) for j in range(3)]
+            [(3.0 if i == j else 0.0) + bumps[min(i, j), max(i, j)](basis) for j in range(3)]
             for i in range(3)
         ]
 

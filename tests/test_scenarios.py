@@ -266,21 +266,23 @@ def test_each_projector_call_evaluates_xi_once(strength):
             assert len(calls) == 1
 
 
-@pytest.mark.parametrize("name", ["hopf-s3", "einstein-s3xt2"])
-@pytest.mark.parametrize("make", [random_scalar_field, random_vector_field])
-def test_random_sphere_fields_embed_each_point_once(monkeypatch, name, make):
+def _calls_per_evaluation(monkeypatch, name, make, helper):
+    """How often one evaluation of a random field on scenario ``name`` calls
+    ``scenarios.<helper>``: at a float point, a column batch, and in a first-
+    and a second-order pass."""
     sc = build_scenario(name)
     fld = make(sc, np.random.default_rng(23))
-    calls, coords = [], scenarios._sphere_coords
+    calls, inner = [], getattr(scenarios, helper)
 
-    def counting_coords(z3):
+    def counting(z):
         calls.append(None)
-        return coords(z3)
+        return inner(z)
 
-    monkeypatch.setattr(scenarios, "_sphere_coords", counting_coords)
+    monkeypatch.setattr(scenarios, helper, counting)
     rng = np.random.default_rng(24)
     x = sc.sample_points(rng, 1)[0]
     cols = sc.sample_columns(rng, 3)
+    counts = []
     for evaluate in (
         lambda: fld(x),
         lambda: fld(cols),
@@ -289,7 +291,25 @@ def test_random_sphere_fields_embed_each_point_once(monkeypatch, name, make):
     ):
         calls.clear()
         evaluate()
-        assert len(calls) == 1
+        counts.append(len(calls))
+    return counts
+
+
+@pytest.mark.parametrize("name", ["hopf-s3", "einstein-s3xt2"])
+@pytest.mark.parametrize("make", [random_scalar_field, random_vector_field])
+def test_random_sphere_fields_embed_each_point_once(monkeypatch, name, make):
+    assert _calls_per_evaluation(monkeypatch, name, make, "_sphere_coords") == [1] * 4
+
+
+@pytest.mark.parametrize(
+    "name, calls",
+    [("flat-torus", 1), ("warped-torus", 1), ("hopf-s3", 0), ("einstein-s3xt2", 1)],
+)
+@pytest.mark.parametrize("make", [random_scalar_field, random_vector_field])
+def test_random_fields_build_one_trig_basis_per_point(monkeypatch, name, make, calls):
+    # every trig coefficient of a field, five on the einstein-s3xt2 vector
+    # field, reads the one basis of its point's angles
+    assert _calls_per_evaluation(monkeypatch, name, make, "_trig_basis") == [calls] * 4
 
 
 def test_quarter_turn_endo_multiplies_no_structural_zero(monkeypatch):

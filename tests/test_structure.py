@@ -188,3 +188,31 @@ def test_no_module_defines_or_imports_geometry():
         )
     ]
     assert offenders == []
+
+
+def test_random_field_coefficients_read_their_building_blocks():
+    # the trig and sphere coefficients of a random field are evaluated on the
+    # basis and embedding that the field computes once per point; their
+    # closures never compute sin, cos or the embedding themselves
+    tree = dict(_modules())["scenarios"]
+    builders = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in {"_trig_scalar", "_sphere_scalar"}
+    ]
+    closures = [
+        inner
+        for builder in builders
+        for inner in ast.walk(builder)
+        if isinstance(inner, ast.FunctionDef) and inner is not builder
+    ]
+    assert len(closures) == 2
+    offenders = [
+        f"{closure.name}:{node.lineno}"
+        for closure in closures
+        for node in ast.walk(closure)
+        if isinstance(node, ast.Call)
+        and {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+        & {"sin", "cos", "_sphere_coords"}
+    ]
+    assert offenders == []
