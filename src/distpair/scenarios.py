@@ -590,16 +590,24 @@ def _trig_scalar(rng, dim, scale=1.0):
 def _sphere_scalar(rng, scale=1.0):
     """Random quadratic in the embedding coordinates ``q`` (from
     :func:`_sphere_coords`); callers compute q once per point for all of
-    their coefficients."""
+    their coefficients.  It is evaluated in Horner form over the upper
+    triangle of the symmetrised quadratic,
+    lin_0 + sum_i q_i (lin_{i+1} + sum_{j >= i} S_ij q_j) with S_ii = Q_ii
+    and S_ij = Q_ij + Q_ji: four products of two coordinates' values and
+    ten coefficient products instead of sixteen of each."""
     lin = rng.normal(size=(5,)) * scale
     quad = rng.normal(size=(4, 4)) * (0.5 * scale)
+    upper = [
+        [quad[i][i]] + [quad[i][j] + quad[j][i] for j in range(i + 1, 4)] for i in range(4)
+    ]
 
     def f(q):
         val = lin[0]
         for i in range(4):
-            val = val + lin[i + 1] * q[i]
-            for j in range(4):
-                val = val + quad[i][j] * q[i] * q[j]
+            inner = lin[i + 1]
+            for s, qj in zip(upper[i], q[i:]):
+                inner = inner + s * qj
+            val = val + q[i] * inner
         return val
 
     return f

@@ -312,6 +312,65 @@ def test_random_fields_build_one_trig_basis_per_point(monkeypatch, name, make, c
     assert _calls_per_evaluation(monkeypatch, name, make, "_trig_basis") == [calls] * 4
 
 
+def _expanded_sphere_terms(seed, scale):
+    """The terms of the quadratic that ``_sphere_scalar`` draws from
+    ``seed``, written out: lin_0, lin_{i+1} q_i and Q_ij q_i q_j, as a field
+    of the chart point (the reference for the Horner form)."""
+    rng = np.random.default_rng(seed)
+    lin = rng.normal(size=(5,)) * scale
+    quad = rng.normal(size=(4, 4)) * (0.5 * scale)
+
+    def terms(z):
+        q = scenarios._sphere_coords(z)
+        return (
+            [lin[0]]
+            + [lin[i + 1] * q[i] for i in range(4)]
+            + [quad[i][j] * q[i] * q[j] for i in range(4) for j in range(4)]
+        )
+
+    return terms
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.6])
+def test_horner_sphere_scalar_matches_the_expanded_quadratic(scale):
+    f = scenarios._sphere_scalar(np.random.default_rng(26), scale)
+    cols = hopf_contact_s3().sample_columns(np.random.default_rng(27), 64)
+    val, d = ops.partials(lambda z: f(scenarios._sphere_coords(z)), cols)
+    ref_val, ref_d = ops.partials(_expanded_sphere_terms(26, scale), cols)
+    # the value, then each first partial, against the sum of its terms
+    for got, terms in [(val, ref_val)] + list(zip(d, ref_d)):
+        terms = np.broadcast_arrays(*terms)
+        size = sum(np.abs(t) for t in terms)
+        assert np.all(size > 0.0)
+        assert np.all(np.abs(got - sum(terms)) <= 1e-13 * size)
+
+
+def test_sphere_scalar_multiplies_four_pairs_of_duals(monkeypatch):
+    f = scenarios._sphere_scalar(np.random.default_rng(26))
+    pairs, per_call, mul = [], [], ops.Dual.__mul__
+
+    def counting_mul(a, b):
+        if isinstance(a, ops.Dual) and isinstance(b, ops.Dual):
+            pairs.append(None)
+        return mul(a, b)
+
+    def field(z):
+        q = scenarios._sphere_coords(z)
+        pairs.clear()  # count the scalar's products, not the embedding's
+        out = f(q)
+        per_call.append(len(pairs))
+        return out
+
+    monkeypatch.setattr(ops.Dual, "__mul__", counting_mul)
+    monkeypatch.setattr(ops.Dual, "__rmul__", counting_mul)
+    rng = np.random.default_rng(28)
+    sc = hopf_contact_s3()
+    directional(field, sc.sample_points(rng, 1)[0], [0.3, -1.0, 0.5])
+    ops.partials(field, sc.sample_columns(rng, 5))
+    # one product q_i (lin_{i+1} + ...) per coordinate, not one per (i, j)
+    assert per_call == [4, 4]
+
+
 def test_quarter_turn_endo_multiplies_no_structural_zero(monkeypatch):
     sc = hopf_contact_s3()
     phi, xi, chart = sc.extras["phi"], sc.extras["xi"], sc.chart
