@@ -3,7 +3,8 @@
 Runs the pointwise identity checks or the quadrature checks on a named
 scenario and prints one JSON report line per check (NDJSON).  Exit status:
 0 when every requested check passes, 1 when any residual exceeds its
-tolerance, 2 for usage errors.
+tolerance or stdout closes before every report is written, 2 for usage
+errors.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -276,14 +278,32 @@ def main(argv=None):
             build_scenario(args.scenario), checks, args.points, args.seed, args.tol
         )
 
-    for rep in reports:
-        sys.stdout.write(json.dumps(rep) + "\n")
-    sys.stdout.flush()
+    delivered = True
+    try:
+        for rep in reports:
+            sys.stdout.write(json.dumps(rep) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (``distpair ... | head -1``); not
+        # every report was delivered, so the status stays 1
+        delivered = False
+        _discard_stdout()
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(reports, fh, indent=2)
             fh.write("\n")
-    return 0 if all(rep["pass"] for rep in reports) else 1
+    return 0 if delivered and all(rep["pass"] for rep in reports) else 1
+
+
+def _discard_stdout():
+    """Point the process's closed stdout at os.devnull, so the interpreter's
+    last flush of the unsent lines raises nothing.  A stream an in-process
+    caller put in its place is left alone."""
+    if sys.stdout is not sys.__stdout__:
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 if __name__ == "__main__":

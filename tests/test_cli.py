@@ -195,6 +195,35 @@ def test_cli_output_is_deterministic_for_fixed_seed(child_env):
     assert outs[0] == outs[1]
 
 
+def test_closed_pipe_exits_1_without_a_traceback(child_env, tmp_path):
+    # the reader is gone before the first line is written, as when
+    # ``distpair ... | head -1`` exits early
+    target = tmp_path / "report.json"
+    cmd = [
+        sys.executable,
+        "-c",
+        "import sys; from distpair.cli import main; sys.exit(main())",
+        "--scenario",
+        "flat-torus",
+        "--check",
+        "pair",
+        "--points",
+        "2",
+        "--report",
+        str(target),
+    ]
+    proc = subprocess.Popen(
+        cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env()
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert stderr == ""
+    (report,) = json.loads(target.read_text())
+    assert report["check"] == "pair" and report["pass"] is True
+
+
 def test_seed_changes_sampled_residuals(capsys):
     vals = []
     for seed in ("3", "4"):
