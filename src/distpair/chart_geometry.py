@@ -38,15 +38,11 @@ class Chart:
 
     ``metric(x)`` must return a nested list g[i][j] and be evaluable on
     floats, numpy arrays and dual numbers (use the ops module for sin etc.).
-    ``domain`` gives per-axis (lo, hi); ``periodic`` marks axes where the
-    endpoints are identified.
     """
 
     name: str
     dim: int
     metric: Callable[[Sequence], list]
-    domain: tuple
-    periodic: tuple
 
     def jet1(self, x) -> MetricJet:
         """The metric jet at x.  A :class:`~distpair.dual.Point` keeps the

@@ -67,30 +67,26 @@ def frob(m):
     return np.sqrt(sum(np.float_power(v, 2) for row in m for v in row))
 
 
-def pair_product_norms(pair, chart, x):
-    """Frobenius norms of the four adaptedness products at x."""
+def pair_defects(pair, chart, x):
+    """(products, defects, scale) at x, each member evaluated once.
+
+    ``products`` holds the Frobenius norms of the four adaptedness products,
+    ``defects`` those of P1 - P1^* and P2 - P2^* (keys ``p1``, ``p2``), and
+    ``scale`` is |P1|_F |P2|_F.
+    """
     jet = chart.jet1(x)
     p1 = pair.p1(x)
     p2 = pair.p2(x)
     p1s = adjoint_matrix(jet.g, jet.g_inv, p1)
     p2s = adjoint_matrix(jet.g, jet.g_inv, p2)
-    return {
+    products = {
         "p1_p2_star": frob(la.mat_mul(p1, p2s)),
         "p1_star_p2": frob(la.mat_mul(p1s, p2)),
         "p2_p1_star": frob(la.mat_mul(p2, p1s)),
         "p2_star_p1": frob(la.mat_mul(p2s, p1)),
-        "scale": frob(p1) * frob(p2),
     }
-
-
-def self_adjoint_defects(pair, chart, x):
-    jet = chart.jet1(x)
-    out = {}
-    for name, pf in (("p1", pair.p1), ("p2", pair.p2)):
-        p = pf(x)
-        ps = adjoint_matrix(jet.g, jet.g_inv, p)
-        out[name] = frob(la.mat_sub(p, ps))
-    return out
+    defects = {"p1": frob(la.mat_sub(p1, p1s)), "p2": frob(la.mat_sub(p2, p2s))}
+    return products, defects, frob(p1) * frob(p2)
 
 
 def check_pair(pair, chart, cols):
@@ -99,11 +95,10 @@ def check_pair(pair, chart, cols):
     Returns max_abs / max_normalized over all nodes and all product norms
     (NaN if any is).
     """
-    prods = pair_product_norms(pair, chart, cols)
-    scale = prods.pop("scale")
-    vals = list(prods.values())
+    products, defects, scale = pair_defects(pair, chart, cols)
+    vals = list(products.values())
     if pair.self_adjoint:
-        vals.extend(self_adjoint_defects(pair, chart, cols).values())
+        vals.extend(defects.values())
     worst = functools.reduce(np.maximum, vals)
     return {
         "max_abs": la.max_entry(worst),

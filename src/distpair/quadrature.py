@@ -85,6 +85,13 @@ def _default_chunk(dim):
     return 65536 if dim <= 3 else 4096
 
 
+def formula_chunk(dim):
+    """Nodes per chunk of :func:`integral_formula_check`, fewer than
+    :func:`_default_chunk` gives, since the invariants engine holds many more
+    arrays per node than a density or ``div_p``."""
+    return 16384 if dim <= 3 else 2048
+
+
 def integrate(chart, f, grid: QuadratureGrid):
     """Integral of a scalar field over the chart with the metric volume form.
 
@@ -128,12 +135,10 @@ def integral_formula_check(pair, chart, grid: QuadratureGrid):
     volume, I/N, and pointwise degeneracy data (an integrand that vanishes
     identically gives a pass that must be reported as degenerate).
     """
-    dim = chart.dim
-    chunk = 16384 if dim <= 3 else 2048
     i_parts, m_parts, v_parts = [], [], []
     max_pt = 0.0
     max_pt_norm = 0.0
-    for cols, wts in _chunk_nodes(grid, chunk):
+    for cols, wts in _chunk_nodes(grid, formula_chunk(chart.dim)):
         dens = chart.jet1(cols).sqrt_det
         vals, scale = formula_terms_batch(chart, pair, cols)
         i_parts.append(float(np.sum(wts * dens * vals)))
@@ -156,6 +161,6 @@ def integral_formula_check(pair, chart, grid: QuadratureGrid):
     }
 
 
-def refine_counts(counts, factor=0.5):
-    """Companion (coarser) grid counts: ceil(factor * n), at least 2."""
-    return tuple(max(2, math.ceil(factor * c)) for c in counts)
+def refine_counts(counts):
+    """Companion (coarser) grid counts: ceil(n / 2), at least 2."""
+    return tuple(max(2, math.ceil(0.5 * c)) for c in counts)

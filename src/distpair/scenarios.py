@@ -22,13 +22,7 @@ from . import dual as ops
 from . import linalg as la
 from .chart_geometry import Chart, div_endo, point_columns
 from .dist_tensors import pp_star_field
-from .endo_fields import (
-    EndoPair,
-    allowed_residual,
-    covector_gnorm,
-    pair_product_norms,
-    self_adjoint_defects,
-)
+from .endo_fields import EndoPair, allowed_residual, covector_gnorm, pair_defects
 from .quadrature import Axis, QuadratureGrid
 
 TWO_PI = 2.0 * math.pi
@@ -85,23 +79,24 @@ class ScenarioManifold:
         return [[v[:, j, i] for i in range(dim)] for j in range(k)]
 
 
-def probe_pair(scenario, n_points=5, seed=7):
-    """Light measurement of the advertised flags; returns the evidence dict.
+def probe_pair(scenario):
+    """Light measurement of the advertised flags at five seeded points;
+    returns the evidence dict.
 
     Nothing is stored on the scenario or its pair.  The probe points are
     evaluated as one column batch; every evidence value is the largest entry
     over them, NaN if any entry is NaN.
     """
-    rng = np.random.default_rng(seed)
+    n_points = 5
+    rng = np.random.default_rng(7)
     chart = scenario.chart
     pair = scenario.pair
     cols = scenario.sample_columns(rng, n_points)
     ev = {}
-    prods = pair_product_norms(pair, chart, cols)
-    prods.pop("scale")
-    ev["adapted"] = la.max_entry(*prods.values())
+    products, defects, _ = pair_defects(pair, chart, cols)
+    ev["adapted"] = la.max_entry(*products.values())
     if pair.self_adjoint:
-        ev["self_adjoint"] = la.max_entry(*self_adjoint_defects(pair, chart, cols).values())
+        ev["self_adjoint"] = la.max_entry(*defects.values())
     if pair.allowed:
         vx, vy = scenario.sample_slot_vectors(rng, n_points, 2)
         ev["allowed"] = la.max_entry(allowed_residual(pair, chart, cols, vx, vy)[0])
@@ -126,55 +121,9 @@ def probe_pair(scenario, n_points=5, seed=7):
 # -- torus scenarios ---------------------------------------------------------
 
 
-def flat_torus_projectors(n1=1, n2=1):
-    dim = n1 + n2
-    identity = la.eye(dim)
-
-    def metric(_z):
-        return identity
-
-    chart = Chart(
-        name="flat-torus",
-        dim=dim,
-        metric=metric,
-        domain=((0.0, TWO_PI),) * dim,
-        periodic=(True,) * dim,
-    )
-    proj1 = [[1.0 if (i == j and i < n1) else 0.0 for j in range(dim)] for i in range(dim)]
-    proj2 = [[1.0 if (i == j and i >= n1) else 0.0 for j in range(dim)] for i in range(dim)]
-    pair = EndoPair(
-        p1=lambda _z: proj1,
-        p2=lambda _z: proj2,
-        self_adjoint=True,
-        allowed=True,
-        div_pp_star_zero=True,
-        div_p_squared_zero=True,
-    )
-    return ScenarioManifold(
-        name="flat-torus",
-        chart=chart,
-        pair=pair,
-        quad_axes=(Axis("periodic", 0.0, TWO_PI),) * dim,
-        sample_bounds=((0.0, TWO_PI),) * dim,
-        kind="torus",
-        integrand_degenerate=True,
-    )
-
-
-def warped_torus(profile=None):
-    """T^2 with metric du^2 + e^{2 w(u)} dv^2 and the coordinate projectors."""
-    w = profile if profile is not None else ops.sin
-
-    def metric(z):
-        return [[1.0, 0.0], [0.0, ops.exp(2.0 * w(z[0]))]]
-
-    chart = Chart(
-        name="warped-torus",
-        dim=2,
-        metric=metric,
-        domain=((0.0, TWO_PI), (0.0, TWO_PI)),
-        periodic=(True, True),
-    )
+def _coordinate_torus(name, metric, **fields):
+    """T^2 with ``metric`` and the projectors onto the two coordinate axes;
+    ``fields`` sets the remaining :class:`ScenarioManifold` fields."""
     proj1 = [[1.0, 0.0], [0.0, 0.0]]
     proj2 = [[0.0, 0.0], [0.0, 1.0]]
     pair = EndoPair(
@@ -186,52 +135,59 @@ def warped_torus(profile=None):
         div_p_squared_zero=True,
     )
     return ScenarioManifold(
-        name="warped-torus",
-        chart=chart,
+        name=name,
+        chart=Chart(name=name, dim=2, metric=metric),
         pair=pair,
-        quad_axes=(Axis("periodic", 0.0, TWO_PI), Axis("periodic", 0.0, TWO_PI)),
-        sample_bounds=((0.0, TWO_PI), (0.0, TWO_PI)),
+        quad_axes=(Axis("periodic", 0.0, TWO_PI),) * 2,
+        sample_bounds=((0.0, TWO_PI),) * 2,
         kind="torus",
-        extras={"warp": w},
+        **fields,
     )
 
 
-def scaled_identity(base=None, c=2.0):
-    """Rescale both members of a scenario's pair by a nonzero constant."""
-    if c == 0:
-        raise ValueError("scale must be nonzero")
-    if base is None:
-        base = warped_torus()
+def flat_torus_projectors():
+    """Flat T^2 and the coordinate projectors."""
+    identity = la.eye(2)
+    return _coordinate_torus("flat-torus", lambda _z: identity, integrand_degenerate=True)
+
+
+def warped_torus():
+    """T^2 with metric du^2 + e^{2 sin u} dv^2 and the coordinate projectors."""
+
+    def metric(z):
+        return [[1.0, 0.0], [0.0, ops.exp(2.0 * ops.sin(z[0]))]]
+
+    return _coordinate_torus("warped-torus", metric)
+
+
+def scaled_identity():
+    """The warped torus with both members of its pair doubled."""
+    base = warped_torus()
     old1, old2 = base.pair.p1, base.pair.p2
-    pair = EndoPair(
-        p1=lambda z: la.mat_scale(c, old1(z)),
-        p2=lambda z: la.mat_scale(c, old2(z)),
-        self_adjoint=base.pair.self_adjoint,
-        allowed=base.pair.allowed,
-        div_pp_star_zero=base.pair.div_pp_star_zero,
-        div_p_squared_zero=base.pair.div_p_squared_zero,
+    pair = dataclasses.replace(
+        base.pair,
+        p1=lambda z: la.mat_scale(2.0, old1(z)),
+        p2=lambda z: la.mat_scale(2.0, old2(z)),
     )
-    return dataclasses.replace(
-        base, name="scaled-identity", pair=pair, extras=dict(base.extras)
-    )
+    return dataclasses.replace(base, name="scaled-identity", pair=pair)
 
 
-def non_allowed_rotated(base=None, amplitude=0.5):
+def non_allowed_rotated():
     """Adapted but non-self-adjoint, non-allowed pair on the warped torus.
 
-    The images of the coordinate projectors are rotated by theta(u) inside
-    the orthonormal frame; the rotation is a metric isometry, so the four
-    adaptedness products still vanish exactly, but the derivative forms do
-    not.  Used as the fail-path example for the allowedness check.
+    The images of the coordinate projectors are rotated by
+    theta(u) = sin(u) / 2 inside the orthonormal frame; the rotation is a
+    metric isometry, so the four adaptedness products still vanish exactly,
+    but the derivative forms do not.  Used as the fail-path example for the
+    allowedness check.
     """
-    if base is None:
-        base = warped_torus()
-    w = base.extras["warp"]
+    base = warped_torus()
 
     def rot(z):
-        th = amplitude * ops.sin(z[0])
+        w = ops.sin(z[0])
+        th = 0.5 * w
         c, s = ops.cos(th), ops.sin(th)
-        ew = ops.exp(w(z[0]))
+        ew = ops.exp(w)
         # F Rot(th) F^{-1} with F = diag(1, e^{-w}) mapping frame to coords
         return [[c, -s * ew], [s / ew, c]]
 
@@ -244,12 +200,7 @@ def non_allowed_rotated(base=None, amplitude=0.5):
         return [[0.0, r[0][1]], [0.0, r[1][1]]]
 
     pair = EndoPair(p1=p1, p2=p2, self_adjoint=False, allowed=False)
-    return dataclasses.replace(
-        base,
-        name="warped-torus-rotated",
-        pair=pair,
-        extras=dict(base.extras),
-    )
+    return dataclasses.replace(base, name="warped-torus-rotated", pair=pair)
 
 
 # -- sphere-product scenarios -------------------------------------------------
@@ -356,19 +307,7 @@ def einstein_s3xt2():
         row = lambda i, v: [v if j == i else 0.0 for j in range(dim)]
         return [row(0, lam2), row(1, lam2), row(2, lam2), row(3, tu), row(4, tu)]
 
-    chart = Chart(
-        name="einstein-s3xt2",
-        dim=dim,
-        metric=metric,
-        domain=(
-            (-math.inf, math.inf),
-            (-math.inf, math.inf),
-            (-math.inf, math.inf),
-            (0.0, TWO_PI),
-            (0.0, TWO_PI),
-        ),
-        periodic=(False, False, False, True, True),
-    )
+    chart = Chart(name="einstein-s3xt2", dim=dim, metric=metric)
 
     def p1(z):
         a = einstein_a1(z[3])
@@ -476,13 +415,7 @@ def _hopf_scenario(name, conformal_strength=0.0):
             [0.0, 0.0, f],
         ]
 
-    chart = Chart(
-        name=name,
-        dim=3,
-        metric=metric,
-        domain=((-math.inf, math.inf),) * 3,
-        periodic=(False, False, False),
-    )
+    chart = Chart(name=name, dim=3, metric=metric)
 
     def xi(z):
         e1 = _s3_e1(z, _s3_half(z))
@@ -521,13 +454,14 @@ def hopf_contact_s3():
     return _hopf_scenario("hopf-s3")
 
 
-def conformal_hopf(strength=0.3):
-    """Conformal rescale of the round sphere keeping the circle field unit.
+def conformal_hopf():
+    """Conformal rescale of the round sphere (by e^{0.3 q0}, q0 the first
+    embedding coordinate) keeping the circle field unit.
 
     Here the circle field is no longer geodesic or divergence-free, which is
     what separates the two candidate signs of the contact divergence identity.
     """
-    return _hopf_scenario("hopf-s3-conformal", conformal_strength=strength)
+    return _hopf_scenario("hopf-s3-conformal", conformal_strength=0.3)
 
 
 # -- registry & samplers ------------------------------------------------------
@@ -543,9 +477,9 @@ SCENARIO_NAMES = (
 
 def build_scenario(name):
     if name == "flat-torus":
-        return flat_torus_projectors(1, 1)
+        return flat_torus_projectors()
     if name == "scaled-identity":
-        return scaled_identity(warped_torus(), 2.0)
+        return scaled_identity()
     if name == "warped-torus":
         return warped_torus()
     if name == "einstein-s3xt2":

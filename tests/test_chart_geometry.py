@@ -52,8 +52,6 @@ def _conformal_torus():
         name="conformal-torus",
         dim=2,
         metric=metric,
-        domain=((0.0, TWO_PI), (0.0, TWO_PI)),
-        periodic=(True, True),
     )
 
 
@@ -105,7 +103,7 @@ def test_christoffel_against_finite_differences():
 
 
 def test_flat_torus_is_flat():
-    sc = flat_torus_projectors(1, 1)
+    sc = flat_torus_projectors()
     x = [1.0, 2.0]
     gam = sc.chart.jet1(x).gamma
     assert np.abs(np.array(gam)).max() == 0.0
@@ -301,8 +299,6 @@ def test_metric_validation_rejects_non_spd():
         name="bad",
         dim=2,
         metric=bad,
-        domain=((0.0, 1.0), (0.0, 1.0)),
-        periodic=(False, False),
     )
     with pytest.raises(MetricError):
         chart.jet1([0.5, 0.5])
@@ -326,8 +322,6 @@ def test_metric_validation_names_first_bad_node(metric, what):
         name="bad-at-one-node",
         dim=2,
         metric=metric,
-        domain=((0.0, 1.0), (0.0, 1.0)),
-        periodic=(False, False),
     )
     # node 0 is fine, nodes 1 and 2 are not
     cols = [np.array([0.25, 0.75, 0.9]), 0.5]

@@ -74,6 +74,23 @@ def test_contact_check_included_on_hopf(capsys):
     assert reports[0]["check"] == "contact" and reports[0]["pass"] is True
 
 
+def test_contact_max_abs_reads_both_unnormalized_residuals(monkeypatch):
+    """max_abs is the largest unnormalized residual over hopf-s3 and its
+    conformal rescale, here the rescale's ``plus``."""
+    values = {
+        "hopf-s3": {"plus": 1e-15, "plus_normalized": 1e-16},
+        "hopf-s3-conformal": {"plus": 5e-15, "plus_normalized": 2e-16},
+    }
+
+    def residual(phi, xi, chart, vx, cols):
+        return {**values[chart.name], "minus_normalized": 1.0}
+
+    monkeypatch.setattr(cli, "contact_structure_residuals", lambda *args: {})
+    monkeypatch.setattr(cli, "contact_identity_residual", residual)
+    max_abs, max_norm, _ = cli.run_contact(build_scenario("hopf-s3"), 4, 42, 1e-6)
+    assert (max_abs, max_norm) == (5e-15, 2e-16)
+
+
 def test_contact_elsewhere_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--scenario", "warped-torus", "--check", "contact"])

@@ -53,7 +53,7 @@ from distpair.endo_fields import (
     apply_endo,
     gnorm,
 )
-from distpair.quadrature import Axis, _chunk_nodes
+from distpair.quadrature import Axis, _chunk_nodes, formula_chunk
 from distpair.scenarios import (
     ScenarioManifold,
     _trig_basis,
@@ -356,7 +356,7 @@ def test_riccati_equation_on_warped_torus():
 
 def test_identity_terms_scale_with_degree_five():
     base = warped_torus()
-    scaled = scaled_identity(warped_torus(), 2.0)
+    scaled = scaled_identity()
     rng = np.random.default_rng(64)
     x = base.sample_points(rng, 1)[0]
     vecs = [list(rng.normal(size=2)) for _ in range(4)]
@@ -371,7 +371,7 @@ def test_identity_terms_scale_with_degree_five():
 
 def test_structural_tensor_scales_with_degree_three():
     base = warped_torus()
-    scaled = scaled_identity(warped_torus(), 2.0)
+    scaled = scaled_identity()
     rng = np.random.default_rng(65)
     x = base.sample_points(rng, 1)[0]
     X, Y = [list(rng.normal(size=2)) for _ in range(2)]
@@ -455,7 +455,7 @@ def test_div_equivalences_characterization(name):
 def test_div_equivalence_conditional_parts_fail_without_divergence_free_q():
     """P = f * id is adapted to nothing special: div(P P^*) != 0, and the
     conditional identities miss by exactly the predicted defect."""
-    ft = flat_torus_projectors(1, 1)
+    ft = flat_torus_projectors()
 
     def f(z):
         return 2.0 + ops.sin(z[0]) * ops.cos(z[1])
@@ -620,8 +620,7 @@ def test_invariants_engine_frees_each_phase(name, counts, bound_mb):
     same on every run.  An engine that holds every phase's arrays to its end
     peaks far above the bound."""
     sc = build_scenario(name)
-    chunk = 16384 if sc.chart.dim <= 3 else 2048  # integral_formula_check's
-    cols, _ = next(_chunk_nodes(sc.grid(counts), chunk))
+    cols, _ = next(_chunk_nodes(sc.grid(counts), formula_chunk(sc.chart.dim)))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -856,7 +855,7 @@ def split_t3(seed=3):
             for i in range(3)
         ]
 
-    chart = cg.Chart("split-t3", 3, metric, ((0.0, 2.0 * math.pi),) * 3, (True,) * 3)
+    chart = cg.Chart("split-t3", 3, metric)
 
     def p1(z):
         g = chart.jet1(z).g
@@ -870,7 +869,7 @@ def split_t3(seed=3):
         chart=chart,
         pair=EndoPair(p1=p1, p2=p2, self_adjoint=True, allowed=True),
         quad_axes=(Axis("periodic", 0.0, 2.0 * math.pi),) * 3,
-        sample_bounds=chart.domain,
+        sample_bounds=((0.0, 2.0 * math.pi),) * 3,
         kind="torus",
     )
 

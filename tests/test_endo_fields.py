@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,12 @@ from distpair.endo_fields import (
     adjoint_field,
     allowed_residual,
     check_pair,
-    pair_product_norms,
+    pair_defects,
     sqrt_psd,
 )
 from distpair.scenarios import (
+    SCENARIO_NAMES,
+    build_scenario,
     einstein_s3xt2,
     flat_torus_projectors,
     hopf_contact_s3,
@@ -37,8 +41,6 @@ def test_adjoint_closed_form():
         name="aniso",
         dim=2,
         metric=metric,
-        domain=((0.0, 1.0),) * 2,
-        periodic=(False, False),
     )
     ps = adjoint_field(chart, P)([0.2, 0.3])
     assert np.allclose(np.array(ps), [[0.0, 0.0], [0.25, 0.0]], atol=1e-15)
@@ -68,7 +70,7 @@ def test_adjoint_pairing_identity():
 @pytest.mark.parametrize(
     "builder",
     [
-        lambda: flat_torus_projectors(1, 1),
+        lambda: flat_torus_projectors(),
         warped_torus,
         scaled_identity,
         einstein_s3xt2,
@@ -115,9 +117,29 @@ def test_allowed_residual_vanishes_on_allowed_pairs(builder):
 def test_product_norms_report_scale():
     sc = scaled_identity()  # doubled warped-torus projectors
     x = [0.4, 0.8]
-    norms = pair_product_norms(sc.pair, sc.chart, x)
-    assert abs(norms["scale"] - 4.0) < 1e-12  # |P1|_F = |P2|_F = 2
-    assert max(v for k, v in norms.items() if k != "scale") < 1e-12
+    products, defects, scale = pair_defects(sc.pair, sc.chart, x)
+    assert abs(scale - 4.0) < 1e-12  # |P1|_F = |P2|_F = 2
+    assert max(products.values()) < 1e-12
+    assert max(defects.values()) < 1e-12
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_check_pair_evaluates_each_member_once(name):
+    sc = build_scenario(name)
+    calls = {"p1": 0, "p2": 0}
+
+    def counted(key, member):
+        def fld(z):
+            calls[key] += 1
+            return member(z)
+
+        return fld
+
+    pair = dataclasses.replace(
+        sc.pair, p1=counted("p1", sc.pair.p1), p2=counted("p2", sc.pair.p2)
+    )
+    check_pair(pair, sc.chart, sc.sample_columns(np.random.default_rng(3), 4))
+    assert calls == {"p1": 1, "p2": 1}
 
 
 def test_sqrt_psd_diagonal_and_random():

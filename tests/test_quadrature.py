@@ -51,7 +51,7 @@ def test_legendre_rule_is_spectrally_accurate():
 
 
 def test_volumes_match_closed_forms():
-    ft = flat_torus_projectors(1, 1)
+    ft = flat_torus_projectors()
     assert abs(volume(ft.chart, ft.grid(16)) - TWO_PI**2) < 1e-12
 
     wt = warped_torus()
@@ -85,7 +85,7 @@ def test_volume_runs_no_derivative_pass_and_validates_the_metric(monkeypatch):
     def metric(z):
         return [[1.0, 2.0 * z[0]], [2.0 * z[0], 1.0]]
 
-    bad = Chart("bad", 2, metric, ((0.0, 1.0),) * 2, (False, False))
+    bad = Chart("bad", 2, metric)
     grid = QuadratureGrid((Axis("legendre", 0.0, 1.0),) * 2, (4, 4))
     with pytest.raises(MetricError, match="not positive definite"):
         volume(bad, grid)
@@ -116,7 +116,7 @@ def test_integrate_handles_chart_substitution():
 def test_grid_validation():
     with pytest.raises(ValueError):
         QuadratureGrid(axes=(Axis("periodic", 0.0, 1.0),), counts=(4, 4))
-    ft = flat_torus_projectors(1, 1)
+    ft = flat_torus_projectors()
     with pytest.raises(ValueError):
         ft.grid((4, 4, 4))
     with pytest.raises(ValueError):
@@ -132,7 +132,7 @@ def test_refine_counts_halves_and_floors():
 @pytest.mark.parametrize(
     "builder,counts,tol",
     [
-        (lambda: flat_torus_projectors(1, 1), (16, 16), 1e-12),
+        (lambda: flat_torus_projectors(), (16, 16), 1e-12),
         (warped_torus, (48, 48), 1e-6),
         (hopf_contact_s3, (20, 20, 20), 1e-6),
     ],
@@ -163,7 +163,7 @@ def test_integral_formula_warped_torus():
 
 
 def test_integral_formula_degenerate_scenarios():
-    ft = flat_torus_projectors(1, 1)
+    ft = flat_torus_projectors()
     res = integral_formula_check(ft.pair, ft.chart, ft.grid(8))
     assert res["degenerate"] and res["max_pointwise_normalized"] < 1e-9
 

@@ -32,7 +32,6 @@ from distpair.scenarios import (
     probe_pair,
     random_scalar_field,
     random_vector_field,
-    scaled_identity,
     warped_torus,
 )
 
@@ -68,11 +67,6 @@ def test_rotated_pair_flags():
     sc = non_allowed_rotated()
     assert probe_pair(sc)["adapted"] < 1e-10
     assert not sc.pair.allowed and not sc.pair.self_adjoint
-
-
-def test_scaled_identity_rejects_zero():
-    with pytest.raises(ValueError):
-        scaled_identity(warped_torus(), 0.0)
 
 
 def test_einstein_block_coefficient_anchors():
@@ -242,7 +236,7 @@ def test_hopf_e1_equals_first_frame_vector_bit_for_bit():
 
 @pytest.mark.parametrize("strength", [0.0, 0.3])
 def test_each_projector_call_evaluates_xi_once(strength):
-    sc = hopf_contact_s3() if strength == 0.0 else conformal_hopf(strength)
+    sc = hopf_contact_s3() if strength == 0.0 else conformal_hopf()
     xi, calls = sc.extras["xi"], []
 
     def counting_xi(z):
