@@ -15,6 +15,7 @@ from distpair.dual import directional
 from distpair.endo_fields import sqrt_psd
 from distpair import scenarios
 from distpair.cli import cmd_verify
+from distpair.quadrature import Axis, _chunk_nodes
 from distpair.scenarios import (
     SCENARIO_NAMES,
     _cross_product_endo,
@@ -27,11 +28,13 @@ from distpair.scenarios import (
     einstein_a1,
     einstein_factor,
     einstein_s3xt2,
+    flat_torus_projectors,
     hopf_contact_s3,
     non_allowed_rotated,
     probe_pair,
     random_scalar_field,
     random_vector_field,
+    scaled_identity,
     warped_torus,
 )
 
@@ -192,6 +195,78 @@ def test_grid_builder_broadcasts_single_count():
     assert grid.counts == (6, 6, 6, 6, 6)
     grid = sc.grid((8, 8, 8, 4, 4))
     assert grid.counts == (8, 8, 8, 4, 4)
+
+
+_PERIODIC = Axis("periodic", 0.0, 2.0 * math.pi)
+_ANGULAR = (Axis("legendre", 0.0, math.pi), Axis("legendre", 0.0, math.pi), _PERIODIC)
+# Nodes 0, n // 2 and n - 1 of grid(3) as (chart coordinates, weight), then
+# the sum of all n weights.
+_TORUS_NODES = (
+    [
+        ([1.0471975511965976, 1.0471975511965976], 4.386490844928603),
+        ([3.141592653589793, 3.141592653589793], 4.386490844928603),
+        ([5.235987755982988, 5.235987755982988], 4.386490844928603),
+    ],
+    39.478417604357425,
+)
+_S3_COORDS = [
+    [0.031014067488463307, 0.05371794063938852, 0.16780714146887993],
+    [-0.9999999999999999, 1.224646799147353e-16, 6.123233995736765e-17],
+    [0.9689859325115354, -1.6783328669294897, -5.242871142870998],
+]
+_TORUS = ((_PERIODIC,) * 2, ((0.0, 2.0 * math.pi),) * 2, _TORUS_NODES)
+_S3 = (
+    _ANGULAR,
+    ((-2.0, 2.0),) * 3,
+    (
+        list(zip(_S3_COORDS, [0.00913303749711027, 4.083131085471579, 278.5425032544137])),
+        5545.2393880552045,
+    ),
+)
+_S3XT2 = (
+    _ANGULAR + (_PERIODIC,) * 2,
+    ((-2.0, 2.0),) * 3 + ((0.0, 2.0 * math.pi),) * 2,
+    (
+        [
+            (x + [t, t], w)
+            for x, t, w in zip(
+                _S3_COORDS,
+                [1.0471975511965976, 3.141592653589793, 5.235987755982988],
+                [0.040061985367463845, 17.91061712506447, 1221.8241404489813],
+            )
+        ],
+        218917.27627777483,
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "build,layout",
+    [
+        pytest.param(build, layout, id=build.__name__)
+        for build, layout in [
+            (flat_torus_projectors, _TORUS),
+            (warped_torus, _TORUS),
+            (scaled_identity, _TORUS),
+            (non_allowed_rotated, _TORUS),
+            (einstein_s3xt2, _S3XT2),
+            (hopf_contact_s3, _S3),
+            (conformal_hopf, _S3),
+        ]
+    ],
+)
+def test_quadrature_and_sampling_layout(build, layout):
+    axes, bounds, (nodes, weight_sum) = layout
+    sc = build()
+    assert sc.quad_axes == axes
+    assert sc.sample_bounds == bounds
+    grid = sc.grid(3)
+    cols, wts = next(_chunk_nodes(grid, grid.total_nodes))
+    n = grid.total_nodes
+    for i, (x, w) in zip((0, n // 2, n - 1), nodes):
+        np.testing.assert_allclose([c[i] for c in cols], x, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(wts[i], w, rtol=1e-14)
+    np.testing.assert_allclose(np.sum(wts), weight_sum, rtol=1e-14)
 
 
 def _nan_p1_pair(sc):
