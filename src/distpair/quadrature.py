@@ -3,9 +3,11 @@
 Grids are products of per-axis rules: offset-uniform on periodic axes
 (spectrally accurate for smooth periodic integrands, and the half-step offset
 keeps nodes away from coordinate-special points) and Gauss-Legendre on
-bounded open axes.  A grid may carry a substitution (``to_chart`` +
-``jacobian``) when the integration parameters are not the chart coordinates
-themselves, e.g. the angular parametrization of the stereographic chart.
+bounded open axes.  A grid may carry a ``substitution`` when the integration
+parameters are not the chart coordinates themselves, e.g. the angular
+parametrization of the stereographic chart: one callable that maps the
+parameter arrays to ``(chart columns, jacobian)``, the jacobian multiplying
+the product-rule weights.
 
 Node enumeration is chunked through ``np.unravel_index`` in a fixed order and
 partial sums are combined pairwise, so results are bit-reproducible.
@@ -35,8 +37,7 @@ class Axis:
 class QuadratureGrid:
     axes: tuple
     counts: tuple
-    to_chart: Optional[Callable] = None
-    jacobian: Optional[Callable] = None
+    substitution: Optional[Callable] = None
 
     def __post_init__(self):
         if len(self.axes) != len(self.counts):
@@ -75,9 +76,10 @@ def _chunk_nodes(grid: QuadratureGrid, chunk: int):
         wts = rules[0][1][multi[0]].copy()
         for a in range(1, len(grid.counts)):
             wts *= rules[a][1][multi[a]]
-        if grid.jacobian is not None:
-            wts = wts * grid.jacobian(params)
-        cols = grid.to_chart(params) if grid.to_chart is not None else params
+        cols = params
+        if grid.substitution is not None:
+            cols, jac = grid.substitution(params)
+            wts = wts * jac
         yield Point(np.asarray(c, dtype=float) for c in cols), wts
 
 

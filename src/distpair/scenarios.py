@@ -1,11 +1,12 @@
 """Built-in verification scenarios: charts, pairs, samplers, quadrature specs.
 
-Each scenario bundles a chart, an endomorphism pair with advertised flags,
-sampling bounds for pointwise checks, and the per-axis quadrature layout.
-Building a scenario evaluates nothing.  Its advertised flags are measured on
-demand by :func:`probe_pair` (small seeded point set) and re-verified at full
-strength by the checks — nothing downstream trusts a flag that has not been
-measured.
+Each scenario bundles a chart, an endomorphism pair with advertised flags and
+a ``kind``.  The kind and the chart's dimension fix the sampling bounds for
+pointwise checks and the per-axis quadrature layout; :data:`SCENARIOS` lists
+the built-in scenarios by name.  Building a scenario evaluates nothing.  Its
+advertised flags are measured on demand by :func:`probe_pair` (small seeded
+point set) and re-verified at full strength by the checks — nothing
+downstream trusts a flag that has not been measured.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,39 +30,46 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass
 class ScenarioManifold:
+    """A chart and a pair on it.  On a "sphere-product" the first three
+    coordinates are stereographic S^3: they are sampled in (-2, 2) and
+    integrated in the angles (chi, theta, phi) of :func:`_angular_substitution`.
+    Every other coordinate, and every coordinate of a "torus", is an angle,
+    sampled and integrated (periodic rule) over (0, 2 pi)."""
+
     name: str
     chart: Chart
     pair: EndoPair
-    quad_axes: tuple
-    sample_bounds: tuple
     kind: str  # "torus" | "sphere-product"
     extras: dict = dc_field(default_factory=dict)
     integrand_degenerate: bool = False
-    to_chart: Optional[Callable] = None
-    quad_jacobian: Optional[Callable] = None
+
+    def _sphere_dims(self):
+        """Number of leading stereographic S^3 coordinates: 3 or 0."""
+        return {"torus": 0, "sphere-product": 3}[self.kind]
+
+    @property
+    def quad_axes(self):
+        k = self._sphere_dims()
+        return _angular_axes()[:k] + (Axis("periodic", 0.0, TWO_PI),) * (self.chart.dim - k)
+
+    @property
+    def sample_bounds(self):
+        k = self._sphere_dims()
+        return ((-2.0, 2.0),) * k + ((0.0, TWO_PI),) * (self.chart.dim - k)
 
     def grid(self, counts):
-        if isinstance(counts, int):
-            counts = (counts,) * len(self.quad_axes)
-        counts = tuple(counts)
+        axes = self.quad_axes
+        counts = (counts,) if isinstance(counts, int) else tuple(counts)
         if len(counts) == 1:
-            counts = counts * len(self.quad_axes)
-        if len(counts) != len(self.quad_axes):
-            raise ValueError(
-                f"scenario {self.name} needs {len(self.quad_axes)} grid counts"
-            )
-        return QuadratureGrid(
-            axes=self.quad_axes,
-            counts=counts,
-            to_chart=self.to_chart,
-            jacobian=self.quad_jacobian,
-        )
+            counts *= len(axes)
+        if len(counts) != len(axes):
+            raise ValueError(f"scenario {self.name} needs {len(axes)} grid counts")
+        substitution = _angular_substitution if self._sphere_dims() else None
+        return QuadratureGrid(axes, counts, substitution)
 
     def sample_points(self, rng, count):
-        return [
-            [float(rng.uniform(lo, hi)) for lo, hi in self.sample_bounds]
-            for _ in range(count)
-        ]
+        bounds = self.sample_bounds
+        return [[float(rng.uniform(lo, hi)) for lo, hi in bounds] for _ in range(count)]
 
     def sample_columns(self, rng, count):
         """``count`` sample points as one column batch."""
@@ -138,8 +145,6 @@ def _coordinate_torus(name, metric, **fields):
         name=name,
         chart=Chart(name=name, dim=2, metric=metric),
         pair=pair,
-        quad_axes=(Axis("periodic", 0.0, TWO_PI),) * 2,
-        sample_bounds=((0.0, TWO_PI),) * 2,
         kind="torus",
         **fields,
     )
@@ -278,19 +283,15 @@ def _angular_axes():
     )
 
 
-def _angular_to_chart(params):
+def _angular_substitution(params):
+    """(chart columns, jacobian) at the angles (chi, theta, phi) of the
+    stereographic S^3 coordinates, radius tan(chi / 2); the parameters after
+    the first three are chart coordinates already."""
     chi, theta, phi = params[0], params[1], params[2]
     r = np.tan(0.5 * chi)
     sin_t = np.sin(theta)
-    out = [r * sin_t * np.cos(phi), r * sin_t * np.sin(phi), r * np.cos(theta)]
-    out.extend(params[3:])
-    return out
-
-
-def _angular_jacobian(params):
-    chi, theta = params[0], params[1]
-    r = np.tan(0.5 * chi)
-    return r * r * np.sin(theta) * 0.5 / np.cos(0.5 * chi) ** 2
+    cols = [r * sin_t * np.cos(phi), r * sin_t * np.sin(phi), r * np.cos(theta), *params[3:]]
+    return cols, r * r * sin_t * 0.5 / np.cos(0.5 * chi) ** 2
 
 
 def einstein_s3xt2():
@@ -331,19 +332,8 @@ def einstein_s3xt2():
         name="einstein-s3xt2",
         chart=chart,
         pair=pair,
-        quad_axes=_angular_axes()
-        + (Axis("periodic", 0.0, TWO_PI), Axis("periodic", 0.0, TWO_PI)),
-        sample_bounds=(
-            (-2.0, 2.0),
-            (-2.0, 2.0),
-            (-2.0, 2.0),
-            (0.0, TWO_PI),
-            (0.0, TWO_PI),
-        ),
         kind="sphere-product",
         integrand_degenerate=True,
-        to_chart=_angular_to_chart,
-        quad_jacobian=_angular_jacobian,
         extras={
             "einstein_factor": einstein_factor,
             "a2": sqrt3,
@@ -438,12 +428,8 @@ def _hopf_scenario(name, conformal_strength=0.0):
         name=name,
         chart=chart,
         pair=pair,
-        quad_axes=_angular_axes(),
-        sample_bounds=((-2.0, 2.0),) * 3,
         kind="sphere-product",
         integrand_degenerate=True,
-        to_chart=_angular_to_chart,
-        quad_jacobian=_angular_jacobian,
         extras={"xi": xi, "phi": phi},
     )
 
@@ -466,27 +452,19 @@ def conformal_hopf():
 
 # -- registry & samplers ------------------------------------------------------
 
-SCENARIO_NAMES = (
-    "flat-torus",
-    "scaled-identity",
-    "warped-torus",
-    "einstein-s3xt2",
-    "hopf-s3",
-)
+SCENARIOS = {
+    "flat-torus": flat_torus_projectors,
+    "scaled-identity": scaled_identity,
+    "warped-torus": warped_torus,
+    "einstein-s3xt2": einstein_s3xt2,
+    "hopf-s3": hopf_contact_s3,
+}
+SCENARIO_NAMES = tuple(SCENARIOS)
 
 
 def build_scenario(name):
-    if name == "flat-torus":
-        return flat_torus_projectors()
-    if name == "scaled-identity":
-        return scaled_identity()
-    if name == "warped-torus":
-        return warped_torus()
-    if name == "einstein-s3xt2":
-        return einstein_s3xt2()
-    if name == "hopf-s3":
-        return hopf_contact_s3()
-    raise KeyError(name)
+    """The built-in scenario ``name``; KeyError for an unknown name."""
+    return SCENARIOS[name]()
 
 
 def _trig_basis(z):

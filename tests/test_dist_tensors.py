@@ -53,7 +53,7 @@ from distpair.endo_fields import (
     apply_endo,
     gnorm,
 )
-from distpair.quadrature import Axis, _chunk_nodes, formula_chunk
+from distpair.quadrature import _chunk_nodes, formula_chunk
 from distpair.scenarios import (
     ScenarioManifold,
     _trig_basis,
@@ -868,8 +868,6 @@ def split_t3(seed=3):
         name="split-t3",
         chart=chart,
         pair=EndoPair(p1=p1, p2=p2, self_adjoint=True, allowed=True),
-        quad_axes=(Axis("periodic", 0.0, 2.0 * math.pi),) * 3,
-        sample_bounds=((0.0, 2.0 * math.pi),) * 3,
         kind="torus",
     )
 

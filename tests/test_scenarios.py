@@ -66,6 +66,17 @@ def test_building_a_scenario_runs_no_derivative_pass(build):
     assert ops.fresh_tag() == a + 1
 
 
+def test_registry_builds_each_scenario_under_its_name():
+    # the order is the CLI's --scenario choices
+    assert SCENARIO_NAMES == (
+        "flat-torus", "scaled-identity", "warped-torus", "einstein-s3xt2", "hopf-s3"
+    )
+    for name in SCENARIO_NAMES:
+        assert build_scenario(name).name == name
+    with pytest.raises(KeyError):
+        build_scenario("no-such-scenario")
+
+
 def test_rotated_pair_flags():
     sc = non_allowed_rotated()
     assert probe_pair(sc)["adapted"] < 1e-10
