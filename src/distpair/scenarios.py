@@ -334,10 +334,6 @@ def einstein_s3xt2():
         pair=pair,
         kind="sphere-product",
         integrand_degenerate=True,
-        extras={
-            "einstein_factor": einstein_factor,
-            "a2": sqrt3,
-        },
     )
 
 
