@@ -350,14 +350,12 @@ def frame_at(chart, z):
 def frame_column_field(chart, s):
     """Field z -> frame vector s at z.
 
-    ``s`` may also be an integer array that broadcasts against the point's
-    axes: a node carries frame vector s there, sum_k L[i][k] (s == k).  An
-    index axis of its own, e.g. s of shape (n, 1, 1) at a point of shape
-    (1, 1, N), stacks n frame slots into one tower; s must not have more
-    axes than the point, as a derivative pass puts its axis in front.
+    ``s`` is an integer array that broadcasts against the point's axes: a
+    node carries frame vector s there, sum_k L[i][k] (s == k).  An index axis
+    of its own, e.g. s of shape (n, 1, 1) at a point of shape (1, 1, N),
+    stacks n frame slots into one tower; s must not have more axes than the
+    point, as a derivative pass puts its axis in front.
     """
-    if np.ndim(s) == 0:
-        return lambda z: [row[s] for row in frame_at(chart, z)]
     masks = [(s == k).astype(float) for k in range(chart.dim)]
 
     def fld(z):

@@ -678,7 +678,7 @@ def test_smix_two_independent_routes():
         dim = sc.chart.dim
         cols = [np.array([c]) for c in x]
         smix_engine = float(dist_invariants_batch(sc.chart, sc.pair, cols)["smix"][0])
-        frames = [frame_column_field(sc.chart, s) for s in range(dim)]
+        frames = [frame_column_field(sc.chart, np.array(s)) for s in range(dim)]
         smix_towers = 0.0
         for s in range(dim):
             for t in range(dim):
