@@ -191,8 +191,9 @@ def cmd_integrate(sc, which, grid, seed, tol):
         max_abs, max_norm, extra = _integral(sc, which, grid, seed)
         # The coarse companion exists to show convergence under
         # refinement; it passes when it meets tolerance outright or
-        # when the requested grid improved on it.
-        improved = bool(reports) and reports[0]["max_normalized"] <= max_norm
+        # when the requested grid improved on it.  A grid with every count
+        # at most 2 is its own companion, and equal is no improvement.
+        improved = bool(reports) and reports[0]["max_normalized"] < max_norm
         extra["grid"] = ",".join(str(int(c)) for c in grid.counts)
         reports.append(
             _report(
