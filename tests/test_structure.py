@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "distpair"
@@ -168,12 +169,34 @@ def test_no_cache_keyed_by_object_identity():
     assert offenders == []
 
 
-def test_chart_geometry_defines_one_jet1_and_one_metric_jet():
-    # the benchmark's trace counts jet lookups and jets built by these names
-    tree = dict(_modules())["chart_geometry"]
-    names = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-    assert names.count("jet1") == 1
-    assert names.count("_metric_jet") == 1
+def test_benchmark_entry_points():
+    # perfbench/run.py reaches into the package by these names and call
+    # shapes.  Its profile reads a function by name (set-up time, jet
+    # lookups, jets built) and raises if a module defines two of that name
+    from distpair import cli, dist_tensors, quadrature, scenarios
+
+    for name in scenarios.SCENARIO_NAMES:
+        assert isinstance(scenarios.build_scenario(name).integrand_degenerate, bool)
+    sc = scenarios.non_allowed_rotated()
+    assert set(cli.CHECK_RUNNERS) == set(cli.CHECK_NAMES)
+    for runner in (cli.run_allowed, cli.run_collapse, cli.run_codazzi):
+        _, _, samples = runner(sc, 2, 0, 1e-6)  # (sc, points, seed, tol)
+        assert samples == 2
+    assert "cols" in inspect.signature(dist_tensors.dist_invariants_batch).parameters
+    assert inspect.isgeneratorfunction(quadrature._chunk_nodes)
+    assert sc.grid(3).total_nodes == 9
+    modules = dict(_modules())
+    for stem, func in (
+        ("scenarios", "build_scenario"),
+        ("chart_geometry", "jet1"),
+        ("chart_geometry", "_metric_jet"),
+    ):
+        names = [
+            node.name
+            for node in ast.walk(modules[stem])
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+        assert names.count(func) == 1, (stem, func)
 
 
 def test_no_module_defines_or_imports_geometry():
