@@ -266,6 +266,11 @@ def pp_star_field(chart, p_endo):
     return fld
 
 
+def div_endo_gnorm(chart, endo_field, x):
+    """|div S|_g at x: the metric norm of the divergence covector of S."""
+    return covector_gnorm(chart.jet1(x).g_inv, div_endo(chart, endo_field, x))
+
+
 def div_p(p_endo, chart, vec_field, x):
     """div_P X in trace form, sum_{m,k} Q^m_k (nabla_m X)^k with Q = P P^*
     (no assumption on P)."""
@@ -296,7 +301,7 @@ def div_equivalence_residuals(p_endo, chart, vec_field, x, scalar_field):
     """
     jet = chart.jet1(x)
     q_field = pp_star_field(chart, p_endo)
-    div_q_norm = covector_gnorm(jet.g_inv, div_endo(chart, q_field, x))
+    div_q_norm = div_endo_gnorm(chart, q_field, x)
 
     # one Q and one covariant Jacobian of X serve div_P X and <Q, nabla X>
     q = q_field(x)

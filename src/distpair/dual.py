@@ -11,6 +11,10 @@ passes safe (no perturbation confusion).
 Payloads (``val``/``eps``) may be floats, numpy arrays (for evaluating a whole
 batch of points in one pass) or further ``Dual`` instances (nesting).
 
+The elementary functions are the smooth ones the scenarios need: sin, cos,
+exp and sqrt.  There is no ``abs``: |x| has no derivative at 0, so ``abs`` of
+a dual raises TypeError rather than pick one.
+
 Division uses the quotient rule, so the value part of every operation is the
 plain operation on the values: a pass's value is bit for bit the plain
 ``f(x)``, and callers take it from the pass instead of evaluating f again.
@@ -129,9 +133,6 @@ class Dual:
         v = self.val ** n
         return Dual(self.tag, v, (self.val ** (n - 1)) * n * self.eps)
 
-    def __abs__(self):
-        return fabs(self)
-
 
 # -- elementary functions (dispatch on float / ndarray / Dual) ----------
 
@@ -155,12 +156,6 @@ def exp(x):
     return np.exp(x)
 
 
-def log(x):
-    if isinstance(x, Dual):
-        return Dual(x.tag, log(x.val), x.eps / x.val)
-    return np.log(x)
-
-
 def sqrt(x):
     if isinstance(x, Dual):
         r = sqrt(x.val)
@@ -173,15 +168,6 @@ def _real(x):
     while isinstance(x, Dual):
         x = x.val
     return x
-
-
-def sign_of(x):
-    """Sign of the innermost (real) part; constant for differentiation."""
-    return np.sign(_real(x))
-
-
-def fabs(x):
-    return x * sign_of(x)
 
 
 # -- the derivative engine ---------------------------------------------

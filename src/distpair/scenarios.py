@@ -20,9 +20,9 @@ import numpy as np
 
 from . import dual as ops
 from . import linalg as la
-from .chart_geometry import Chart, div_endo, point_columns
-from .dist_tensors import pp_star_field
-from .endo_fields import EndoPair, allowed_residual, covector_gnorm, pair_defects
+from .chart_geometry import Chart, point_columns
+from .dist_tensors import div_endo_gnorm, pp_star_field
+from .endo_fields import EndoPair, allowed_residual, pair_defects
 from .quadrature import Axis, QuadratureGrid
 
 TWO_PI = 2.0 * math.pi
@@ -109,9 +109,7 @@ def probe_pair(scenario):
         ev["allowed"] = la.max_entry(allowed_residual(pair, chart, cols, vx, vy)[0])
     if pair.div_pp_star_zero:
         q_field = pp_star_field(chart, pair.total())
-        ev["div_pp_star"] = la.max_entry(
-            covector_gnorm(chart.jet1(cols).g_inv, div_endo(chart, q_field, cols))
-        )
+        ev["div_pp_star"] = la.max_entry(div_endo_gnorm(chart, q_field, cols))
     if pair.div_p_squared_zero:
         p_total = pair.total()
 
@@ -119,9 +117,7 @@ def probe_pair(scenario):
             p = p_total(z)
             return la.mat_mul(p, p)
 
-        ev["div_p_squared"] = la.max_entry(
-            covector_gnorm(chart.jet1(cols).g_inv, div_endo(chart, p_sq, cols))
-        )
+        ev["div_p_squared"] = la.max_entry(div_endo_gnorm(chart, p_sq, cols))
     return ev
 
 
@@ -264,15 +260,17 @@ def einstein_factor(u):
 
 
 def einstein_a1(u):
-    """sqrt(-einstein_factor): the S^3-block coefficient of P.
+    """The S^3-block coefficient of P: a smooth square root of
+    -einstein_factor.
 
-    It is |sin u| c(u) with c(u) > 0, so P1 is only C^0 where sin u = 0:
-    its u-derivative jumps from -sqrt(6) to +sqrt(6) at u = 0 and at
-    u = pi, where c = sqrt(6).  P1 squared stays smooth.
+    It is sin(u) c(u) with c(u) = sqrt((cos^2 u - 5) cos^2 u + 10) /
+    (1 + sin^2 u)^(3/2); the radicand is at least 6, so the coefficient is
+    C^infinity, and its u-derivative at u = 0 is c(0) = sqrt(6).  It is the
+    non-negative root where sin u >= 0 and the negative one elsewhere.
     """
     s = ops.sin(u)
     c2 = ops.cos(u) ** 2
-    return ops.fabs(s) * ops.sqrt((c2 - 5.0) * c2 + 10.0) / (1.0 + s * s) ** 1.5
+    return s * ops.sqrt((c2 - 5.0) * c2 + 10.0) / (1.0 + s * s) ** 1.5
 
 
 def _angular_axes():
@@ -296,8 +294,10 @@ def _angular_substitution(params):
 
 def einstein_s3xt2():
     """Product of the round 3-sphere (radius-2 conformal factor) with a flat
-    2-torus rescaled by 1 + sin^2 u; the pair is the PSD square root of minus
-    the mixed Einstein tensor, split along the two factors."""
+    2-torus rescaled by 1 + sin^2 u; the pair is a smooth square root of
+    minus the mixed Einstein tensor, split along the two factors.  It is the
+    PSD root where sin u >= 0; elsewhere P1 is minus that root's S^3 block.
+    The rank of P1 drops from 3 to 0 where sin u = 0."""
     dim = 5
     sqrt3 = math.sqrt(3.0)
 
@@ -386,8 +386,6 @@ def _unit_field_projectors(chart, xi):
 
 def _hopf_scenario(name, conformal_strength=0.0):
     def psi(z):
-        if conformal_strength == 0.0:
-            return 0.0
         return conformal_strength * _sphere_q0(z)[0]
 
     def metric(z):

@@ -74,21 +74,29 @@ def test_contact_check_included_on_hopf(capsys):
     assert reports[0]["check"] == "contact" and reports[0]["pass"] is True
 
 
-def test_contact_max_abs_reads_both_unnormalized_residuals(monkeypatch):
+def test_contact_max_abs_reads_both_unnormalized_residuals(monkeypatch, capsys):
     """max_abs is the largest unnormalized residual over hopf-s3 and its
-    conformal rescale, here the rescale's ``plus``."""
+    conformal rescale, here the rescale's ``plus``.  A rescale whose wrong
+    sign also closes (``minus_normalized`` <= 100 tol) fails the report."""
     values = {
         "hopf-s3": {"plus": 1e-15, "plus_normalized": 1e-16},
         "hopf-s3-conformal": {"plus": 5e-15, "plus_normalized": 2e-16},
     }
+    minus = {"minus_normalized": 1.0}
 
     def residual(phi, xi, chart, vx, cols):
-        return {**values[chart.name], "minus_normalized": 1.0}
+        return {**values[chart.name], **minus}
 
     monkeypatch.setattr(cli, "contact_structure_residuals", lambda *args: {})
     monkeypatch.setattr(cli, "contact_identity_residual", residual)
     max_abs, max_norm, _ = cli.run_contact(build_scenario("hopf-s3"), 4, 42, 1e-6)
     assert (max_abs, max_norm) == (5e-15, 2e-16)
+
+    minus["minus_normalized"] = 5e-5  # <= 100 tol: the signs did not separate
+    code = main(["--scenario", "hopf-s3", "--check", "contact", "--points", "4"])
+    (report,) = _parse_lines(capsys.readouterr().out)
+    assert code == 1 and report["pass"] is False
+    assert (report["max_abs"], report["max_normalized"]) == (5e-15, 1.0)
 
 
 def test_contact_elsewhere_is_usage_error(capsys):
@@ -112,8 +120,13 @@ def test_unknown_scenario_is_usage_error():
         ["--scenario", "flat-torus", "--check", "pair", "--points", "2", "--tol=-1e-6"],
         ["--scenario", "flat-torus", "--check", "pair", "--points", "2", "--tol", "nan"],
         ["--scenario", "flat-torus", "--check", "pair", "--points", "2", "--tol", "inf"],
+        ["--scenario", "flat-torus", "--check", "pair", "--points", "0"],
+        ["--scenario", "warped-torus", "--which", "stokes", "--grid", "a,b"],
     ],
-    ids=["grid-zero", "grid-count-mismatch", "negative-seed", "negative-tol", "nan-tol", "inf-tol"],
+    ids=[
+        "grid-zero", "grid-count-mismatch", "negative-seed", "negative-tol", "nan-tol", "inf-tol",
+        "zero-points", "non-integer-grid",
+    ],
 )
 def test_bad_option_values_are_usage_errors(argv, capsys):
     # each would otherwise raise a traceback (exit 1) or print a report

@@ -91,11 +91,21 @@ def test_einstein_block_coefficient_anchors():
         assert abs(einstein_a1(u) ** 2 + einstein_factor(u)) < 1e-13
 
 
+def test_einstein_block_coefficient_is_smooth_at_its_zero():
+    # the signed root sin(u) c(u) has slope c(0) = sqrt(6) on both sides of
+    # u = 0; |sin u| c(u) would jump from -sqrt(6) to +sqrt(6)
+    for u in (-1e-9, 0.0, 1e-9):
+        slope = directional(lambda z: einstein_a1(z[0]), [u], [1.0])[1]
+        assert abs(slope - math.sqrt(6.0)) < 1e-6
+
+
 def test_einstein_pair_is_psd_root_of_minus_einstein_tensor():
+    # the pair is the PSD root where sin u >= 0, so u is drawn in (0, pi)
     sc = einstein_s3xt2()
     rng = np.random.default_rng(8)
     for _ in range(4):
         x = sc.sample_points(rng, 1)[0]
+        x[3] = float(rng.uniform(0.0, math.pi))
         E = einstein_tensor(sc.chart, x)
         minus_e = [[-v for v in row] for row in E]
         g = sc.chart.jet1(x).g

@@ -132,8 +132,9 @@ def test_invariants_engine_contracts_pairwise():
 
 def test_every_top_level_def_is_used():
     # a module-level function or class is read somewhere in the package
-    # (its own definition does not count) or exported through __all__, so a
-    # helper only the tests call lives in the tests
+    # or exported through __all__, so a helper only the tests call lives in
+    # the tests.  A use inside the name's own definition, such as a recursive
+    # call, does not count; uses between two definitions do
     modules = dict(_modules())
     exported = {
         elt.value
@@ -143,11 +144,15 @@ def test_every_top_level_def_is_used():
     }
     used = set()
     for tree in modules.values():
-        used.update(
-            node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))
-        )
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            used.update(
+                name
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))
+                for name in [node.id if isinstance(node, ast.Name) else node.attr]
+                if name != own
+            )
     unused = [
         f"{stem}.{node.name}"
         for stem, tree in modules.items()
