@@ -64,7 +64,10 @@ from .endo_fields import (
 #
 # Slot conventions (fixed throughout): index-1 tensors take (Y, X), index-2
 # tensors take (X, Y).  The first argument is the one whose projected image
-# is differentiated; the second feeds the direction.
+# is differentiated; the second feeds the direction.  Only the index-2 family
+# is written out: an index-1 tensor, term or form of a pair is the index-2
+# one of ``pair.swapped()`` with its two slots exchanged, e.g.
+# B1(Y, X) = field_b2(chart, pair.swapped(), Y, X).
 
 
 def _slot_field(chart, outer, direction, inner, moved_fld, dir_fld):
@@ -79,31 +82,15 @@ def _slot_field(chart, outer, direction, inner, moved_fld, dir_fld):
     return fld
 
 
-def field_b1(chart, pair, y_fld, x_fld):
-    """B1(Y, X) = P1^* nabla_{P1 X} (P2 Y)."""
-    return _slot_field(chart, adjoint_field(chart, pair.p1), pair.p1, pair.p2, y_fld, x_fld)
-
-
 def field_b2(chart, pair, x_fld, y_fld):
     """B2(X, Y) = P2^* nabla_{P2 Y} (P1 X)."""
     return _slot_field(chart, adjoint_field(chart, pair.p2), pair.p2, pair.p1, x_fld, y_fld)
-
-
-def field_hat_b1(chart, pair, y_fld, x_fld):
-    """hat B1(Y, X) = P1 nabla_{P1^* X} (P2^* Y)."""
-    p1s, p2s = adjoint_field(chart, pair.p1), adjoint_field(chart, pair.p2)
-    return _slot_field(chart, pair.p1, p1s, p2s, y_fld, x_fld)
 
 
 def field_hat_b2(chart, pair, x_fld, y_fld):
     """hat B2(X, Y) = P2 nabla_{P2^* Y} (P1^* X)."""
     p1s, p2s = adjoint_field(chart, pair.p1), adjoint_field(chart, pair.p2)
     return _slot_field(chart, pair.p2, p2s, p1s, x_fld, y_fld)
-
-
-def field_check_b1(chart, pair, y_fld, x_fld):
-    """check B1(Y, X) = P1 nabla_{P1 X} (P2^* Y)."""
-    return _slot_field(chart, pair.p1, pair.p1, adjoint_field(chart, pair.p2), y_fld, x_fld)
 
 
 def field_check_b2(chart, pair, x_fld, y_fld):
@@ -115,14 +102,12 @@ def b_tensors(pair, chart, x, vec_x, vec_y):
     """All six structural tensors at x on (X, Y), as vectors."""
     xf = as_field(vec_x)
     yf = as_field(vec_y)
-    return {
-        "b1": field_b1(chart, pair, yf, xf)(x),
-        "b2": field_b2(chart, pair, xf, yf)(x),
-        "hat_b1": field_hat_b1(chart, pair, yf, xf)(x),
-        "hat_b2": field_hat_b2(chart, pair, xf, yf)(x),
-        "check_b1": field_check_b1(chart, pair, yf, xf)(x),
-        "check_b2": field_check_b2(chart, pair, xf, yf)(x),
-    }
+    slots = ((1, pair.swapped(), yf, xf), (2, pair, xf, yf))
+    out = {}
+    for name, build in (("b", field_b2), ("hat_b", field_hat_b2), ("check_b", field_check_b2)):
+        for index, p, u, v in slots:
+            out[f"{name}{index}"] = build(chart, p, u, v)(x)
+    return out
 
 
 def collapse_residual(pair, chart, x, vec_x, vec_y):
@@ -136,30 +121,36 @@ def collapse_residual(pair, chart, x, vec_x, vec_y):
     yf = as_field(vec_y)
     g = chart.jet1(x).g
 
-    p2_b2 = la.mat_vec(pair.p2(x), field_b2(chart, pair, xf, yf)(x))
-    hat2 = field_hat_b2(chart, pair, xf, apply_endo(pair.p2, yf))(x)
-    chk2 = field_check_b2(chart, pair, apply_endo(pair.p1, xf), yf)(x)
-
-    p1_b1 = la.mat_vec(pair.p1(x), field_b1(chart, pair, yf, xf)(x))
-    hat1 = field_hat_b1(chart, pair, yf, apply_endo(pair.p1, xf))(x)
-    chk1 = field_check_b1(chart, pair, apply_endo(pair.p2, yf), xf)(x)
-
-    forms = {
-        "b2_vs_hat": la.vec_sub(p2_b2, hat2),
-        "b2_vs_check": la.vec_sub(p2_b2, chk2),
-        "b1_vs_hat": la.vec_sub(p1_b1, hat1),
-        "b1_vs_check": la.vec_sub(p1_b1, chk1),
-    }
-    norms = {
-        "b2_vs_hat": gnorm(g, p2_b2) + gnorm(g, hat2),
-        "b2_vs_check": gnorm(g, p2_b2) + gnorm(g, chk2),
-        "b1_vs_hat": gnorm(g, p1_b1) + gnorm(g, hat1),
-        "b1_vs_check": gnorm(g, p1_b1) + gnorm(g, chk1),
-    }
+    forms = {}
+    norms = {}
+    for index, p, u, v in ((2, pair, xf, yf), (1, pair.swapped(), yf, xf)):
+        p_b = la.mat_vec(p.p2(x), field_b2(chart, p, u, v)(x))
+        hat = field_hat_b2(chart, p, u, apply_endo(p.p2, v))(x)
+        chk = field_check_b2(chart, p, apply_endo(p.p1, u), v)(x)
+        for tag, other in (("hat", hat), ("check", chk)):
+            forms[f"b{index}_vs_{tag}"] = la.vec_sub(p_b, other)
+            norms[f"b{index}_vs_{tag}"] = gnorm(g, p_b) + gnorm(g, other)
     return forms, norms
 
 
 # -- the four-argument curvature identity ------------------------------------
+
+
+def _t_and_s(pair, chart, x, yf, x1f, x2f, zf):
+    """The vectors that t1 pairs with Z and s2 with X2, at x.
+
+    Both read nabla_{P1 X1}(P2 Y), evaluated once here.  The pair's swap
+    with (Y, X1, X2, Z) passed as (X1, Y, Z, X2) gives those of t2 and s1.
+    """
+    p1x1 = apply_endo(pair.p1, x1f)
+    p1x1_at = p1x1(x)
+    v_x1_dir = as_field(cov_at(chart, x, p1x1_at, apply_endo(pair.p2, yf)))
+
+    t_a = la.mat_vec(pair.p2(x), cov_at(chart, x, p1x1_at, field_b2(chart, pair, x2f, yf)))
+    t_b = field_check_b2(chart, pair, nabla_field(chart, p1x1, apply_endo(pair.p1, x2f)), yf)(x)
+    t_c = field_hat_b2(chart, pair, x2f, v_x1_dir)(x)
+    s = field_hat_b2(chart, pair.swapped(), zf, v_x1_dir)(x)
+    return la.vec_sub(la.vec_sub(t_a, t_b), t_c), s
 
 
 def tsr_tensors(pair, chart, x, y, x1, x2, z_slot):
@@ -167,43 +158,22 @@ def tsr_tensors(pair, chart, x, y, x1, x2, z_slot):
 
     Arguments may be constant vectors or vector-field closures (the latter is
     used by the trace sums and the tensoriality tests).  Returns a dict with
-    t1, t2, s1, s2; the fifth term rp is :func:`curvature_term`.
+    t1, t2, s1, s2; the fifth term rp is :func:`curvature_term`.  (t2, s1)
+    are (t1, s2) of ``pair.swapped()`` with (Y, X1, X2, Z) passed as
+    (X1, Y, Z, X2).
     """
     yf, x1f, x2f, zf = (as_field(v) for v in (y, x1, x2, z_slot))
-    p1, p2 = pair.p1, pair.p2
-
-    p1x1 = apply_endo(p1, x1f)
-    p2y = apply_endo(p2, yf)
-    p2z = apply_endo(p2, zf)
-    p1x2 = apply_endo(p1, x2f)
-
     g = chart.jet1(x).g
     zv = zf(x)
     x2v = x2f(x)
-    p1x1_at = p1x1(x)
-    p2y_at = p2y(x)
-
-    def ip(a, b):
-        return la.bilinear(g, a, b)
-
-    # nabla_{P1 X1}(P2 Y) and nabla_{P2 Y}(P1 X1) show up in several slots
-    v_x1_dir = cov_at(chart, x, p1x1_at, p2y)  # nabla_{P1X1} P2Y
-    v_y_dir = cov_at(chart, x, p2y_at, p1x1)  # nabla_{P2Y} P1X1
-
-    t1_a = la.mat_vec(p2(x), cov_at(chart, x, p1x1_at, field_b2(chart, pair, x2f, yf)))
-    t1_b = field_check_b2(chart, pair, nabla_field(chart, p1x1, p1x2), yf)(x)
-    t1_c = field_hat_b2(chart, pair, x2f, as_field(v_x1_dir))(x)
-    t1 = ip(la.vec_sub(la.vec_sub(t1_a, t1_b), t1_c), zv)
-
-    t2_a = la.mat_vec(p1(x), cov_at(chart, x, p2y_at, field_b1(chart, pair, zf, x1f)))
-    t2_b = field_check_b1(chart, pair, nabla_field(chart, p2y, p2z), x1f)(x)
-    t2_c = field_hat_b1(chart, pair, zf, as_field(v_y_dir))(x)
-    t2 = ip(la.vec_sub(la.vec_sub(t2_a, t2_b), t2_c), x2v)
-
-    s1 = ip(field_hat_b2(chart, pair, x2f, as_field(v_y_dir))(x), zv)
-    s2 = ip(field_hat_b1(chart, pair, zf, as_field(v_x1_dir))(x), x2v)
-
-    return {"t1": t1, "t2": t2, "s1": s1, "s2": s2}
+    t1, s2 = _t_and_s(pair, chart, x, yf, x1f, x2f, zf)
+    t2, s1 = _t_and_s(pair.swapped(), chart, x, x1f, yf, zf, x2f)
+    return {
+        "t1": la.bilinear(g, t1, zv),
+        "t2": la.bilinear(g, t2, x2v),
+        "s1": la.bilinear(g, s1, zv),
+        "s2": la.bilinear(g, s2, x2v),
+    }
 
 
 def curvature_term(pair, chart, x, y, x1, x2, z_slot):
@@ -341,14 +311,13 @@ def _diff_field(field, cols, n_nodes):
     return la.nested_to_array(val, n_nodes), la.nested_to_array(d, n_nodes)
 
 
-def _frame_product_fields(chart, pair):
-    def a_field(z):
-        return la.mat_mul(pair.p1(z), frame_at(chart, z))
+def _projected_frame(chart, p_endo):
+    """Field z -> P L, the orthonormal frame L = frame_at projected by P."""
 
-    def b_field(z):
-        return la.mat_mul(pair.p2(z), frame_at(chart, z))
+    def fld(z):
+        return la.mat_mul(p_endo(z), frame_at(chart, z))
 
-    return a_field, b_field
+    return fld
 
 
 def _frame_jet(a_field, cols, n_nodes):
@@ -476,7 +445,7 @@ def dist_invariants_batch(chart, pair, cols):
     same bits at any batch size.
     """
     n_nodes = cols[0].shape[0]
-    a_field, b_field = _frame_product_fields(chart, pair)
+    a_field, b_field = _projected_frame(chart, pair.p1), _projected_frame(chart, pair.p2)
 
     # the projected frame A = P1 L, B = P2 L; A's value and first partials
     # come from its second-order pass
@@ -539,7 +508,7 @@ def mean_curvature_field(chart, pair):
     differentiated, which is how walczak takes div_P(H1 + H2).
     """
     n = chart.dim
-    a_field, b_field = _frame_product_fields(chart, pair)
+    a_field, b_field = _projected_frame(chart, pair.p1), _projected_frame(chart, pair.p2)
 
     def trace_cov(f0, df, gamma):
         # sum_s (nabla_{F_s} F_s)^k = sum_{i,s} F^i_s (d_i F^k_s + Gamma^k_{im} F^m_s)

@@ -10,6 +10,7 @@ conditions gating the curvature-level identities in dist_tensors.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Callable
@@ -56,6 +57,12 @@ class EndoPair:
             return la.mat_add(self.p1(z), self.p2(z))
 
         return fld
+
+    def swapped(self):
+        """The pair (P2, P1).  Each flag is symmetric in the two members, so
+        the flags carry over.  An index-1 object of the pair is the index-2
+        one of its swap, with the two slots exchanged."""
+        return dataclasses.replace(self, p1=self.p2, p2=self.p1)
 
 
 def frob(m):
@@ -145,7 +152,8 @@ def allowed_forms(pair, chart, x, vec_x, vec_y):
     For an adapted pair each form is tensorial in both slots, so constant
     extension of X and Y is faithful.  Returns (forms, normalizers); each
     normalizer sums the magnitudes of the two terms whose difference is the
-    form (used for normalized residual reporting).
+    form (used for normalized residual reporting).  The b1 forms are the b2
+    forms of ``pair.swapped()``.
     """
     x_fld = as_field(vec_x)
     y_fld = as_field(vec_y)
@@ -153,7 +161,8 @@ def allowed_forms(pair, chart, x, vec_x, vec_y):
 
     forms = {}
     norms = {}
-    for tag, pa, pb in (("b1", pair.p1, pair.p2), ("b2", pair.p2, pair.p1)):
+    for tag, p in (("b1", pair.swapped()), ("b2", pair)):
+        pa, pb = p.p2, p.p1
         pa_adj = adjoint_field(chart, pa)
         pb_adj = adjoint_field(chart, pb)
         d_main = la.mat_vec(pa(x), vec_x)

@@ -68,8 +68,10 @@ class ScenarioManifold:
         return QuadratureGrid(axes, counts, substitution)
 
     def sample_points(self, rng, count):
-        bounds = self.sample_bounds
-        return [[float(rng.uniform(lo, hi)) for lo, hi in bounds] for _ in range(count)]
+        """``count`` points drawn in one call, the stream of ``count`` rounds
+        of one draw per coordinate."""
+        lows, highs = zip(*self.sample_bounds)
+        return rng.uniform(lows, highs, size=(count, self.chart.dim)).tolist()
 
     def sample_columns(self, rng, count):
         """``count`` sample points as one column batch."""

@@ -29,10 +29,9 @@ from distpair.dist_tensors import (
     contact_structure_residuals,
     dist_invariants_batch,
     div_p,
-    field_b1,
     field_b2,
-    field_check_b1,
-    field_hat_b1,
+    field_check_b2,
+    field_hat_b2,
     formula_terms_batch,
     collapse_residual,
     curvature_term,
@@ -47,6 +46,7 @@ from distpair.cli import run_walczak
 from distpair.dual import partials, second_partials
 from distpair.endo_fields import (
     EndoPair,
+    adjoint_field,
     adjoint_matrix,
     allowed_forms,
     allowed_residual,
@@ -104,6 +104,59 @@ def test_b2_at_origin_matches_hand_value():
     sc = warped_torus()
     bt = b_tensors(sc.pair, sc.chart, [0.0, 0.7], [1.0, 0.0], [0.0, 1.0])
     assert np.allclose(bt["b2"], [0.0, 1.0], atol=1e-14)
+
+
+def paper_b_tensors(pair, chart, x, X, Y):
+    """The six structural tensors at x on constant X, Y, each written out
+    from its definition; index-1 tensors take (Y, X), index-2 ones (X, Y)."""
+    p1, p2 = pair.p1, pair.p2
+    p1s, p2s = adjoint_field(chart, p1), adjoint_field(chart, p2)
+
+    def outer(endo, v):
+        return la.mat_vec(endo(x), v)
+
+    def slot(direction, along, field, moved):
+        return cov_at(chart, x, la.mat_vec(direction(x), along), apply_endo(field, as_field(moved)))
+
+    return {
+        # B1(Y, X) = P1^* nabla_{P1 X}(P2 Y),  B2(X, Y) = P2^* nabla_{P2 Y}(P1 X)
+        "b1": outer(p1s, slot(p1, X, p2, Y)),
+        "b2": outer(p2s, slot(p2, Y, p1, X)),
+        # hat B1(Y, X) = P1 nabla_{P1^* X}(P2^* Y),  hat B2(X, Y) = P2 nabla_{P2^* Y}(P1^* X)
+        "hat_b1": outer(p1, slot(p1s, X, p2s, Y)),
+        "hat_b2": outer(p2, slot(p2s, Y, p1s, X)),
+        # check B1(Y, X) = P1 nabla_{P1 X}(P2^* Y),  check B2(X, Y) = P2 nabla_{P2 Y}(P1^* X)
+        "check_b1": outer(p1, slot(p1, X, p2s, Y)),
+        "check_b2": outer(p2, slot(p2, Y, p1s, X)),
+    }
+
+
+@pytest.mark.parametrize("which", ["hopf-s3", "rotated"])
+def test_b_tensors_match_their_definitions(which):
+    """Every structural tensor, slot order included, on pairs where the
+    index-1 family is non-zero: on hopf-s3 it is the only non-zero family,
+    on the rotated pair every tensor but hat B1 is non-zero."""
+    sc = hopf_contact_s3() if which == "hopf-s3" else non_allowed_rotated()
+    rng = np.random.default_rng(59)
+    dim = sc.chart.dim
+    big = {}
+    for _ in range(4):
+        x = sc.sample_points(rng, 1)[0]
+        X, Y = [list(rng.normal(size=dim)) for _ in range(2)]
+        got = b_tensors(sc.pair, sc.chart, x, X, Y)
+        want = paper_b_tensors(sc.pair, sc.chart, x, X, Y)
+        assert list(got) == ["b1", "b2", "hat_b1", "hat_b2", "check_b1", "check_b2"]
+        for key, vec in want.items():
+            assert np.allclose(got[key], vec, rtol=1e-12, atol=1e-12), key
+            big[key] = max(big.get(key, 0.0), float(np.max(np.abs(vec))))
+    if which == "hopf-s3":
+        for key in ("b1", "hat_b1", "check_b1"):
+            assert big[key] > 0.1, key
+        for key in ("b2", "hat_b2", "check_b2"):
+            assert big[key] < 1e-12, key
+    else:
+        assert big.pop("hat_b1") < 1e-12
+        assert all(v > 0.1 for v in big.values()), big
 
 
 def five_terms(pair, chart, x, *args):
@@ -171,8 +224,6 @@ def test_unconditional_identities_hold_for_any_adapted_pair():
         forms, _ = allowed_forms(pair, chart, x, Y, Z)
         xf, yf = as_field(X), as_field(Y)
 
-        from distpair.dist_tensors import field_check_b2, field_hat_b2
-
         hat2 = field_hat_b2(chart, pair, xf, apply_endo(pair.p2, yf))(x)
         chk2 = field_check_b2(chart, pair, apply_endo(pair.p1, xf), yf)(x)
         p2b2 = la.mat_vec(pair.p2(x), field_b2(chart, pair, xf, yf)(x))
@@ -191,9 +242,11 @@ def test_unconditional_identities_hold_for_any_adapted_pair():
             < 1e-12
         )
 
-        hat1 = field_hat_b1(chart, pair, xf, apply_endo(pair.p1, yf))(x)
-        chk1 = field_check_b1(chart, pair, apply_endo(pair.p2, xf), yf)(x)
-        p1b1 = la.mat_vec(pair.p1(x), field_b1(chart, pair, xf, yf)(x))
+        # the index-1 tensors are the index-2 ones of the swapped pair
+        swapped = pair.swapped()
+        hat1 = field_hat_b2(chart, swapped, xf, apply_endo(pair.p1, yf))(x)
+        chk1 = field_check_b2(chart, swapped, apply_endo(pair.p2, xf), yf)(x)
+        p1b1 = la.mat_vec(pair.p1(x), field_b2(chart, swapped, xf, yf)(x))
         assert (
             abs(
                 la.bilinear(g, forms["b1_star"], X)
@@ -516,7 +569,7 @@ def multi_operand_invariants(chart, pair, cols):
     dist_invariants_batch, which contracts pairwise through shared
     intermediates; the inputs come from the same derivative passes."""
     n_nodes = cols[0].shape[0]
-    a_field, b_field = dt._frame_product_fields(chart, pair)
+    a_field, b_field = (dt._projected_frame(chart, p) for p in (pair.p1, pair.p2))
 
     def diff(field):
         val, d = partials(field, cols)
@@ -746,7 +799,7 @@ def test_pass_values_equal_plain_values_bit_for_bit(name):
     sc = build_scenario(name)
     rng = np.random.default_rng(86)
     cols = sc.sample_columns(rng, 1000)
-    a_field, b_field = dt._frame_product_fields(sc.chart, sc.pair)
+    a_field, b_field = (dt._projected_frame(sc.chart, p) for p in (sc.pair.p1, sc.pair.p2))
     fields = {
         "metric": sc.chart.metric,
         "frame_p1": a_field,

@@ -18,11 +18,14 @@ from distpair.endo_fields import (
 )
 from distpair.scenarios import (
     SCENARIO_NAMES,
+    SCENARIOS,
     build_scenario,
+    conformal_hopf,
     einstein_s3xt2,
     flat_torus_projectors,
     hopf_contact_s3,
     non_allowed_rotated,
+    probe_pair,
     scaled_identity,
     warped_torus,
 )
@@ -140,6 +143,28 @@ def test_check_pair_evaluates_each_member_once(name):
     )
     check_pair(pair, sc.chart, sc.sample_columns(np.random.default_rng(3), 4))
     assert calls == {"p1": 1, "p2": 1}
+
+
+def test_swapped_pair_exchanges_its_members():
+    pair = hopf_contact_s3().pair
+    swapped = pair.swapped()
+    assert (swapped.p1, swapped.p2) == (pair.p2, pair.p1)
+    twice = swapped.swapped()
+    assert twice.p1 is pair.p1 and twice.p2 is pair.p2
+    assert twice == pair
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [*SCENARIOS.values(), non_allowed_rotated, conformal_hopf],
+    ids=lambda b: b.__name__,
+)
+def test_probe_pair_is_symmetric_in_the_members(builder):
+    """The evidence of a pair and of its swap agree, which is why
+    ``swapped`` keeps the flags."""
+    sc = builder()
+    swapped = dataclasses.replace(sc, pair=sc.pair.swapped())
+    assert probe_pair(swapped) == probe_pair(sc)
 
 
 def test_sqrt_psd_diagonal_and_random():

@@ -210,6 +210,20 @@ def test_sample_points_respect_bounds_and_seed():
             assert lo <= c <= hi
 
 
+@pytest.mark.parametrize("build", [warped_torus, hopf_contact_s3, einstein_s3xt2])
+def test_sample_points_keep_the_per_coordinate_stream(build):
+    """One draw of every coordinate gives the floats of one draw per
+    coordinate, point by point, and leaves the generator in the same state."""
+    sc = build()
+    rng1 = np.random.default_rng(17)
+    rng2 = np.random.default_rng(17)
+    want = [[float(rng1.uniform(lo, hi)) for lo, hi in sc.sample_bounds] for _ in range(6)]
+    got = sc.sample_points(rng2, 6)
+    assert got == want
+    assert all(type(c) is float for p in got for c in p)
+    assert rng1.bit_generator.state == rng2.bit_generator.state
+
+
 def test_grid_builder_broadcasts_single_count():
     sc = einstein_s3xt2()
     grid = sc.grid(6)
