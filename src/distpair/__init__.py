@@ -12,16 +12,10 @@ from .chart_geometry import (
     cov_at,
     div_endo,
     div_vector,
-    einstein_tensor,
     lie_bracket,
     point_columns,
-    ricci,
-    riemann,
-    scalar_curvature,
-    sectional_curvature,
 )
 from .dist_tensors import (
-    b_tensors,
     codazzi_residual,
     contact_identity_residual,
     contact_structure_residuals,
@@ -36,12 +30,10 @@ from .dist_tensors import (
 )
 from .endo_fields import (
     EndoPair,
-    NotPositiveSemidefinite,
     adjoint_field,
     allowed_forms,
     allowed_residual,
     check_pair,
-    sqrt_psd,
 )
 from .quadrature import (
     Axis,
@@ -72,14 +64,12 @@ __all__ = [
     "Chart",
     "EndoPair",
     "MetricError",
-    "NotPositiveSemidefinite",
     "QuadratureGrid",
     "SCENARIO_NAMES",
     "ScenarioManifold",
     "adjoint_field",
     "allowed_forms",
     "allowed_residual",
-    "b_tensors",
     "build_scenario",
     "check_pair",
     "christoffel",
@@ -97,7 +87,6 @@ __all__ = [
     "div_vector",
     "einstein_factor",
     "einstein_s3xt2",
-    "einstein_tensor",
     "flat_torus_projectors",
     "hopf_contact_s3",
     "integral_formula_check",
@@ -107,12 +96,7 @@ __all__ = [
     "point_columns",
     "probe_pair",
     "refine_counts",
-    "ricci",
-    "riemann",
-    "scalar_curvature",
     "scaled_identity",
-    "sectional_curvature",
-    "sqrt_psd",
     "stokes_check",
     "trace_identity_residuals",
     "tsr_tensors",

@@ -1,18 +1,12 @@
 """Coordinate-chart Riemannian geometry through automatic differentiation.
 
 A chart supplies the metric as a callable on coordinate lists; every derived
-object (Christoffel symbols, curvature, divergences, covariant derivatives)
-is produced by differentiating that callable with the derivative engine of
-:mod:`dual` — there are no hand-differentiated metric formulas anywhere
-downstream.  Each quantity is computed one way; the independent second routes
-(density forms of the divergences) live in the tests as cross-checks.
-
-Sign conventions, fixed once and used consistently:
-
-    R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z
-    R_{ijkl} = <R(d_i, d_j) d_k, d_l>,   Ric_{jk} = R^i_{ijk}
-
-With these, the round 3-sphere has sectional curvature +1 and Ric = 2g.
+object (Christoffel symbols, divergences, covariant derivatives) is produced
+by differentiating that callable with the derivative engine of :mod:`dual` —
+there are no hand-differentiated metric formulas anywhere downstream.  Each
+quantity is computed one way; the independent second routes (density forms
+of the divergences, the coordinate curvature tensors) live in the tests as
+cross-checks.
 """
 
 from __future__ import annotations
@@ -173,91 +167,6 @@ def christoffel_field(chart):
         return christoffel(chart.jet1(z))
 
     return fld
-
-
-def riemann_up(chart, x):
-    """R^m_{ijk} = d_i Gamma^m_{jk} - d_j Gamma^m_{ik} + Gamma Gamma terms."""
-    n = chart.dim
-    gamma = chart.jet1(x).gamma
-    _, dgamma = partials(christoffel_field(chart), x)  # dgamma[l][k][i][j] = d_l Gamma^k_{ij}
-    out = []
-    for m in range(n):
-        bm = []
-        for i in range(n):
-            bi = []
-            for j in range(n):
-                row = []
-                for k in range(n):
-                    v = dgamma[i][m][j][k] - dgamma[j][m][i][k]
-                    v = v + sum(
-                        gamma[m][i][s] * gamma[s][j][k] - gamma[m][j][s] * gamma[s][i][k]
-                        for s in range(n)
-                    )
-                    row.append(v)
-                bi.append(row)
-            bm.append(bi)
-        out.append(bm)
-    return out
-
-
-def riemann(chart, x):
-    """Fully lowered curvature R_{ijkl} = <R(d_i,d_j) d_k, d_l>."""
-    n = chart.dim
-    up = riemann_up(chart, x)
-    g = chart.jet1(x).g
-    return [
-        [
-            [
-                [sum(g[l][m] * up[m][i][j][k] for m in range(n)) for l in range(n)]
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def ricci(chart, x):
-    n = chart.dim
-    up = riemann_up(chart, x)
-    return [[sum(up[i][i][j][k] for i in range(n)) for k in range(n)] for j in range(n)]
-
-
-def scalar_curvature(chart, x):
-    n = chart.dim
-    ric = ricci(chart, x)
-    g_inv = chart.jet1(x).g_inv
-    return sum(g_inv[j][k] * ric[j][k] for j in range(n) for k in range(n))
-
-
-def einstein_tensor(chart, x):
-    """Mixed (1,1) Einstein tensor E^i_j = Ric^i_j - 1/2 Scal delta^i_j."""
-    n = chart.dim
-    ric = ricci(chart, x)
-    g_inv = chart.jet1(x).g_inv
-    ric_up = [[sum(g_inv[i][k] * ric[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    scal = sum(ric_up[i][i] for i in range(n))
-    return [
-        [ric_up[i][j] - (0.5 * scal if i == j else 0.0) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def sectional_curvature(chart, x, u, v):
-    n = chart.dim
-    r4 = riemann(chart, x)
-    g = chart.jet1(x).g
-    num = sum(
-        r4[i][j][k][l] * u[i] * v[j] * v[k] * u[l]
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-        for l in range(n)
-    )
-    uu = la.bilinear(g, u, u)
-    vv = la.bilinear(g, v, v)
-    uv = la.bilinear(g, u, v)
-    return num / (uu * vv - uv * uv)
 
 
 # -- covariant derivatives of fields --------------------------------------

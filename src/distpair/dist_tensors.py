@@ -98,18 +98,6 @@ def field_check_b2(chart, pair, x_fld, y_fld):
     return _slot_field(chart, pair.p2, pair.p2, adjoint_field(chart, pair.p1), x_fld, y_fld)
 
 
-def b_tensors(pair, chart, x, vec_x, vec_y):
-    """All six structural tensors at x on (X, Y), as vectors."""
-    xf = as_field(vec_x)
-    yf = as_field(vec_y)
-    slots = ((1, pair.swapped(), yf, xf), (2, pair, xf, yf))
-    out = {}
-    for name, build in (("b", field_b2), ("hat_b", field_hat_b2), ("check_b", field_check_b2)):
-        for index, p, u, v in slots:
-            out[f"{name}{index}"] = build(chart, p, u, v)(x)
-    return out
-
-
 def collapse_residual(pair, chart, x, vec_x, vec_y):
     """Residual vectors of the four compatibility coincidences at x.
 
@@ -127,9 +115,10 @@ def collapse_residual(pair, chart, x, vec_x, vec_y):
         p_b = la.mat_vec(p.p2(x), field_b2(chart, p, u, v)(x))
         hat = field_hat_b2(chart, p, u, apply_endo(p.p2, v))(x)
         chk = field_check_b2(chart, p, apply_endo(p.p1, u), v)(x)
+        p_b_norm = gnorm(g, p_b)
         for tag, other in (("hat", hat), ("check", chk)):
             forms[f"b{index}_vs_{tag}"] = la.vec_sub(p_b, other)
-            norms[f"b{index}_vs_{tag}"] = gnorm(g, p_b) + gnorm(g, other)
+            norms[f"b{index}_vs_{tag}"] = p_b_norm + gnorm(g, other)
     return forms, norms
 
 

@@ -200,32 +200,3 @@ def allowed_residual(pair, chart, x, vec_x, vec_y):
     per node when x is a column batch."""
     forms, norms = allowed_forms(pair, chart, x, vec_x, vec_y)
     return form_residuals(chart.jet1(x).g, forms, norms)
-
-
-# -- positive-semidefinite square root -------------------------------------
-
-
-class NotPositiveSemidefinite(ValueError):
-    pass
-
-
-def sqrt_psd(s, g=None, tol=1e-8):
-    """Metric-self-adjoint PSD square root of a mixed endomorphism matrix.
-
-    Conjugating with the Cholesky factor of g turns a g-self-adjoint mixed
-    matrix into a plain symmetric one; take its eigenvalue square root and
-    conjugate back.  Eigenvalues below -tol raise; tiny negatives clamp to 0.
-    Float-only (this is a verification utility, not part of the AD towers).
-    """
-    s = np.asarray(s, dtype=float)
-    n = s.shape[0]
-    gm = np.eye(n) if g is None else np.asarray(g, dtype=float)
-    chol = np.linalg.cholesky(gm)
-    sym = chol.T @ s @ np.linalg.inv(chol.T)
-    sym = 0.5 * (sym + sym.T)
-    w, v = np.linalg.eigh(sym)
-    if w.min() < -tol:
-        raise NotPositiveSemidefinite(f"eigenvalue {w.min():.3e} below -{tol:.1e}")
-    w = np.clip(w, 0.0, None)
-    root = v @ np.diag(np.sqrt(w)) @ v.T
-    return np.linalg.solve(chol.T, root @ chol.T)

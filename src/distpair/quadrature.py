@@ -10,7 +10,10 @@ parameter arrays to ``(chart columns, jacobian)``, the jacobian multiplying
 the product-rule weights.
 
 Node enumeration is chunked through ``np.unravel_index`` in a fixed order and
-partial sums are combined pairwise, so results are bit-reproducible.
+partial sums are combined pairwise, so results are bit-reproducible.  Chunk
+sizes depend on the chart dimension only: :func:`formula_chunk` keeps each
+invariants-engine call at about 10 MB of arrays, and :func:`_default_chunk`
+sizes the cheaper density and ``div_p`` chunks.
 """
 
 from __future__ import annotations
@@ -88,10 +91,20 @@ def _default_chunk(dim):
 
 
 def formula_chunk(dim):
-    """Nodes per chunk of :func:`integral_formula_check`, fewer than
-    :func:`_default_chunk` gives, since the invariants engine holds many more
-    arrays per node than a density or ``div_p``."""
-    return 16384 if dim <= 3 else 2048
+    """Nodes per chunk of :func:`integral_formula_check`: 2,048 at dim <= 3
+    and 512 above.
+
+    The invariants engine holds many more arrays per node than a density or
+    ``div_p``, so its chunks are far smaller than :func:`_default_chunk`'s.
+    At these sizes one engine call peaks at about 10 MB of arrays (2.9-9.4 MB
+    on the built-in scenarios), so the chunk, not the grid, bounds the
+    formula's working set.  Whether one chunk's freed arrays are reused by
+    the next or faulted in again is the allocator's choice: in a process
+    that also runs the larger stokes chunks they are reused, and far fewer
+    pages are faulted in per call than with larger formula chunks.  The
+    size depends on ``dim`` only, so the chunk sums, and their order, are
+    the same on every machine."""
+    return 2048 if dim <= 3 else 512
 
 
 def integrate(chart, f, grid: QuadratureGrid):

@@ -23,11 +23,9 @@ from distpair import (
     contact_structure_residuals,
     curvature_term,
     div_endo,
-    einstein_tensor,
     integral_formula_check,
     div_equivalence_residuals,
     point_columns,
-    riemann,
     stokes_check,
     trace_identity_residuals,
 )
@@ -42,6 +40,7 @@ from distpair.scenarios import (
     random_scalar_field,
     random_vector_field,
 )
+from oracles import einstein_tensor, riemann
 
 _CACHE: dict = {}
 

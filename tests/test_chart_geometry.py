@@ -19,15 +19,9 @@ from distpair.chart_geometry import (
     cov_deriv_vector,
     div_endo,
     div_vector,
-    einstein_tensor,
     frame_at,
     lie_bracket,
     point_columns,
-    ricci,
-    riemann,
-    riemann_up,
-    scalar_curvature,
-    sectional_curvature,
 )
 from distpair.dual import Point, partials
 from distpair.scenarios import (
@@ -37,6 +31,14 @@ from distpair.scenarios import (
     flat_torus_projectors,
     hopf_contact_s3,
     warped_torus,
+)
+from oracles import (
+    einstein_tensor,
+    ricci,
+    riemann,
+    riemann_up,
+    scalar_curvature,
+    sectional_curvature,
 )
 
 TWO_PI = 2.0 * math.pi

@@ -18,12 +18,9 @@ from distpair.chart_geometry import (
     lie_bracket,
     nabla_field,
     point_columns,
-    riemann,
-    riemann_up,
 )
 from distpair.dist_tensors import (
     as_field,
-    b_tensors,
     codazzi_residual,
     contact_identity_residual,
     contact_structure_residuals,
@@ -55,6 +52,7 @@ from distpair.endo_fields import (
 )
 from distpair.quadrature import _chunk_nodes, formula_chunk
 from distpair.scenarios import (
+    SCENARIO_NAMES,
     ScenarioManifold,
     _trig_basis,
     _trig_scalar,
@@ -69,6 +67,7 @@ from distpair.scenarios import (
     scaled_identity,
     warped_torus,
 )
+from oracles import b_tensors, riemann, riemann_up
 
 ALL_SCENARIOS = (
     "flat-torus",
@@ -659,21 +658,20 @@ def test_invariants_do_not_depend_on_the_batch_size(name):
             assert val[..., 0].tobytes() == batch[key][..., p].tobytes(), (key, p)
 
 
-@pytest.mark.parametrize(
-    "name,counts,bound_mb",
-    [
-        pytest.param("hopf-s3", (24, 24, 24), 80.0, id="hopf-s3"),
-        pytest.param("einstein-s3xt2", (5, 5, 5, 4, 4), 55.0, id="einstein-s3xt2"),
-    ],
-)
-def test_invariants_engine_frees_each_phase(name, counts, bound_mb):
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_invariants_engine_frees_each_phase(name):
     """One engine call on the formula's first quadrature chunk holds its
     inputs, its outputs and one phase's arrays at a time.  numpy reports its
     buffers to tracemalloc, so the traced peak above the call's start is the
-    same on every run.  An engine that holds every phase's arrays to its end
-    peaks far above the bound."""
+    same on every run: 2.9-9.4 MB on the built-in scenarios.  An engine that
+    holds every phase's arrays to its end peaks at about 20 MB on hopf-s3
+    and 23 MB on einstein-s3xt2, above the bound."""
     sc = build_scenario(name)
-    cols, _ = next(_chunk_nodes(sc.grid(counts), formula_chunk(sc.chart.dim)))
+    dim = sc.chart.dim
+    chunk = formula_chunk(dim)
+    grid = sc.grid((math.ceil(chunk ** (1.0 / dim)),) * dim)
+    cols, _ = next(_chunk_nodes(grid, chunk))
+    assert cols[0].shape == (chunk,)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -681,7 +679,7 @@ def test_invariants_engine_frees_each_phase(name, counts, bound_mb):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - start) / 1e6 <= bound_mb
+    assert (peak - start) / 1e6 <= 16.0
 
 
 def test_invariants_closed_form_on_warped_torus():

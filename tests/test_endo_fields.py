@@ -9,12 +9,10 @@ import pytest
 
 import distpair.linalg as la
 from distpair.endo_fields import (
-    NotPositiveSemidefinite,
     adjoint_field,
     allowed_residual,
     check_pair,
     pair_defects,
-    sqrt_psd,
 )
 from distpair.scenarios import (
     SCENARIO_NAMES,
@@ -29,6 +27,7 @@ from distpair.scenarios import (
     scaled_identity,
     warped_torus,
 )
+from oracles import NotPositiveSemidefinite, sqrt_psd
 
 
 def test_adjoint_closed_form():

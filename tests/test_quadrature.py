@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 
 import distpair.dual as ops
+import distpair.quadrature as quad
 from distpair.chart_geometry import Chart, MetricError
 from distpair.dual import Dual
 from distpair.quadrature import (
     Axis,
     QuadratureGrid,
+    _chunk_nodes,
     axis_rule,
+    formula_chunk,
     integral_formula_check,
     integrate,
     refine_counts,
@@ -206,3 +209,42 @@ def test_one_chunk_evaluates_the_metric_at_its_nodes_once(builder, monkeypatch):
     real_calls.clear()
     stokes_check(sc.pair.total(), sc.chart, vec_field, grid)
     assert len(real_calls) == 1
+
+
+@pytest.mark.parametrize(
+    "builder,counts,chunk",
+    [
+        (warped_torus, (9, 7), 10),
+        (hopf_contact_s3, (5, 6, 7), 16),  # angular substitution
+    ],
+)
+def test_chunks_concatenate_to_the_one_chunk_nodes(builder, counts, chunk):
+    """A chunk size that does not divide the node count splits the nodes and
+    weights of the one-chunk enumeration and changes none of their bits."""
+    grid = builder().grid(counts)
+    assert grid.total_nodes % chunk != 0
+    (whole_cols, whole_wts), = _chunk_nodes(grid, grid.total_nodes)
+    parts = list(_chunk_nodes(grid, chunk))
+    assert len(parts) == math.ceil(grid.total_nodes / chunk)
+    for a, whole in enumerate(whole_cols):
+        joined = np.concatenate([cols[a] for cols, _ in parts])
+        assert joined.tobytes() == whole.tobytes(), a
+    joined = np.concatenate([wts for _, wts in parts])
+    assert joined.tobytes() == whole_wts.tobytes()
+
+
+def test_formula_check_does_not_depend_on_the_chunking(monkeypatch):
+    """Per-node values are the same bits in any chunk, so the pointwise
+    maxima are too; only the order of the chunk sums moves the integrals."""
+    sc = warped_torus()
+    grid = sc.grid((80, 80))
+    assert grid.total_nodes > 2 * formula_chunk(sc.chart.dim)  # >= 3 chunks
+    chunked = integral_formula_check(sc.pair, sc.chart, grid)
+    monkeypatch.setattr(quad, "formula_chunk", lambda _dim: grid.total_nodes)
+    whole = integral_formula_check(sc.pair, sc.chart, grid)
+    for key in ("max_pointwise", "max_pointwise_normalized", "degenerate"):
+        assert chunked[key] == whole[key], key
+    # the signed integral cancels to round-off, so it is held to the mass
+    assert abs(chunked["integral"] - whole["integral"]) <= 1e-14 * whole["mass"]
+    for key in ("mass", "volume"):
+        assert abs(chunked[key] - whole[key]) <= 1e-14 * abs(whole[key]), key
