@@ -14,11 +14,23 @@ partial sums are combined pairwise, so results are bit-reproducible.  Chunk
 sizes depend on the chart dimension only: :func:`formula_chunk` keeps each
 invariants-engine call at about 10 MB of arrays, and :func:`_default_chunk`
 sizes the cheaper density and ``div_p`` chunks.
+
+The chunks of one grid are split over one process per CPU this process may
+run on (``os.sched_getaffinity``), at most one per chunk: chunk ``i`` goes to
+worker ``i % W``, worker 0 is the calling process and the others are forked
+for the grid and reaped before it returns (:func:`_chunk_results`).  Each
+chunk's partials are floats computed as in one process, and they are reduced
+in chunk order, so no result depends on the split.  Where forking is
+unavailable or unsafe (a process with threads) every chunk runs in-process.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -107,17 +119,109 @@ def formula_chunk(dim):
     return 2048 if dim <= 3 else 512
 
 
+def _workers(n_chunks):
+    """Processes to split ``n_chunks`` chunks over: one per CPU this process
+    may run on, at most one per chunk.  1 where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, or where the process runs other
+    threads, since a forked child gets no copy of them, and a lock one of
+    them held stays held in the child."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_chunks)
+
+
+def _owned(grid, chunk, worker, workers):
+    """``(i, cols, wts)`` of each chunk ``i`` with ``i % workers == worker``,
+    in chunk order.  Every worker steps through the lazy chunk generator
+    itself: no process builds a list of all chunks, whose points would each
+    keep their metric jet."""
+    for i, (cols, wts) in enumerate(_chunk_nodes(grid, chunk)):
+        if i % workers == worker:
+            yield i, cols, wts
+
+
+def _child(write, grid, chunk, part, worker, workers):
+    """Body of a forked worker: send ``{i: part(cols, wts)}`` of its chunks
+    to the parent, pickled, and exit 0; exit 1 on any exception.  It leaves
+    through ``os._exit``, so it never returns into the caller's stack or runs
+    the parent's exit handlers and buffered writes."""
+    code = 1
+    try:
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(
+                {i: part(cols, wts) for i, cols, wts in _owned(grid, chunk, worker, workers)},
+                pipe,
+            )
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _chunk_results(grid, chunk, part):
+    """``[part(cols, wts) for each chunk of grid]``, in chunk order.
+
+    ``part`` returns a tuple of floats.  Chunk ``i`` is evaluated by worker
+    ``i % W`` of :func:`_workers`: worker 0 in this process, the others in
+    children forked here, which send their results back over a pipe and are
+    reaped before this returns.  A chunk a child did not return (the child
+    exited non-zero) is evaluated here, in chunk order, after the chunks
+    before it, so an exception is the one the loop in one process raises.
+    If anything else raises here (an interrupt, say), the children are
+    killed and reaped before it propagates.
+    """
+    n_chunks = -(-grid.total_nodes // chunk)
+    workers = _workers(n_chunks)
+    results, children = {}, {}
+    failed = None  # (i, exception) of this process's first failing chunk
+    try:
+        for worker in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(write, grid, chunk, part, worker, workers)
+            os.close(write)
+            children[pid] = os.fdopen(read, "rb")
+        for i, cols, wts in _owned(grid, chunk, 0, workers):
+            try:
+                results[i] = part(cols, wts)
+            except Exception as exc:  # raised below, once every earlier chunk is in
+                failed = (i, exc)
+                break
+        for pid, pipe in list(children.items()):
+            data = pipe.read()
+            pipe.close()
+            del children[pid]
+            if os.waitpid(pid, 0)[1] == 0:
+                results.update(pickle.loads(data))
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if len(results) < n_chunks:
+        for i, (cols, wts) in enumerate(_chunk_nodes(grid, chunk)):
+            if failed is not None and i == failed[0]:
+                raise failed[1]
+            if i not in results:
+                results[i] = part(cols, wts)
+    return [results[i] for i in range(n_chunks)]
+
+
 def integrate(chart, f, grid: QuadratureGrid):
     """Integral of a scalar field over the chart with the metric volume form.
 
     ``f`` receives a list of coordinate arrays and must return an array of
     values (or a scalar, which is broadcast).
     """
-    partials = []
-    for cols, wts in _chunk_nodes(grid, _default_chunk(chart.dim)):
+
+    def part(cols, wts):
         dens = chart.jet1(cols).sqrt_det
         vals = np.broadcast_to(np.asarray(f(cols), dtype=float), wts.shape)
-        partials.append(float(np.sum(wts * dens * vals)))
+        return (float(np.sum(wts * dens * vals)),)
+
+    (partials,) = zip(*_chunk_results(grid, _default_chunk(chart.dim), part))
     return float(la.pairwise_sum(partials))
 
 
@@ -127,13 +231,13 @@ def volume(chart, grid: QuadratureGrid):
 
 def stokes_check(p_endo, chart, vec_field, grid: QuadratureGrid):
     """Integral of div_P X over a closed chart domain (should vanish)."""
-    int_parts = []
-    vol_parts = []
-    for cols, wts in _chunk_nodes(grid, _default_chunk(chart.dim)):
+
+    def part(cols, wts):
         dens = chart.jet1(cols).sqrt_det
         vals = div_p(p_endo, chart, vec_field, cols)
-        int_parts.append(float(np.sum(wts * dens * vals)))
-        vol_parts.append(float(np.sum(wts * dens)))
+        return float(np.sum(wts * dens * vals)), float(np.sum(wts * dens))
+
+    int_parts, vol_parts = zip(*_chunk_results(grid, _default_chunk(chart.dim), part))
     total = float(la.pairwise_sum(int_parts))
     vol = float(la.pairwise_sum(vol_parts))
     return {
@@ -150,20 +254,26 @@ def integral_formula_check(pair, chart, grid: QuadratureGrid):
     volume, I/N, and pointwise degeneracy data (an integrand that vanishes
     identically gives a pass that must be reported as degenerate).
     """
-    i_parts, m_parts, v_parts = [], [], []
-    max_pt = 0.0
-    max_pt_norm = 0.0
-    for cols, wts in _chunk_nodes(grid, formula_chunk(chart.dim)):
+
+    def part(cols, wts):
         dens = chart.jet1(cols).sqrt_det
         vals, scale = formula_terms_batch(chart, pair, cols)
-        i_parts.append(float(np.sum(wts * dens * vals)))
-        m_parts.append(float(np.sum(wts * dens * np.abs(vals))))
-        v_parts.append(float(np.sum(wts * dens)))
-        max_pt = float(la.max_entry(max_pt, np.abs(vals)))
-        max_pt_norm = float(la.max_entry(max_pt_norm, np.abs(vals) / (1.0 + scale)))
+        return (
+            float(np.sum(wts * dens * vals)),
+            float(np.sum(wts * dens * np.abs(vals))),
+            float(np.sum(wts * dens)),
+            float(la.max_entry(np.abs(vals))),
+            float(la.max_entry(np.abs(vals) / (1.0 + scale))),
+        )
+
+    i_parts, m_parts, v_parts, max_parts, max_norm_parts = zip(
+        *_chunk_results(grid, formula_chunk(chart.dim), part)
+    )
     total = float(la.pairwise_sum(i_parts))
     mass = float(la.pairwise_sum(m_parts))
     vol = float(la.pairwise_sum(v_parts))
+    max_pt = float(la.max_entry(*max_parts))
+    max_pt_norm = float(la.max_entry(*max_norm_parts))
     degenerate = max_pt_norm <= 1e-9
     return {
         "integral": total,

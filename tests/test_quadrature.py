@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import distpair.dual as ops
 import distpair.quadrature as quad
+from distpair import cli
 from distpair.chart_geometry import Chart, MetricError
 from distpair.dual import Dual
 from distpair.quadrature import (
@@ -248,3 +253,220 @@ def test_formula_check_does_not_depend_on_the_chunking(monkeypatch):
     assert abs(chunked["integral"] - whole["integral"]) <= 1e-14 * whole["mass"]
     for key in ("mass", "volume"):
         assert abs(chunked[key] - whole[key]) <= 1e-14 * abs(whole[key]), key
+
+
+# -- chunks split over worker processes ------------------------------------------------
+
+
+def _use_cpus(monkeypatch, n):
+    """Make the chunk driver see ``n`` CPUs, and record each fork it makes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(n)))
+    forks = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return forks
+
+
+def _bits(report):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in report.items()}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _check(which, builder, counts):
+    sc = builder()
+    grid = sc.grid(counts)
+    if which == "formula":
+        return integral_formula_check(sc.pair, sc.chart, grid)
+    vec_field = random_vector_field(sc, np.random.default_rng(104))
+    return stokes_check(sc.pair.total(), sc.chart, vec_field, grid)
+
+
+@pytest.mark.parametrize(
+    "which,builder,counts,chunker,chunk",
+    [
+        ("formula", warped_torus, (80, 80), "formula_chunk", 1000),
+        ("formula", hopf_contact_s3, (8, 8, 8), "formula_chunk", 80),
+        ("stokes", einstein_s3xt2, (6, 6, 6, 4, 4), "_default_chunk", 500),
+    ],
+    ids=["formula-warped-torus", "formula-hopf-s3", "stokes-einstein-s3xt2"],
+)
+def test_results_do_not_depend_on_the_worker_count(
+    which, builder, counts, chunker, chunk, monkeypatch
+):
+    """Every key is the same bits at 1, 2 and 3 workers, each worker
+    evaluating at least 2 of the 7 chunks."""
+    monkeypatch.setattr(quad, chunker, lambda _dim: chunk)
+    reports = {}
+    for workers in (1, 2, 3):
+        forks = _use_cpus(monkeypatch, workers)
+        reports[workers] = _bits(_check(which, builder, counts))
+        assert len(forks) == workers - 1
+    assert reports[2] == reports[1]
+    assert reports[3] == reports[1]
+    _assert_no_child_left()
+
+
+def _first_nodes(grid, chunk):
+    """The first node of each chunk, as a tuple of floats."""
+    return [tuple(float(c[0]) for c in cols) for cols, _ in _chunk_nodes(grid, chunk)]
+
+
+def _failing_formula(monkeypatch, grid, failing):
+    """Make the formula integrand raise in the chunks numbered ``failing``,
+    with a message that names the chunk, and cost nothing elsewhere."""
+    firsts = _first_nodes(grid, formula_chunk(len(grid.counts)))
+
+    def terms(_chart, _pair, cols):
+        i = firsts.index(tuple(float(c[0]) for c in cols))
+        if i in failing:
+            raise ValueError(f"chunk {i} failed")
+        return np.ones_like(cols[0]), np.zeros_like(cols[0])
+
+    monkeypatch.setattr(quad, "formula_terms_batch", terms)
+
+
+@pytest.mark.parametrize(
+    "failing,message",
+    [
+        ({1}, "chunk 1 failed"),  # a chunk of the child
+        ({2}, "chunk 2 failed"),  # a chunk of the parent
+        ({1, 2}, "chunk 1 failed"),  # the child's comes first
+        ({2, 3}, "chunk 2 failed"),  # the parent's comes first
+    ],
+)
+def test_a_failing_chunk_raises_the_one_process_exception(failing, message, monkeypatch):
+    sc = warped_torus()
+    grid = sc.grid((80, 80))  # 4 chunks; 2 workers own chunks 0, 2 and 1, 3
+    _failing_formula(monkeypatch, grid, failing)
+    for workers in (1, 2):
+        forks = _use_cpus(monkeypatch, workers)
+        with pytest.raises(ValueError) as raised:
+            integral_formula_check(sc.pair, sc.chart, grid)
+        assert str(raised.value) == message
+        assert len(forks) == workers - 1
+        _assert_no_child_left()
+
+
+class _Interrupt(BaseException):
+    pass
+
+
+def test_an_interrupted_parent_kills_and_reaps_its_children(monkeypatch):
+    """A BaseException in the parent's chunk is not held back until the
+    children finish: they are killed, reaped, and the exception propagates."""
+    sc = warped_torus()
+    grid = sc.grid((80, 80))
+    parent = os.getpid()
+
+    def terms(_chart, _pair, cols):
+        if os.getpid() == parent:
+            raise _Interrupt
+        time.sleep(60.0)
+
+    monkeypatch.setattr(quad, "formula_terms_batch", terms)
+    forks = _use_cpus(monkeypatch, 2)
+    t0 = time.monotonic()
+    with pytest.raises(_Interrupt):
+        integral_formula_check(sc.pair, sc.chart, grid)
+    assert time.monotonic() - t0 < 30.0
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_nan_in_a_child_chunk_fails_the_formula_closed(monkeypatch, capsys):
+    sc = warped_torus()
+    grid = sc.grid((80, 80))
+    first = _first_nodes(grid, formula_chunk(2))[1]  # chunk 1: the child's at 2 workers
+    real = quad.formula_terms_batch
+    parent = os.getpid()
+
+    def terms(chart, pair, cols):
+        vals, scale = real(chart, pair, cols)
+        if tuple(float(c[0]) for c in cols) == first:
+            assert os.getpid() != parent
+            vals = vals.copy()
+            vals[7] = math.nan
+        return vals, scale
+
+    monkeypatch.setattr(quad, "formula_terms_batch", terms)
+    forks = _use_cpus(monkeypatch, 2)
+    res = integral_formula_check(sc.pair, sc.chart, grid)
+    assert math.isnan(res["max_pointwise"]) and math.isnan(res["integral"])
+    assert len(forks) == 1
+
+    argv = ["--scenario", "warped-torus", "--which", "formula", "--grid", "80,80"]
+    assert cli.main(argv) == 1
+    fine = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert fine["grid"] == "80,80" and fine["pass"] is False
+    assert len(forks) == 2  # the 40 x 40 companion is one chunk
+    _assert_no_child_left()
+
+
+def _without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+
+
+def _without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity")
+
+
+def _with_a_thread(monkeypatch):
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait, args=(60.0,))
+    thread.start()
+
+    def stop():
+        done.set()
+        thread.join(10.0)
+        assert not thread.is_alive()
+
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with a thread running"))
+    return stop
+
+
+def _one_chunk(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for one chunk"))
+
+
+@pytest.mark.parametrize(
+    "setup,counts",
+    [
+        (_without_fork, (80, 80)),
+        (_without_affinity, (80, 80)),
+        (_with_a_thread, (80, 80)),
+        (_one_chunk, (40, 40)),
+    ],
+)
+def test_runs_in_process_where_forking_is_unavailable_or_unsafe(setup, counts, monkeypatch):
+    """Every chunk is evaluated in this process, with the same results."""
+    sc = warped_torus()
+    grid = sc.grid(counts)
+    want = _bits(integral_formula_check(sc.pair, sc.chart, grid))
+    real = quad.formula_terms_batch
+    seen = []
+
+    def terms(chart, pair, cols):
+        seen.append(cols[0].size)
+        return real(chart, pair, cols)
+
+    monkeypatch.setattr(quad, "formula_terms_batch", terms)
+    _use_cpus(monkeypatch, 2)
+    stop = setup(monkeypatch)
+    try:
+        got = _bits(integral_formula_check(sc.pair, sc.chart, grid))
+    finally:
+        if stop is not None:
+            stop()
+    assert sum(seen) == grid.total_nodes
+    assert got == want
