@@ -15,13 +15,18 @@ sizes depend on the chart dimension only: :func:`formula_chunk` keeps each
 invariants-engine call at about 10 MB of arrays, and :func:`_default_chunk`
 sizes the cheaper density and ``div_p`` chunks.
 
-The chunks of one grid are split over one process per CPU this process may
-run on (``os.sched_getaffinity``), at most one per chunk: chunk ``i`` goes to
-worker ``i % W``, worker 0 is the calling process and the others are forked
-for the grid and reaped before it returns (:func:`_chunk_results`).  Each
-chunk's partials are floats computed as in one process, and they are reduced
-in chunk order, so no result depends on the split.  Where forking is
-unavailable or unsafe (a process with threads) every chunk runs in-process.
+``stokes_check`` and ``integral_formula_check`` take ``*grids`` (the CLI
+passes the requested grid and its coarse companion) and return one report
+per grid.  The chunks of all the grids are one task set, split over W
+processes: W is the number of CPUs this process may run on
+(``os.sched_getaffinity``), at most the chunk count of the largest grid.
+Tasks are dealt largest first by node count, each to the least-loaded
+worker (:func:`_deal`); worker 0 is the calling process and the others are
+forked once per call and reaped before it returns (:func:`_chunk_results`).
+Each process builds only the chunks it evaluates.  Each chunk's partials are
+floats computed as in one process, and each grid's are reduced in chunk
+order, so no result depends on the split.  Where forking is unavailable or
+unsafe (a process with threads) every chunk runs in-process.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import os
 import pickle
 import signal
 import threading
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -79,13 +85,17 @@ def axis_rule(axis: Axis, n: int):
     raise ValueError(f"unknown axis kind {axis.kind!r}")
 
 
-def _chunk_nodes(grid: QuadratureGrid, chunk: int):
-    """Yield (chart_columns, weights) per chunk, weights including any
-    substitution jacobian but not the metric volume density."""
+def _chunk_nodes(grid: QuadratureGrid, chunk: int, owned=None):
+    """Yield (chart_columns, weights) of each chunk numbered in ``owned``
+    (every chunk by default), in the order given, weights including any
+    substitution jacobian but not the metric volume density.  Chunk ``i`` is
+    nodes ``i * chunk`` up to the next multiple; no other chunk is built."""
     rules = [axis_rule(a, c) for a, c in zip(grid.axes, grid.counts)]
     total = grid.total_nodes
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
+    if owned is None:
+        owned = range(-(-total // chunk))
+    for i in owned:
+        idx = np.arange(i * chunk, min((i + 1) * chunk, total))
         multi = np.unravel_index(idx, grid.counts)
         params = [rules[a][0][multi[a]] for a in range(len(grid.counts))]
         wts = rules[0][1][multi[0]].copy()
@@ -120,11 +130,11 @@ def formula_chunk(dim):
 
 
 def _workers(n_chunks):
-    """Processes to split ``n_chunks`` chunks over: one per CPU this process
-    may run on, at most one per chunk.  1 where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing, or where the process runs other
-    threads, since a forked child gets no copy of them, and a lock one of
-    them held stays held in the child."""
+    """Processes to split a chunk set over: one per CPU this process may run
+    on, at most ``n_chunks``, the chunk count of the set's largest grid.  1
+    where ``os.fork`` or ``os.sched_getaffinity`` is missing, or where the
+    process runs other threads, since a forked child gets no copy of them,
+    and a lock one of them held stays held in the child."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     if threading.active_count() > 1:
@@ -132,63 +142,84 @@ def _workers(n_chunks):
     return min(len(os.sched_getaffinity(0)), n_chunks)
 
 
-def _owned(grid, chunk, worker, workers):
-    """``(i, cols, wts)`` of each chunk ``i`` with ``i % workers == worker``,
-    in chunk order.  Every worker steps through the lazy chunk generator
-    itself: no process builds a list of all chunks, whose points would each
-    keep their metric jet."""
-    for i, (cols, wts) in enumerate(_chunk_nodes(grid, chunk)):
-        if i % workers == worker:
-            yield i, cols, wts
+def _deal(sizes, workers):
+    """Worker of each task, given the tasks' node counts: largest first, each
+    to the least-loaded worker in nodes, ties to the lowest worker index and
+    then to the earliest task.  A fixed deal, not a work queue, so every
+    process evaluates the same chunks on every run."""
+    loads = [0] * workers
+    owner = [0] * len(sizes)
+    for task in sorted(range(len(sizes)), key=lambda t: -sizes[t]):
+        worker = loads.index(min(loads))
+        owner[task] = worker
+        loads[worker] += sizes[task]
+    return owner
 
 
-def _child(write, grid, chunk, part, worker, workers):
-    """Body of a forked worker: send ``{i: part(cols, wts)}`` of its chunks
-    to the parent, pickled, and exit 0; exit 1 on any exception.  It leaves
-    through ``os._exit``, so it never returns into the caller's stack or runs
-    the parent's exit handlers and buffered writes."""
+def _evaluate(grids, chunk, part, tasks):
+    """Yield ``((g, i), (part(cols, wts), seconds))`` for each task ``(g, i)``,
+    chunk ``i`` of ``grids[g]``, in the order of ``tasks``, which is grid
+    order.  Only these chunks are built, one at a time; ``seconds`` times
+    the building and the evaluation of the chunk."""
+    for g, grid in enumerate(grids):
+        owned = [i for h, i in tasks if h == g]
+        nodes = _chunk_nodes(grid, chunk, owned)
+        for i in owned:
+            t0 = time.perf_counter()
+            cols, wts = next(nodes)
+            res = part(cols, wts)
+            yield (g, i), (res, time.perf_counter() - t0)
+
+
+def _child(write, grids, chunk, part, tasks):
+    """Body of a forked worker: send ``{task: (partials, seconds)}`` of its
+    tasks to the parent, pickled, and exit 0; exit 1 on any exception.  It
+    leaves through ``os._exit``, so it never returns into the caller's stack
+    or runs the parent's exit handlers and buffered writes."""
     code = 1
     try:
         with os.fdopen(write, "wb") as pipe:
-            pickle.dump(
-                {i: part(cols, wts) for i, cols, wts in _owned(grid, chunk, worker, workers)},
-                pipe,
-            )
+            pickle.dump(dict(_evaluate(grids, chunk, part, tasks)), pipe)
         code = 0
     finally:
         os._exit(code)
 
 
-def _chunk_results(grid, chunk, part):
-    """``[part(cols, wts) for each chunk of grid]``, in chunk order.
+def _chunk_results(grids, chunk, part):
+    """For each grid, ``([part(cols, wts) for each chunk], seconds)``, with
+    the partials in chunk order and ``seconds`` the time its chunks took,
+    summed over the processes that evaluated them.
 
-    ``part`` returns a tuple of floats.  Chunk ``i`` is evaluated by worker
-    ``i % W`` of :func:`_workers`: worker 0 in this process, the others in
-    children forked here, which send their results back over a pipe and are
-    reaped before this returns.  A chunk a child did not return (the child
-    exited non-zero) is evaluated here, in chunk order, after the chunks
-    before it, so an exception is the one the loop in one process raises.
-    If anything else raises here (an interrupt, say), the children are
-    killed and reaped before it propagates.
+    ``part`` returns a tuple of floats.  The chunks of every grid are one
+    task set, dealt by :func:`_deal` over the W workers of :func:`_workers`:
+    worker 0 is this process, the others are children forked here once for
+    the whole set, which send their results back over a pipe and are reaped
+    before this returns.  A task a child did not return (the child exited
+    non-zero) is evaluated here, in (grid, chunk) order, after the tasks
+    before it, so an exception is the one the loop over grids and chunks in
+    one process raises.  If anything else raises here (an interrupt, say),
+    the children are killed and reaped before it propagates.
     """
-    n_chunks = -(-grid.total_nodes // chunk)
-    workers = _workers(n_chunks)
+    counts = [-(-grid.total_nodes // chunk) for grid in grids]
+    tasks = [(g, i) for g, n in enumerate(counts) for i in range(n)]
+    sizes = [min(chunk, grids[g].total_nodes - i * chunk) for g, i in tasks]
+    workers = _workers(max(counts, default=1))
+    owner = _deal(sizes, workers)
+    owned = [[t for t, w in zip(tasks, owner) if w == k] for k in range(workers)]
     results, children = {}, {}
-    failed = None  # (i, exception) of this process's first failing chunk
+    failed = None  # (task, exception) of this process's first failing task
     try:
         for worker in range(1, workers):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _child(write, grid, chunk, part, worker, workers)
+                _child(write, grids, chunk, part, owned[worker])
             os.close(write)
             children[pid] = os.fdopen(read, "rb")
-        for i, cols, wts in _owned(grid, chunk, 0, workers):
-            try:
-                results[i] = part(cols, wts)
-            except Exception as exc:  # raised below, once every earlier chunk is in
-                failed = (i, exc)
-                break
+        try:
+            results.update(_evaluate(grids, chunk, part, owned[0]))
+        except Exception as exc:  # raised below, once every earlier task is in
+            failed = (next(t for t in owned[0] if t not in results), exc)
         for pid, pipe in list(children.items()):
             data = pipe.read()
             pipe.close()
@@ -200,13 +231,19 @@ def _chunk_results(grid, chunk, part):
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if len(results) < n_chunks:
-        for i, (cols, wts) in enumerate(_chunk_nodes(grid, chunk)):
-            if failed is not None and i == failed[0]:
-                raise failed[1]
-            if i not in results:
-                results[i] = part(cols, wts)
-    return [results[i] for i in range(n_chunks)]
+    missing = [t for t in tasks if t not in results]
+    if failed is not None:
+        missing = missing[: missing.index(failed[0])]
+    results.update(_evaluate(grids, chunk, part, missing))
+    if failed is not None:
+        raise failed[1]
+    return [
+        (
+            [results[g, i][0] for i in range(n)],
+            sum(results[g, i][1] for i in range(n)),
+        )
+        for g, n in enumerate(counts)
+    ]
 
 
 def integrate(chart, f, grid: QuadratureGrid):
@@ -221,38 +258,50 @@ def integrate(chart, f, grid: QuadratureGrid):
         vals = np.broadcast_to(np.asarray(f(cols), dtype=float), wts.shape)
         return (float(np.sum(wts * dens * vals)),)
 
-    (partials,) = zip(*_chunk_results(grid, _default_chunk(chart.dim), part))
-    return float(la.pairwise_sum(partials))
+    ((partials, _),) = _chunk_results((grid,), _default_chunk(chart.dim), part)
+    return float(la.pairwise_sum(p for (p,) in partials))
 
 
 def volume(chart, grid: QuadratureGrid):
     return integrate(chart, lambda cols: 1.0, grid)
 
 
-def stokes_check(p_endo, chart, vec_field, grid: QuadratureGrid):
-    """Integral of div_P X over a closed chart domain (should vanish)."""
+def stokes_check(p_endo, chart, vec_field, *grids: QuadratureGrid):
+    """Integral of div_P X over a closed chart domain (should vanish), on
+    each of ``grids``: one report per grid, in order, from one chunk set.
+    ``runtime_s`` is the time the grid's chunks took, summed over the
+    processes that evaluated them, plus its reduction."""
 
     def part(cols, wts):
         dens = chart.jet1(cols).sqrt_det
         vals = div_p(p_endo, chart, vec_field, cols)
         return float(np.sum(wts * dens * vals)), float(np.sum(wts * dens))
 
-    int_parts, vol_parts = zip(*_chunk_results(grid, _default_chunk(chart.dim), part))
-    total = float(la.pairwise_sum(int_parts))
-    vol = float(la.pairwise_sum(vol_parts))
-    return {
-        "integral": total,
-        "volume": vol,
-        "normalized": abs(total) / vol,
-    }
+    reports = []
+    for partials, seconds in _chunk_results(grids, _default_chunk(chart.dim), part):
+        t0 = time.perf_counter()
+        int_parts, vol_parts = zip(*partials)
+        total = float(la.pairwise_sum(int_parts))
+        vol = float(la.pairwise_sum(vol_parts))
+        reports.append(
+            {
+                "integral": total,
+                "volume": vol,
+                "normalized": abs(total) / vol,
+                "runtime_s": seconds + time.perf_counter() - t0,
+            }
+        )
+    return reports
 
 
-def integral_formula_check(pair, chart, grid: QuadratureGrid):
-    """Integral of the frame-summed formula terms over a closed domain.
+def integral_formula_check(pair, chart, *grids: QuadratureGrid):
+    """Integral of the frame-summed formula terms over a closed domain, on
+    each of ``grids``: one report per grid, in order, from one chunk set.
 
-    Returns the signed integral I, the mass N = integral of |integrand|, the
-    volume, I/N, and pointwise degeneracy data (an integrand that vanishes
-    identically gives a pass that must be reported as degenerate).
+    Each report has the signed integral I, the mass N = integral of
+    |integrand|, the volume, I/N, pointwise degeneracy data (an integrand
+    that vanishes identically gives a pass that must be reported as
+    degenerate) and ``runtime_s`` as in :func:`stokes_check`.
     """
 
     def part(cols, wts):
@@ -266,24 +315,28 @@ def integral_formula_check(pair, chart, grid: QuadratureGrid):
             float(la.max_entry(np.abs(vals) / (1.0 + scale))),
         )
 
-    i_parts, m_parts, v_parts, max_parts, max_norm_parts = zip(
-        *_chunk_results(grid, formula_chunk(chart.dim), part)
-    )
-    total = float(la.pairwise_sum(i_parts))
-    mass = float(la.pairwise_sum(m_parts))
-    vol = float(la.pairwise_sum(v_parts))
-    max_pt = float(la.max_entry(*max_parts))
-    max_pt_norm = float(la.max_entry(*max_norm_parts))
-    degenerate = max_pt_norm <= 1e-9
-    return {
-        "integral": total,
-        "mass": mass,
-        "volume": vol,
-        "ratio": abs(total) / mass if not mass <= 0.0 else 0.0,
-        "max_pointwise": max_pt,
-        "max_pointwise_normalized": max_pt_norm,
-        "degenerate": degenerate,
-    }
+    reports = []
+    for partials, seconds in _chunk_results(grids, formula_chunk(chart.dim), part):
+        t0 = time.perf_counter()
+        i_parts, m_parts, v_parts, max_parts, max_norm_parts = zip(*partials)
+        total = float(la.pairwise_sum(i_parts))
+        mass = float(la.pairwise_sum(m_parts))
+        vol = float(la.pairwise_sum(v_parts))
+        max_pt = float(la.max_entry(*max_parts))
+        max_pt_norm = float(la.max_entry(*max_norm_parts))
+        reports.append(
+            {
+                "integral": total,
+                "mass": mass,
+                "volume": vol,
+                "ratio": abs(total) / mass if not mass <= 0.0 else 0.0,
+                "max_pointwise": max_pt,
+                "max_pointwise_normalized": max_pt_norm,
+                "degenerate": max_pt_norm <= 1e-9,
+                "runtime_s": seconds + time.perf_counter() - t0,
+            }
+        )
+    return reports
 
 
 def refine_counts(counts):

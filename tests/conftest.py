@@ -21,3 +21,15 @@ def child_env():
         return dict(os.environ, PYTHONPATH=path, **extra)
 
     return make
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process of this one unreaped, running
+    or exited (the quadrature workers are forked children)."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left unreaped: waitpid gave {left}")

@@ -247,7 +247,7 @@ def test_c07_mean_curvature_balance_holds_pointwise():
 def test_c08_divergence_integrals_vanish_on_closed_scenarios():
     flat = scenario("flat-torus")
     rng = np.random.default_rng(108)
-    res_flat = stokes_check(
+    (res_flat,) = stokes_check(
         flat.pair.total(), flat.chart, random_vector_field(flat, rng), flat.grid(16)
     )
 
@@ -255,11 +255,11 @@ def test_c08_divergence_integrals_vanish_on_closed_scenarios():
     rng = np.random.default_rng(118)
     w_field = random_vector_field(warped, rng)
     w_fine_grid = warped.grid(24)
-    res_w = stokes_check(warped.pair.total(), warped.chart, w_field, w_fine_grid)
-    res_w_half = stokes_check(
+    res_w, res_w_half = stokes_check(
         warped.pair.total(),
         warped.chart,
         w_field,
+        w_fine_grid,
         warped.grid(refine_counts(w_fine_grid.counts)),
     )
 
@@ -267,11 +267,11 @@ def test_c08_divergence_integrals_vanish_on_closed_scenarios():
     rng = np.random.default_rng(128)
     e_field = random_vector_field(ein, rng)
     e_fine_grid = ein.grid((10, 10, 10, 6, 6))
-    res_e = stokes_check(ein.pair.total(), ein.chart, e_field, e_fine_grid)
-    res_e_half = stokes_check(
+    res_e, res_e_half = stokes_check(
         ein.pair.total(),
         ein.chart,
         e_field,
+        e_fine_grid,
         ein.grid(refine_counts(e_fine_grid.counts)),
     )
 
@@ -297,11 +297,11 @@ def test_c08_divergence_integrals_vanish_on_closed_scenarios():
 
 def test_c09_global_balance_integral():
     warped = scenario("warped-torus")
-    res_w = integral_formula_check(warped.pair, warped.chart, warped.grid(128))
+    (res_w,) = integral_formula_check(warped.pair, warped.chart, warped.grid(128))
     flat = scenario("flat-torus")
-    res_f = integral_formula_check(flat.pair, flat.chart, flat.grid(16))
+    (res_f,) = integral_formula_check(flat.pair, flat.chart, flat.grid(16))
     ein = scenario("einstein-s3xt2")
-    res_e = integral_formula_check(ein.pair, ein.chart, ein.grid(6))
+    (res_e,) = integral_formula_check(ein.pair, ein.chart, ein.grid(6))
     ok = (
         not res_w["degenerate"]
         and res_w["mass"] > 0.1

@@ -149,7 +149,7 @@ def test_stokes_for_modified_divergence(builder, counts, tol):
     sc = builder()
     rng = np.random.default_rng(101)
     X = random_vector_field(sc, rng)
-    res = stokes_check(sc.pair.total(), sc.chart, X, sc.grid(counts))
+    (res,) = stokes_check(sc.pair.total(), sc.chart, X, sc.grid(counts))
     assert res["normalized"] < tol
 
 
@@ -157,14 +157,13 @@ def test_stokes_improves_under_refinement():
     sc = warped_torus()
     rng = np.random.default_rng(102)
     X = random_vector_field(sc, rng)
-    coarse = stokes_check(sc.pair.total(), sc.chart, X, sc.grid(12))
-    fine = stokes_check(sc.pair.total(), sc.chart, X, sc.grid(24))
+    coarse, fine = stokes_check(sc.pair.total(), sc.chart, X, sc.grid(12), sc.grid(24))
     assert fine["normalized"] <= max(coarse["normalized"], 1e-12)
 
 
 def test_integral_formula_warped_torus():
     sc = warped_torus()
-    res = integral_formula_check(sc.pair, sc.chart, sc.grid(128))
+    (res,) = integral_formula_check(sc.pair, sc.chart, sc.grid(128))
     assert not res["degenerate"]
     assert res["mass"] > 1.0  # the individual terms are genuinely nonzero
     assert res["ratio"] < 1e-6
@@ -172,11 +171,11 @@ def test_integral_formula_warped_torus():
 
 def test_integral_formula_degenerate_scenarios():
     ft = flat_torus_projectors()
-    res = integral_formula_check(ft.pair, ft.chart, ft.grid(8))
+    (res,) = integral_formula_check(ft.pair, ft.chart, ft.grid(8))
     assert res["degenerate"] and res["max_pointwise_normalized"] < 1e-9
 
     h = hopf_contact_s3()
-    res = integral_formula_check(h.pair, h.chart, h.grid((10, 10, 10)))
+    (res,) = integral_formula_check(h.pair, h.chart, h.grid((10, 10, 10)))
     assert res["degenerate"] and res["max_pointwise_normalized"] < 1e-9
 
 
@@ -184,7 +183,7 @@ def test_formula_check_reports_nan_integrand_as_not_degenerate():
     sc = warped_torus()
     nan = float("nan")
     pair = dataclasses.replace(sc.pair, p1=lambda _z: [[nan, nan], [nan, nan]])
-    res = integral_formula_check(pair, sc.chart, sc.grid(16))
+    (res,) = integral_formula_check(pair, sc.chart, sc.grid(16))
     assert math.isnan(res["max_pointwise"])
     assert math.isnan(res["max_pointwise_normalized"])
     assert math.isnan(res["ratio"])
@@ -244,9 +243,9 @@ def test_formula_check_does_not_depend_on_the_chunking(monkeypatch):
     sc = warped_torus()
     grid = sc.grid((80, 80))
     assert grid.total_nodes > 2 * formula_chunk(sc.chart.dim)  # >= 3 chunks
-    chunked = integral_formula_check(sc.pair, sc.chart, grid)
+    (chunked,) = integral_formula_check(sc.pair, sc.chart, grid)
     monkeypatch.setattr(quad, "formula_chunk", lambda _dim: grid.total_nodes)
-    whole = integral_formula_check(sc.pair, sc.chart, grid)
+    (whole,) = integral_formula_check(sc.pair, sc.chart, grid)
     for key in ("max_pointwise", "max_pointwise_normalized", "degenerate"):
         assert chunked[key] == whole[key], key
     # the signed integral cancels to round-off, so it is held to the mass
@@ -274,22 +273,21 @@ def _use_cpus(monkeypatch, n):
     return forks
 
 
-def _bits(report):
-    return {k: v.hex() if isinstance(v, float) else v for k, v in report.items()}
+def _bits(reports):
+    """Each report's values as exact bits, but for ``runtime_s``, a timing."""
+    return [
+        {k: v.hex() if isinstance(v, float) else v for k, v in r.items() if k != "runtime_s"}
+        for r in reports
+    ]
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _check(which, builder, counts):
+def _check(which, builder, *counts):
     sc = builder()
-    grid = sc.grid(counts)
+    grids = [sc.grid(c) for c in counts]
     if which == "formula":
-        return integral_formula_check(sc.pair, sc.chart, grid)
+        return integral_formula_check(sc.pair, sc.chart, *grids)
     vec_field = random_vector_field(sc, np.random.default_rng(104))
-    return stokes_check(sc.pair.total(), sc.chart, vec_field, grid)
+    return stokes_check(sc.pair.total(), sc.chart, vec_field, *grids)
 
 
 @pytest.mark.parametrize(
@@ -304,17 +302,61 @@ def _check(which, builder, counts):
 def test_results_do_not_depend_on_the_worker_count(
     which, builder, counts, chunker, chunk, monkeypatch
 ):
-    """Every key is the same bits at 1, 2 and 3 workers, each worker
-    evaluating at least 2 of the 7 chunks."""
+    """The grid and its companion in one call: every key is the same bits
+    at 1, 2 and 3 workers, each worker evaluating at least 2 of the grid's
+    7 chunks, and the same as each grid's own call in one process."""
     monkeypatch.setattr(quad, chunker, lambda _dim: chunk)
-    reports = {}
+    companion = refine_counts(counts)
+    _use_cpus(monkeypatch, 1)
+    want = _bits(_check(which, builder, counts)) + _bits(_check(which, builder, companion))
     for workers in (1, 2, 3):
         forks = _use_cpus(monkeypatch, workers)
-        reports[workers] = _bits(_check(which, builder, counts))
+        assert _bits(_check(which, builder, counts, companion)) == want, workers
         assert len(forks) == workers - 1
-    assert reports[2] == reports[1]
-    assert reports[3] == reports[1]
-    _assert_no_child_left()
+
+
+def test_a_set_of_one_chunk_grids_runs_in_process(monkeypatch):
+    """The warped-torus stokes invocation: 128 x 128 and its 64 x 64
+    companion are one chunk each, so nothing is forked at any CPU count."""
+    want = _bits(_check("stokes", warped_torus, (128, 128))) + _bits(
+        _check("stokes", warped_torus, (64, 64))
+    )
+    _use_cpus(monkeypatch, 2)
+    _one_chunk(monkeypatch)
+    assert _bits(_check("stokes", warped_torus, (128, 128), (64, 64))) == want
+
+
+def test_the_deal_balances_nodes_largest_first():
+    """The hopf-s3 formula invocation: 24^3 is six chunks of 2,048 nodes and
+    one of 1,536, its 12^3 companion one chunk of 1,728.  The calling
+    process gets 7,872 nodes, the companion included, and the child 7,680."""
+    sizes = [2048] * 6 + [1536, 1728]
+    owner = quad._deal(sizes, 2)
+    assert owner == [0, 1, 0, 1, 0, 1, 1, 0]
+    assert sum(n for n, w in zip(sizes, owner) if w == 0) == 7872
+    assert quad._deal([5, 5, 5], 2) == [0, 1, 0]  # ties: lowest worker, earliest task
+    assert quad._deal([3], 1) == [0]
+
+
+def test_each_process_builds_only_the_chunks_it_evaluates(monkeypatch):
+    """At 2 workers the calling process runs the angular substitution once
+    per chunk it owns: chunks 0, 2, 4 and 6 of hopf-s3 8^3 in 80-node
+    chunks, the last one of 32 nodes, and none of the child's."""
+    monkeypatch.setattr(quad, "formula_chunk", lambda _dim: 80)
+    sc = hopf_contact_s3()
+    grid = sc.grid((8, 8, 8))
+    substitution = grid.substitution
+    sizes = []
+
+    def counting(params):
+        sizes.append(params[0].size)
+        return substitution(params)
+
+    grid = dataclasses.replace(grid, substitution=counting)
+    forks = _use_cpus(monkeypatch, 2)
+    integral_formula_check(sc.pair, sc.chart, grid)
+    assert len(forks) == 1
+    assert sizes == [80, 80, 80, 32]
 
 
 def _first_nodes(grid, chunk):
@@ -322,15 +364,21 @@ def _first_nodes(grid, chunk):
     return [tuple(float(c[0]) for c in cols) for cols, _ in _chunk_nodes(grid, chunk)]
 
 
-def _failing_formula(monkeypatch, grid, failing):
-    """Make the formula integrand raise in the chunks numbered ``failing``,
-    with a message that names the chunk, and cost nothing elsewhere."""
-    firsts = _first_nodes(grid, formula_chunk(len(grid.counts)))
+def _failing_formula(monkeypatch, grids, failing):
+    """Make the formula integrand raise in the chunks ``(g, i)`` of
+    ``failing``, chunk i of ``grids[g]``, with a message that names the
+    chunk (and the companion, for g = 1), and cost nothing elsewhere."""
+    chunk = formula_chunk(len(grids[0].counts))
+    tasks = {
+        first: (g, i)
+        for g, grid in enumerate(grids)
+        for i, first in enumerate(_first_nodes(grid, chunk))
+    }
 
     def terms(_chart, _pair, cols):
-        i = firsts.index(tuple(float(c[0]) for c in cols))
-        if i in failing:
-            raise ValueError(f"chunk {i} failed")
+        g, i = tasks[tuple(float(c[0]) for c in cols)]
+        if (g, i) in failing:
+            raise ValueError(f"{'companion ' * g}chunk {i} failed")
         return np.ones_like(cols[0]), np.zeros_like(cols[0])
 
     monkeypatch.setattr(quad, "formula_terms_batch", terms)
@@ -348,14 +396,60 @@ def _failing_formula(monkeypatch, grid, failing):
 def test_a_failing_chunk_raises_the_one_process_exception(failing, message, monkeypatch):
     sc = warped_torus()
     grid = sc.grid((80, 80))  # 4 chunks; 2 workers own chunks 0, 2 and 1, 3
-    _failing_formula(monkeypatch, grid, failing)
+    _failing_formula(monkeypatch, [grid], {(0, i) for i in failing})
     for workers in (1, 2):
         forks = _use_cpus(monkeypatch, workers)
         with pytest.raises(ValueError) as raised:
             integral_formula_check(sc.pair, sc.chart, grid)
         assert str(raised.value) == message
         assert len(forks) == workers - 1
-        _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "failing,message",
+    [
+        ({(0, 3), (1, 0)}, "chunk 3 failed"),  # both in the child at 2 workers
+        ({(0, 2), (1, 0)}, "chunk 2 failed"),  # the parent's before the child's
+        ({(1, 0)}, "companion chunk 0 failed"),
+    ],
+    ids=["both-in-one-child", "requested-in-parent", "companion-only"],
+)
+def test_a_failing_chunk_in_a_set_raises_the_one_process_exception(
+    failing, message, monkeypatch
+):
+    """Over the requested 80 x 80 grid (4 chunks) and its 40 x 40 companion
+    (1 chunk), the exception is the one a loop over the grids in order
+    raises: the requested grid's if both fail.  At 2 workers the parent
+    owns chunks 0, 2 and the child chunks 1, 3 and the companion; at 3
+    the parent owns chunk 0 and the companion."""
+    sc = warped_torus()
+    grids = [sc.grid((80, 80)), sc.grid((40, 40))]
+    _failing_formula(monkeypatch, grids, failing)
+    for workers in (1, 2, 3):
+        forks = _use_cpus(monkeypatch, workers)
+        with pytest.raises(ValueError) as raised:
+            integral_formula_check(sc.pair, sc.chart, *grids)
+        assert str(raised.value) == message, workers
+        assert len(forks) == workers - 1
+
+
+def test_runtime_sums_each_grids_chunks_over_the_processes(monkeypatch):
+    """Each report's ``runtime_s`` counts every chunk of its grid, in
+    whichever process evaluated it: at 2 workers the child owns chunks 1
+    and 3 of the 80 x 80 grid and the companion's one chunk, and every
+    chunk takes at least 50 ms."""
+    sc = warped_torus()
+
+    def terms(_chart, _pair, cols):
+        time.sleep(0.05)
+        return np.ones_like(cols[0]), np.zeros_like(cols[0])
+
+    monkeypatch.setattr(quad, "formula_terms_batch", terms)
+    forks = _use_cpus(monkeypatch, 2)
+    fine, coarse = integral_formula_check(sc.pair, sc.chart, sc.grid((80, 80)), sc.grid((40, 40)))
+    assert len(forks) == 1
+    assert fine["runtime_s"] >= 4 * 0.05
+    assert coarse["runtime_s"] >= 0.05
 
 
 class _Interrupt(BaseException):
@@ -381,7 +475,6 @@ def test_an_interrupted_parent_kills_and_reaps_its_children(monkeypatch):
         integral_formula_check(sc.pair, sc.chart, grid)
     assert time.monotonic() - t0 < 30.0
     assert len(forks) == 1
-    _assert_no_child_left()
 
 
 def test_nan_in_a_child_chunk_fails_the_formula_closed(monkeypatch, capsys):
@@ -401,16 +494,16 @@ def test_nan_in_a_child_chunk_fails_the_formula_closed(monkeypatch, capsys):
 
     monkeypatch.setattr(quad, "formula_terms_batch", terms)
     forks = _use_cpus(monkeypatch, 2)
-    res = integral_formula_check(sc.pair, sc.chart, grid)
+    (res,) = integral_formula_check(sc.pair, sc.chart, grid)
     assert math.isnan(res["max_pointwise"]) and math.isnan(res["integral"])
     assert len(forks) == 1
 
+    forks.clear()
     argv = ["--scenario", "warped-torus", "--which", "formula", "--grid", "80,80"]
     assert cli.main(argv) == 1
     fine = json.loads(capsys.readouterr().out.splitlines()[0])
     assert fine["grid"] == "80,80" and fine["pass"] is False
-    assert len(forks) == 2  # the 40 x 40 companion is one chunk
-    _assert_no_child_left()
+    assert len(forks) == 1  # one fork set for the grid and its 40 x 40 companion
 
 
 def _without_fork(monkeypatch):
