@@ -200,14 +200,16 @@ def max_entry(*values):
 def nested_to_array(obj, n_nodes):
     """A nested list of floats / (n_nodes,) arrays as one float array.
 
-    The shape is read off the nesting (first entry at each level) and a
-    trailing node axis of length ``n_nodes`` is added; constant entries are
-    broadcast along it.  The data is copied once, into one preallocated array.
+    The shape is read off the nesting (first entry at each level; an empty
+    list ends it with a zero-length axis) and a trailing node axis of length
+    ``n_nodes`` is added; constant entries are broadcast along it.  The data is copied once, into one preallocated array.
     """
     shape = []
     probe = obj
     while isinstance(probe, (list, tuple)):
         shape.append(len(probe))
+        if not probe:
+            break
         probe = probe[0]
     out = np.zeros((*shape, n_nodes))
     for idx in itertools.product(*map(range, shape)):

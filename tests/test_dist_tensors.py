@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -11,6 +13,7 @@ import pytest
 import distpair.dual as ops
 import distpair.linalg as la
 import distpair.chart_geometry as cg
+import distpair.cli as cli
 import distpair.dist_tensors as dt
 from distpair.chart_geometry import (
     cov_at,
@@ -663,9 +666,10 @@ def test_invariants_engine_frees_each_phase(name):
     """One engine call on the formula's first quadrature chunk holds its
     inputs, its outputs and one phase's arrays at a time.  numpy reports its
     buffers to tracemalloc, so the traced peak above the call's start is the
-    same on every run: 2.9-9.4 MB on the built-in scenarios.  An engine that
-    holds every phase's arrays to its end peaks at about 20 MB on hopf-s3
-    and 23 MB on einstein-s3xt2, above the bound."""
+    same on every run: 2.0-8.6 MB on the built-in scenarios, with each
+    projected frame on its kept slots (2.9-9.4 MB on all n slots).  An
+    engine that holds every phase's arrays to its end peaks at about 20 MB
+    on hopf-s3, which keeps every slot, above the bound."""
     sc = build_scenario(name)
     dim = sc.chart.dim
     chunk = formula_chunk(dim)
@@ -680,6 +684,112 @@ def test_invariants_engine_frees_each_phase(name):
     finally:
         tracemalloc.stop()
     assert (peak - start) / 1e6 <= 16.0
+
+
+def _keep_every_slot(monkeypatch):
+    monkeypatch.setattr(dt, "_frame_slots", lambda val: list(range(len(val[0]))))
+
+
+def coordinate_t3():
+    """split-t3's metric with the coordinate projectors onto span(d_1, d_2)
+    and span(d_0).  The pair is not self-adjoint, so no identity holds, but A
+    keeps two of its three frame slots and its forms are not 0 there."""
+    sc = split_t3()
+
+    def diag(*entries):
+        return lambda _z: [[e if i == j else 0.0 for j, e in enumerate(entries)] for i in range(3)]
+
+    return dataclasses.replace(sc, pair=EndoPair(p1=diag(0.0, 1.0, 1.0), p2=diag(1.0, 0.0, 0.0)))
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES + ("split-t3", "coordinate-t3"))
+def test_dropping_structurally_zero_slots_moves_no_bit(monkeypatch, name):
+    """The engine on the kept frame slots gives every key bit for bit as
+    the engine on all n slots: the dropped columns are exact zeros."""
+    builders = {"split-t3": split_t3, "coordinate-t3": coordinate_t3}
+    sc = builders[name]() if name in builders else build_scenario(name)
+    cols = sc.sample_columns(np.random.default_rng(96), 40)
+    pruned = dist_invariants_batch(sc.chart, sc.pair, cols)
+    _keep_every_slot(monkeypatch)
+    full = dist_invariants_batch(sc.chart, sc.pair, cols)
+    assert pruned.keys() == full.keys()
+    for key, val in full.items():
+        assert pruned[key].shape == val.shape, key
+        assert pruned[key].tobytes() == val.tobytes(), key
+
+
+@pytest.mark.parametrize(
+    "name,kept",
+    [("einstein-s3xt2", (3, 2)), ("warped-torus", (1, 1)), ("hopf-s3", (3, 3))],
+)
+def test_engine_keeps_the_structurally_non_zero_slots(monkeypatch, name, kept):
+    """A = P1 L keeps rank-many of its n slots and B = P2 L likewise; the
+    forms still carry all n slots."""
+    sc = build_scenario(name)
+    n = sc.chart.dim
+    seen = []
+    frame_slots = dt._frame_slots
+
+    def spy(val):
+        seen.append(frame_slots(val))
+        return seen[-1]
+
+    monkeypatch.setattr(dt, "_frame_slots", spy)
+    out = dist_invariants_batch(sc.chart, sc.pair, sc.sample_columns(np.random.default_rng(97), 4))
+    assert tuple(len(s) for s in seen) == kept
+    for key in ("h1", "t1", "h2", "t2"):
+        assert out[key].shape == (n, n, n, 4), key
+
+
+def test_a_rank_zero_member_gives_zero_terms():
+    """A member that is a structural zero everywhere keeps no slot: its
+    terms come from size-0 contractions as finite zeros."""
+    sc = warped_torus()
+    pair = dataclasses.replace(sc.pair, p1=lambda _z: [[0.0, 0.0], [0.0, 0.0]])
+    out = dist_invariants_batch(sc.chart, pair, sc.sample_columns(np.random.default_rng(98), 5))
+    assert len(out) == 13
+    for key in ("h1", "t1", "H1", "norm_h1", "norm_t1", "norm_H1", "smix"):
+        assert np.all(out[key] == 0.0), key
+    assert out["h1"].shape == (2, 2, 2, 5)
+
+
+def _nan_at(field, node, i):
+    """field with entry (i, i) multiplied by 1.0, or by NaN where the point
+    is node."""
+
+    def broken(z):
+        at = np.all([ops._real(c) == x for c, x in zip(z, node)], axis=0)
+        p = [list(row) for row in field(z)]
+        p[i][i] = p[i][i] * np.where(at, np.nan, 1.0)
+        return p
+
+    return broken
+
+
+@pytest.mark.parametrize("name,i", [("warped-torus", 0), ("einstein-s3xt2", 0)])
+def test_a_nan_in_a_kept_slot_fails_closed(monkeypatch, capsys, name, i):
+    """A NaN that reaches a kept frame slot at one node makes that node's
+    right side NaN and fails the CLI formula report."""
+    sc = build_scenario(name)
+    chunk = formula_chunk(sc.chart.dim)
+    grid_counts = (4,) * sc.chart.dim
+    cols, _ = next(_chunk_nodes(sc.grid(grid_counts), chunk))
+    node = [float(c[5]) for c in cols]
+    broken = dataclasses.replace(sc.pair, p1=_nan_at(sc.pair.p1, node, i))
+    a_field, broken_a = (dt._projected_frame(sc.chart, p.p1) for p in (sc.pair, broken))
+    slots = dt._frame_slots(partials(a_field, cols)[0])
+    assert dt._frame_slots(partials(broken_a, cols)[0]) == slots
+    assert len(slots) < sc.chart.dim
+
+    rhs, _ = formula_terms_batch(sc.chart, broken, cols)
+    assert np.isnan(rhs[5])
+    assert np.all(np.isfinite(np.delete(rhs, 5)))
+
+    monkeypatch.setattr(cli, "build_scenario", lambda _name: dataclasses.replace(sc, pair=broken))
+    argv = ["--scenario", name, "--which", "formula", "--grid", ",".join(map(str, grid_counts))]
+    assert cli.main(argv) == 1
+    report = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert report["pass"] is False and math.isnan(report["max_abs"])
 
 
 def test_invariants_closed_form_on_warped_torus():
