@@ -311,27 +311,27 @@ def _frame_slots(val):
     return [s for s in range(len(val[0])) if not all(la.is_zero(row[s]) for row in val)]
 
 
-def _take_slots(parts, slots):
-    """The nested lists of one pass of a projected frame, each with its last
-    list axis (the frame slot) cut to slots; unchanged when all are kept.
+def _on_kept_slots(parts):
+    """The kept slots of a projected frame and the nested lists of its pass,
+    value first, each with its last list axis (the frame slot) cut to them;
+    the lists themselves when every slot is kept.
 
     A structural zero has zero derivatives of every order, so a column that
     is one in the value is one in every derivative too."""
+    slots = _frame_slots(parts[0])
     if len(slots) == len(parts[0][0]):
-        return parts
+        return slots, parts
 
     def take(c):
         return [take(e) for e in c] if isinstance(c[0], list) else [c[s] for s in slots]
 
-    return [take(c) for c in parts]
+    return slots, [take(c) for c in parts]
 
 
 def _frame_partials(f_field, cols, n_nodes):
     """The kept slots of the projected frame F and, on them, F's value and
     first partials (see :func:`_frame_slots`)."""
-    val, d = partials(f_field, cols)
-    slots = _frame_slots(val)
-    val, d = _take_slots((val, d), slots)
+    slots, (val, d) = _on_kept_slots(partials(f_field, cols))
     return slots, la.nested_to_array(val, n_nodes), la.nested_to_array(d, n_nodes)
 
 
@@ -352,9 +352,7 @@ def _frame_jet(a_field, cols, n_nodes):
     second_partials fills d2[d][i] and d2[i][d] with one object, so a_d2a is
     also the derivative along A_s of d_d A_s.  The n^4 array of all second
     partials is freed on return."""
-    val, d, d2 = second_partials(a_field, cols)
-    slots = _frame_slots(val)
-    val, d, d2 = _take_slots((val, d, d2), slots)
+    slots, (val, d, d2) = _on_kept_slots(second_partials(a_field, cols))
     a0 = la.nested_to_array(val, n_nodes)
     d2a = la.nested_to_array(d2, n_nodes)
     return slots, a0, la.nested_to_array(d, n_nodes), np.einsum("isn,diksn->dksn", a0, d2a)

@@ -202,7 +202,8 @@ def nested_to_array(obj, n_nodes):
 
     The shape is read off the nesting (first entry at each level; an empty
     list ends it with a zero-length axis) and a trailing node axis of length
-    ``n_nodes`` is added; constant entries are broadcast along it.  The data is copied once, into one preallocated array.
+    ``n_nodes`` is added; constant entries are broadcast along it.  The data
+    is copied once, into one preallocated array.
     """
     shape = []
     probe = obj
