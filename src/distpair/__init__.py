@@ -32,7 +32,6 @@ from .endo_fields import (
     EndoPair,
     adjoint_field,
     allowed_forms,
-    allowed_residual,
     check_pair,
 )
 from .quadrature import (
@@ -69,7 +68,6 @@ __all__ = [
     "ScenarioManifold",
     "adjoint_field",
     "allowed_forms",
-    "allowed_residual",
     "build_scenario",
     "check_pair",
     "christoffel",

@@ -18,7 +18,6 @@ import time
 
 import numpy as np
 
-from . import linalg as la
 from .dist_tensors import (
     codazzi_residual,
     contact_identity_residual,
@@ -28,7 +27,8 @@ from .dist_tensors import (
     trace_identity_residuals,
     walczak_residual_batch,
 )
-from .endo_fields import allowed_residual, check_pair, form_residuals
+from .endo_fields import allowed_forms, check_pair
+from .identity import reduce_record
 from .quadrature import integral_formula_check, refine_counts, stokes_check
 from .scenarios import (
     SCENARIO_NAMES,
@@ -44,35 +44,29 @@ def _rng(seed, check):
 
 
 def run_pair(sc, points, seed, tol):
-    rng = _rng(seed, "pair")
-    cols = sc.sample_columns(rng, points)
-    res = check_pair(sc.pair, sc.chart, cols)
-    return res["max_abs"], res["max_normalized"], points
+    cols = sc.sample_columns(_rng(seed, "pair"), points)
+    return (*reduce_record(check_pair(sc.pair, sc.chart, cols)), points)
 
 
 def run_allowed(sc, points, seed, tol):
     rng = _rng(seed, "allowed")
     cols = sc.sample_columns(rng, points)
     vx, vy = sc.sample_slot_vectors(rng, points, 2)
-    a, n = allowed_residual(sc.pair, sc.chart, cols, vx, vy)
-    return la.max_entry(a), la.max_entry(n), points
+    return (*reduce_record(allowed_forms(sc.pair, sc.chart, cols, vx, vy)), points)
 
 
 def run_collapse(sc, points, seed, tol):
     rng = _rng(seed, "collapse")
     cols = sc.sample_columns(rng, points)
     vx, vy = sc.sample_slot_vectors(rng, points, 2)
-    forms, norms = collapse_residual(sc.pair, sc.chart, cols, vx, vy)
-    a, n = form_residuals(sc.chart.jet1(cols).g, forms, norms)
-    return la.max_entry(a), la.max_entry(n), points
+    return (*reduce_record(collapse_residual(sc.pair, sc.chart, cols, vx, vy)), points)
 
 
 def run_codazzi(sc, points, seed, tol):
     rng = _rng(seed, "codazzi")
     cols = sc.sample_columns(rng, points)
     vecs = sc.sample_slot_vectors(rng, points, 4)
-    res = codazzi_residual(sc.pair, sc.chart, cols, *vecs)
-    return la.max_entry(res["residual"]), la.max_entry(res["normalized"]), points
+    return (*reduce_record(codazzi_residual(sc.pair, sc.chart, cols, *vecs)), points)
 
 
 def run_div_equivalence(sc, points, seed, tol):
@@ -80,51 +74,39 @@ def run_div_equivalence(sc, points, seed, tol):
     vec_field = random_vector_field(sc, rng)
     scalar_field = random_scalar_field(sc, rng)
     cols = sc.sample_columns(rng, points)
-    res = div_equivalence_residuals(sc.pair.total(), sc.chart, vec_field, cols, scalar_field)
-    max_abs = la.max_entry(
-        res["div_pp_star"], res["vs_div_qx"], res["vs_hs_inner"], res["leibniz"]
-    )
-    max_norm = la.max_entry(res["normalized"], res["div_pp_star"])
-    return max_abs, max_norm, points
+    record = div_equivalence_residuals(sc.pair.total(), sc.chart, vec_field, cols, scalar_field)
+    return (*reduce_record(record), points)
 
 
 def run_walczak(sc, points, seed, tol):
-    rng = _rng(seed, "walczak")
-    cols = sc.sample_columns(rng, points)
-    res, norm = walczak_residual_batch(sc.chart, sc.pair, cols)
-    return la.max_entry(res), la.max_entry(norm), points
+    cols = sc.sample_columns(_rng(seed, "walczak"), points)
+    return (*reduce_record(walczak_residual_batch(sc.chart, sc.pair, cols)), points)
 
 
 def run_traces(sc, points, seed, tol):
-    rng = _rng(seed, "traces")
-    cols = sc.sample_columns(rng, points)
-    res = trace_identity_residuals(sc.pair, sc.chart, cols)
-    keys = ("t1", "t2", "s1", "s2", "aux")
-    max_abs = la.max_entry(*(res[key] for key in keys))
-    max_norm = la.max_entry(*(res[f"{key}_normalized"] for key in keys))
-    return max_abs, max_norm, points
+    cols = sc.sample_columns(_rng(seed, "traces"), points)
+    return (*reduce_record(trace_identity_residuals(sc.pair, sc.chart, cols)), points)
 
 
 def run_contact(sc, points, seed, tol):
     rng = _rng(seed, "contact")
-    phi, xi = sc.extras["phi"], sc.extras["xi"]
     cols = sc.sample_columns(rng, points)
-    structure = contact_structure_residuals(phi, xi, sc.chart, cols).values()
     (vx,) = sc.sample_slot_vectors(rng, points, 1)
-    res = contact_identity_residual(phi, xi, sc.chart, vx, cols)
     # the two candidate signs only separate when the unit field is neither
-    # geodesic nor divergence-free; a conformal rescale provides that
+    # geodesic nor divergence-free; a conformal rescale provides that, and
+    # its ``minus`` is a control that must not close to within 100 tol
     conf = conformal_hopf()
     ccols = conf.sample_columns(rng, points)
     (cvx,) = conf.sample_slot_vectors(rng, points, 1)
-    cres = contact_identity_residual(
-        conf.extras["phi"], conf.extras["xi"], conf.chart, cvx, ccols
-    )
-    max_abs = la.max_entry(*structure, res["plus"], cres["plus"])
-    max_norm = la.max_entry(*structure, res["plus_normalized"], cres["plus_normalized"])
-    if la.max_entry(cres["minus_normalized"]) <= 100.0 * tol:
+    phi, xi = sc.extras["phi"], sc.extras["xi"]
+    signs = contact_identity_residual(conf.extras["phi"], conf.extras["xi"], conf.chart, cvx, ccols)
+    record = contact_structure_residuals(phi, xi, sc.chart, cols)
+    record["plus"] = contact_identity_residual(phi, xi, sc.chart, vx, cols)["plus"]
+    record["rescaled_plus"] = signs["plus"]
+    max_abs, max_norm = reduce_record(record)
+    if reduce_record({"minus": signs["minus"]})[1] <= 100.0 * tol:
         # the rescale failed to separate the signs; refuse to report success
-        max_norm = la.max_entry(max_norm, 1.0)
+        max_norm = max(max_norm, 1.0)
     return max_abs, max_norm, points
 
 
@@ -268,7 +250,6 @@ def main(argv=None):
             grid = sc.grid(counts)
         except ValueError as exc:
             parser.error(f"bad --grid value {args.grid!r}: {exc}")
-        reports = cmd_integrate(sc, args.which, grid, args.seed, args.tol)
     else:
         # a scenario with an almost-contact structure carries phi in its extras
         has_contact = "phi" in sc.extras
@@ -279,6 +260,14 @@ def main(argv=None):
             parser.error(
                 f"the contact check needs a contact structure, which {args.scenario} lacks"
             )
+    # opened before any check runs, so a bad path is a usage error
+    try:
+        report_file = open(args.report, "w") if args.report else None
+    except OSError as exc:
+        parser.error(f"cannot write --report {args.report!r}: {exc.strerror}")
+    if args.which is not None:
+        reports = cmd_integrate(sc, args.which, grid, args.seed, args.tol)
+    else:
         reports = cmd_verify(sc, checks, args.points, args.seed, args.tol)
 
     delivered = True
@@ -291,10 +280,10 @@ def main(argv=None):
         # every report was delivered, so the status stays 1
         delivered = False
         _discard_stdout()
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(reports, fh, indent=2)
-            fh.write("\n")
+    if report_file is not None:
+        with report_file:
+            json.dump(reports, report_file, indent=2)
+            report_file.write("\n")
     return 0 if delivered and all(rep["pass"] for rep in reports) else 1
 
 

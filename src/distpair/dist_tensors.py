@@ -10,18 +10,11 @@ Everything here comes in two implementation styles on purpose:
 * a batched component engine (numpy einsum over a node axis) for the
   frame-summed invariants (second fundamental forms, integrability tensors,
   mean curvatures, mixed scalar curvature) used by the Walczak-type residual
-  and the quadrature module.  It takes each field's value from the field's
-  derivative pass, which gives the plain value bit for bit, and the
-  projected frame's value and first partials from its second-order pass.
-  It contracts pairwise through shared intermediates and reads each
-  derivative along its frame vector first, so no loop runs above n^4 per
-  node apart from the one contraction (d Gamma) A, and each phase's arrays
-  are freed when the phase ends; the one-einsum-per-formula version is kept
-  in the tests as a cross-check.  Each projected frame carries only its
-  structurally non-zero slots: D1 = P1(TM) has rank at most n, and a column
-  of P1 L that is a structural zero (``linalg.is_zero``) in every row is
-  dropped before any array is built, so every frame-indexed contraction
-  runs over the kept slots alone.
+  and the quadrature module (:func:`dist_invariants_batch`; its
+  one-einsum-per-formula version is a cross-check in the tests).
+
+Each identity function returns a record of its signed terms, which
+:func:`identity.reduce_record` turns into a check's residuals.
 
 ``div_P`` has the one route :func:`div_p`, which the divergence checks, the
 Stokes quadrature and the Walczak-type residual all call.  The residual
@@ -59,8 +52,9 @@ from .chart_geometry import (
     nabla_field,
 )
 from .dual import Point, directional, partials, second_partials
-from .endo_fields import (
-    adjoint_field, adjoint_matrix, apply_endo, as_field, covector_gnorm, frob, gnorm
+from .endo_fields import adjoint_field, adjoint_matrix, apply_endo, as_field, frob
+from .identity import (
+    LHS, RHS, Identity, engine_scale, fold_from_one, one_term, precondition, rule, shared_routes
 )
 
 
@@ -103,27 +97,25 @@ def field_check_b2(chart, pair, x_fld, y_fld):
 
 
 def collapse_residual(pair, chart, x, vec_x, vec_y):
-    """Residual vectors of the four compatibility coincidences at x.
+    """The four compatibility coincidences at x, a record of vector identities.
 
     For an allowed pair, P2 B2(X,Y) = hat B2(X, P2 Y) = check B2(P1 X, Y) and
-    the index-1 mirror; this returns the four differences together with their
-    term-magnitude normalizers.
+    the index-1 mirror: ``b{i}_vs_hat`` and ``b{i}_vs_check`` hold P B (lhs)
+    against the hat or check term (rhs).
     """
     xf = as_field(vec_x)
     yf = as_field(vec_y)
     g = chart.jet1(x).g
 
-    forms = {}
-    norms = {}
+    record = {}
     for index, p, u, v in ((2, pair, xf, yf), (1, pair.swapped(), yf, xf)):
         p_b = la.mat_vec(p.p2(x), field_b2(chart, p, u, v)(x))
         hat = field_hat_b2(chart, p, u, apply_endo(p.p2, v))(x)
         chk = field_check_b2(chart, p, apply_endo(p.p1, u), v)(x)
-        p_b_norm = gnorm(g, p_b)
         for tag, other in (("hat", hat), ("check", chk)):
-            forms[f"b{index}_vs_{tag}"] = la.vec_sub(p_b, other)
-            norms[f"b{index}_vs_{tag}"] = p_b_norm + gnorm(g, other)
-    return forms, norms
+            terms = (("p_b", LHS, p_b), (tag, RHS, other))
+            record[f"b{index}_vs_{tag}"] = Identity(terms, g, rule, None)
+    return record
 
 
 # -- the four-argument curvature identity ------------------------------------
@@ -207,12 +199,10 @@ def curvature_term(pair, chart, x, y, x1, x2, z_slot):
 
 
 def codazzi_residual(pair, chart, x, y, x1, x2, z_slot):
-    """|t1 + t2 + s1 + s2 + rp| at x, absolute and term-normalized."""
+    """t1 + t2 + s1 + s2 + rp = 0 at x: the record ``{"codazzi": ...}``."""
     parts = tsr_tensors(pair, chart, x, y, x1, x2, z_slot)
     parts["rp"] = curvature_term(pair, chart, x, y, x1, x2, z_slot)
-    total = parts["t1"] + parts["t2"] + parts["s1"] + parts["s2"] + parts["rp"]
-    denom = 1.0 + sum(abs(v) for v in parts.values())
-    return {"residual": abs(total), "normalized": abs(total) / denom, "parts": parts}
+    return {"codazzi": Identity(tuple((k, LHS, v) for k, v in parts.items()), None, rule, None)}
 
 
 # -- modified divergence ------------------------------------------------------
@@ -230,8 +220,13 @@ def pp_star_field(chart, p_endo):
 
 
 def div_endo_gnorm(chart, endo_field, x):
-    """|div S|_g at x: the metric norm of the divergence covector of S."""
-    return covector_gnorm(chart.jet1(x).g_inv, div_endo(chart, endo_field, x))
+    """|div S|_g at x: the norm of the divergence covector of S, through the
+    inverse metric."""
+    g_inv = chart.jet1(x).g_inv
+    omega = div_endo(chart, endo_field, x)
+    n = len(omega)
+    val = sum(omega[i] * g_inv[i][j] * omega[j] for i in range(n) for j in range(n))
+    return np.sqrt(np.maximum(val, 0.0))
 
 
 def div_p(p_endo, chart, vec_field, x):
@@ -255,12 +250,13 @@ def _hs_inner_of(jet, q, cov):
 
 
 def div_equivalence_residuals(p_endo, chart, vec_field, x, scalar_field):
-    """Residuals of the modified-divergence characterization at x.
+    """The modified-divergence characterization at x, as a record.
 
-    Returns the divergence-free defect of P P^* (the precondition), and the
-    three identity residuals: div_P X vs div(P P^* X), div_P X vs the trace
-    inner product <P P^*, nabla X> (which holds unconditionally), and the
-    product rule div_P(f X) = f div(P P^* X) + (P P^* X)(f).
+    ``div_pp_star`` is the precondition, the divergence-free defect of
+    Q = P P^*.  The identities, normalized by :func:`identity.shared_routes`,
+    are ``div_qx``: div_P X = div(Q X), ``hs_inner``: div_P X = <Q, nabla X>
+    (which holds unconditionally) and ``leibniz``: div_P(f X) = f div(Q X) +
+    (Q X)(f).
     """
     jet = chart.jet1(x)
     q_field = pp_star_field(chart, p_endo)
@@ -270,29 +266,26 @@ def div_equivalence_residuals(p_endo, chart, vec_field, x, scalar_field):
     q = q_field(x)
     cov = cov_deriv_vector(chart, vec_field, x)
     dp = _div_p_of(q, cov)
-    qx_field = apply_endo(q_field, vec_field)
-    div_qx = div_vector(chart, qx_field, x)
-    r_div = abs(dp - div_qx)
-
+    div_qx = div_vector(chart, apply_endo(q_field, vec_field), x)
     hs = _hs_inner_of(jet, q, cov)
-    r_hs = abs(dp - hs)
 
     def fx_field(z):
         return la.vec_scale(scalar_field(z), vec_field(z))
 
-    lhs = _div_p_of(q, cov_deriv_vector(chart, fx_field, x))
     qx_at = la.mat_vec(q, vec_field(x))
-    rhs = scalar_field(x) * div_qx + directional(scalar_field, x, qx_at)[1]
-    r_leibniz = abs(lhs - rhs)
-
-    scale = abs(dp) + abs(div_qx) + abs(hs)
-    return {
-        "div_pp_star": div_q_norm,
-        "vs_div_qx": r_div,
-        "vs_hs_inner": r_hs,
-        "leibniz": r_leibniz,
-        "normalized": np.maximum(np.maximum(r_div, r_hs), r_leibniz) / (1.0 + scale),
+    identities = {
+        "div_qx": (("div_p", LHS, dp), ("div_qx", RHS, div_qx)),
+        "hs_inner": (("div_p", LHS, dp), ("hs_inner", RHS, hs)),
+        "leibniz": (
+            ("div_p_fx", LHS, _div_p_of(q, cov_deriv_vector(chart, fx_field, x))),
+            ("f_div_qx", RHS, scalar_field(x) * div_qx),
+            ("qx_f", RHS, directional(scalar_field, x, qx_at)[1]),
+        ),
     }
+    record = one_term({"div_pp_star": div_q_norm}, precondition, None)
+    for key, terms in identities.items():
+        record[key] = Identity(terms, None, shared_routes, (dp, div_qx, hs))
+    return record
 
 
 # -- batched component engine --------------------------------------------------
@@ -525,27 +518,15 @@ def dist_invariants_batch(chart, pair, cols):
 
 
 def formula_terms_batch(chart, pair, cols):
-    """(lhs-free) right-hand side of the divergence formula at a batch:
-    smix + |h1|^2 + |h2|^2 - |t1|^2 - |t2|^2 - |H1|^2 - |H2|^2."""
+    """(lhs-free) right-hand side of the divergence formula at a batch,
+    smix + |h1|^2 + |h2|^2 - |t1|^2 - |t2|^2 - |H1|^2 - |H2|^2, and its scale,
+    |smix| plus the six norms, each summed left to right."""
     raw = dist_invariants_batch(chart, pair, cols)
-    rhs = (
-        raw["smix"]
-        + raw["norm_h1"]
-        + raw["norm_h2"]
-        - raw["norm_t1"]
-        - raw["norm_t2"]
-        - raw["norm_H1"]
-        - raw["norm_H2"]
-    )
-    scale = (
-        np.abs(raw["smix"])
-        + raw["norm_h1"]
-        + raw["norm_h2"]
-        + raw["norm_t1"]
-        + raw["norm_t2"]
-        + raw["norm_H1"]
-        + raw["norm_H2"]
-    )
+    rhs, scale = raw["smix"], np.abs(raw["smix"])
+    for key in ("h1", "h2", "t1", "t2", "H1", "H2"):
+        norm = raw[f"norm_{key}"]
+        rhs = rhs + norm if key in ("h1", "h2") else rhs - norm
+        scale = scale + norm
     return rhs, scale
 
 
@@ -580,7 +561,7 @@ def mean_curvature_field(chart, pair):
 
 
 def walczak_residual_batch(chart, pair, cols):
-    """Pointwise residual of the divergence formula at a batch of nodes.
+    """The divergence formula at a batch of nodes: the record ``{"walczak": ...}``.
 
     Both sides are AD-exact: the left side div_P(H1 + H2), P = P1 + P2, is
     :func:`div_p` of :func:`mean_curvature_field` on the batch, one vector
@@ -589,8 +570,8 @@ def walczak_residual_batch(chart, pair, cols):
     """
     lhs = div_p(pair.total(), chart, mean_curvature_field(chart, pair), cols)
     rhs, scale = formula_terms_batch(chart, pair, cols)
-    residual = np.abs(lhs - rhs)
-    return residual, residual / (1.0 + scale + np.abs(lhs))
+    terms = (("div_p_mean_curvature", LHS, lhs), ("invariants", RHS, rhs))
+    return {"walczak": Identity(terms, None, engine_scale, scale)}
 
 
 # -- frame-trace identities ----------------------------------------------------
@@ -601,10 +582,12 @@ def trace_identity_residuals(pair, chart, cols):
 
     The left sides sum the four-argument tensors over an orthonormal frame
     field; the right sides are the independently-derived divergence-style
-    expressions.  Also returns the auxiliary index-2 cancellation sum.
-    Preconditions: pair allowed and self-adjoint.
+    expressions.  Returns a record: ``t1``, ``t2``, ``s1`` and ``s2``, each
+    the frame sum ``trace`` (lhs) against its ``formula`` (rhs), and ``aux``,
+    the auxiliary index-2 cancellation sum.  Preconditions: pair allowed and
+    self-adjoint.
 
-    cols is a column batch of N points; every result is an (N,) array.  The
+    cols is a column batch of N points; every term is an (N,) array.  The
     frame indices s and t get axes of their own in front of the points: the
     point is evaluated with shape (1, 1, N) and the frame vectors e_s, e_t
     with shapes (n, 1, N) and (1, n, N), so every term below is one tower
@@ -631,8 +614,7 @@ def trace_identity_residuals(pair, chart, cols):
         """Per-point sum over the frame pairs, in pair order."""
         return sum(np.broadcast_to(value, shape).reshape(n * n, n_nodes))
 
-    parts = tsr_tensors(pair, chart, z, e_t, e_s, e_s, e_t)
-    lhs = {key: pair_sum(parts[key]) for key in ("t1", "t2", "s1", "s2")}
+    lhs = tsr_tensors(pair, chart, z, e_t, e_s, e_s, e_t)
 
     # covariant derivatives of projected frame fields, na[s, t] = nabla_{P1 e_s} P1 e_t;
     # diagonal(c)[p, s] = c[s, s, p] goes back onto the s or the t axis
@@ -667,45 +649,34 @@ def trace_identity_residuals(pair, chart, cols):
     w = la.mat_vec(p2_z, cov_at(chart, z, p2_t(z), p1_s))
     aux = pair_sum(s1 + ip(cov_at(chart, z, w, p2_t), p1_s(z)))
     rhs = {"t1": pair_sum(t1), "t2": pair_sum(t2), "s1": pair_sum(s1), "s2": pair_sum(s2)}
-
-    out = {}
-    for key in ("t1", "t2", "s1", "s2"):
-        diff = abs(lhs[key] - rhs[key])
-        out[key] = diff
-        out[f"{key}_normalized"] = diff / (1.0 + abs(lhs[key]) + abs(rhs[key]))
-    out["aux"] = abs(aux)
-    out["aux_normalized"] = abs(aux) / (1.0 + abs(aux))
-    return out
+    terms = {k: (("trace", LHS, pair_sum(lhs[k])), ("formula", RHS, r)) for k, r in rhs.items()}
+    terms["aux"] = (("aux", LHS, aux),)
+    return {key: Identity(t, None, fold_from_one, None) for key, t in terms.items()}
 
 
 # -- contact-structure checks ------------------------------------------------
 
 
 def contact_structure_residuals(phi, xi, chart, x):
-    """Residuals of the almost-contact structure equations at x."""
+    """The almost-contact structure equations at x, a record of preconditions."""
     n = chart.dim
     jet = chart.jet1(x)
     phi_m = phi(x)
     xi_v = xi(x)
     eta = [sum(jet.g[i][j] * xi_v[j] for j in range(n)) for i in range(n)]
     xi_eta = [[xi_v[i] * eta[j] for j in range(n)] for i in range(n)]
-    ident = la.eye(n)
-    phi_sq = la.mat_mul(phi_m, phi_m)
+    proj = la.mat_sub(la.eye(n), xi_eta)  # I - xi (x) eta
     phi_star = adjoint_matrix(jet.g, jet.g_inv, phi_m)
     eta_phi = [sum(eta[i] * phi_m[i][j] for i in range(n)) for j in range(n)]
-
-    return {
-        "phi_squared": frob(la.mat_add(phi_sq, la.mat_sub(ident, xi_eta))),
+    defects = {
+        "phi_squared": frob(la.mat_add(la.mat_mul(phi_m, phi_m), proj)),
         "phi_xi": frob([la.mat_vec(phi_m, xi_v)]),
         "eta_phi": frob([eta_phi]),
-        "phi_phi_star": frob(
-            la.mat_sub(la.mat_mul(phi_m, phi_star), la.mat_sub(ident, xi_eta))
-        ),
-        "phi_star_phi": frob(
-            la.mat_sub(la.mat_mul(phi_star, phi_m), la.mat_sub(ident, xi_eta))
-        ),
+        "phi_phi_star": frob(la.mat_sub(la.mat_mul(phi_m, phi_star), proj)),
+        "phi_star_phi": frob(la.mat_sub(la.mat_mul(phi_star, phi_m), proj)),
         "eta_xi": abs(la.bilinear(jet.g, xi_v, xi_v) - 1.0),
     }
+    return one_term(defects, precondition, None)
 
 
 def contact_identity_residual(phi, xi, chart, vec_x, x):
@@ -713,8 +684,10 @@ def contact_identity_residual(phi, xi, chart, vec_x, x):
 
     The identity implemented as correct:
         (div phi phi^*)(X) = -( <nabla_xi xi, X> + (div xi) <xi, X> ).
-    Returns residuals of this ("plus") and of the variant with the relative
-    minus sign, plus a shared normalizer.
+    Returns a record of this (``plus``) and of the variant with the relative
+    minus sign (``minus``).  Each lists the right side's terms acc and dv
+    first, negated, so its residual is |div_s + (acc +- dv)|, normalized by
+    :func:`identity.fold_from_one`.
     """
     xf = as_field(vec_x)
     jet = chart.jet1(x)
@@ -725,10 +698,8 @@ def contact_identity_residual(phi, xi, chart, vec_x, x):
     xi_v = xi(x)
     acc = la.bilinear(jet.g, cov_at(chart, x, xi_v, xi), xv)
     dv = div_vector(chart, xi, x) * la.bilinear(jet.g, xi_v, xv)
-    scale = 1.0 + abs(acc) + abs(dv) + abs(lhs)
-    return {
-        "plus": abs(lhs + (acc + dv)),
-        "minus": abs(lhs + (acc - dv)),
-        "plus_normalized": abs(lhs + (acc + dv)) / scale,
-        "minus_normalized": abs(lhs + (acc - dv)) / scale,
-    }
+    record = {}
+    for key, dv_term in (("plus", -dv), ("minus", dv)):
+        terms = (("acc", RHS, -acc), ("dv", RHS, dv_term), ("div_s", LHS, lhs))
+        record[key] = Identity(terms, None, fold_from_one, None)
+    return record

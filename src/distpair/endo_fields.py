@@ -11,7 +11,6 @@ conditions gating the curvature-level identities in dist_tensors.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import linalg as la
 from .chart_geometry import cov_at
+from .identity import LHS, RHS, Identity, one_term, pair_size, rule
 
 
 def adjoint_matrix(g, g_inv, p):
@@ -74,44 +74,25 @@ def frob(m):
     return np.sqrt(sum(np.float_power(v, 2) for row in m for v in row))
 
 
-def pair_defects(pair, chart, x):
-    """(products, defects, scale) at x, each member evaluated once.
-
-    ``products`` holds the Frobenius norms of the four adaptedness products,
-    ``defects`` those of P1 - P1^* and P2 - P2^* (keys ``p1``, ``p2``), and
-    ``scale`` is |P1|_F |P2|_F.
-    """
-    jet = chart.jet1(x)
-    p1 = pair.p1(x)
-    p2 = pair.p2(x)
+def check_pair(pair, chart, cols):
+    """Adaptedness (+ self-adjointness if advertised) on a column batch, each
+    member evaluated once: a record of one-term identities, the Frobenius
+    norms of the four products (``p1_p2_star``, ...) and of P1 - P1^*,
+    P2 - P2^* (``p1``, ``p2``), normalized by :func:`identity.pair_size`."""
+    jet = chart.jet1(cols)
+    p1 = pair.p1(cols)
+    p2 = pair.p2(cols)
     p1s = adjoint_matrix(jet.g, jet.g_inv, p1)
     p2s = adjoint_matrix(jet.g, jet.g_inv, p2)
-    products = {
+    norms = {
         "p1_p2_star": frob(la.mat_mul(p1, p2s)),
         "p1_star_p2": frob(la.mat_mul(p1s, p2)),
         "p2_p1_star": frob(la.mat_mul(p2, p1s)),
         "p2_star_p1": frob(la.mat_mul(p2s, p1)),
     }
-    defects = {"p1": frob(la.mat_sub(p1, p1s)), "p2": frob(la.mat_sub(p2, p2s))}
-    return products, defects, frob(p1) * frob(p2)
-
-
-def check_pair(pair, chart, cols):
-    """Adaptedness (+ self-adjointness if advertised) over a column batch.
-
-    Returns max_abs / max_normalized over all nodes and all product norms
-    (NaN if any is).
-    """
-    products, defects, scale = pair_defects(pair, chart, cols)
-    vals = list(products.values())
     if pair.self_adjoint:
-        vals.extend(defects.values())
-    worst = functools.reduce(np.maximum, vals)
-    return {
-        "max_abs": la.max_entry(worst),
-        "max_normalized": la.max_entry(worst / (1.0 + scale)),
-        "samples": len(cols[0]),
-    }
+        norms.update(p1=frob(la.mat_sub(p1, p1s)), p2=frob(la.mat_sub(p2, p2s)))
+    return one_term(norms, pair_size, frob(p1) * frob(p2))
 
 
 # -- first-order compatibility forms ---------------------------------------
@@ -135,32 +116,18 @@ def apply_endo(mat_field, vec_field):
     return fld
 
 
-def gnorm(g, v):
-    return np.sqrt(np.maximum(la.bilinear(g, v, v), 0.0))
-
-
-def covector_gnorm(g_inv, omega):
-    """Metric norm of a covector, through the inverse metric."""
-    n = len(omega)
-    val = sum(omega[i] * g_inv[i][j] * omega[j] for i in range(n) for j in range(n))
-    return np.sqrt(np.maximum(val, 0.0))
-
-
 def allowed_forms(pair, chart, x, vec_x, vec_y):
     """The four first-order compatibility forms at x on slot vectors (X, Y).
 
     For an adapted pair each form is tensorial in both slots, so constant
-    extension of X and Y is faithful.  Returns (forms, normalizers); each
-    normalizer sums the magnitudes of the two terms whose difference is the
-    form (used for normalized residual reporting).  The b1 forms are the b2
-    forms of ``pair.swapped()``.
+    extension of X and Y is faithful.  Returns a record of four vector
+    identities, ``b{i}_plain`` and ``b{i}_star``: the shared term (lhs)
+    against the plain or star one (rhs).  b1 is b2 of ``pair.swapped()``.
     """
-    x_fld = as_field(vec_x)
     y_fld = as_field(vec_y)
     g = chart.jet1(x).g
 
-    forms = {}
-    norms = {}
+    record = {}
     for tag, p in (("b1", pair.swapped()), ("b2", pair)):
         pa, pb = p.p2, p.p1
         pa_adj = adjoint_field(chart, pa)
@@ -174,29 +141,7 @@ def allowed_forms(pair, chart, x, vec_x, vec_y):
         t_plain = la.mat_vec(pb_adj(x), cov_at(chart, x, d_main, pa_pa_star_y))
         d_star = la.mat_vec(la.mat_mul(pa_adj(x), pa(x)), vec_x)
         t_star = la.mat_vec(pb(x), cov_at(chart, x, d_star, pa_star_y))
-        forms[f"{tag}_plain"] = la.vec_sub(t_shared, t_plain)
-        forms[f"{tag}_star"] = la.vec_sub(t_shared, t_star)
-        shared_norm = gnorm(g, t_shared)
-        norms[f"{tag}_plain"] = shared_norm + gnorm(g, t_plain)
-        norms[f"{tag}_star"] = shared_norm + gnorm(g, t_star)
-    return forms, norms
-
-
-def form_residuals(g, forms, norms):
-    """(max residual, max normalized residual) over named residual vectors:
-    |v|_g and |v|_g / (1 + norms[key]) for each ``forms[key] = v``, per node
-    when g is a column batch, NaN where any is."""
-    worst = 0.0
-    worst_norm = 0.0
-    for key, v in forms.items():
-        r = gnorm(g, v)
-        worst = np.maximum(worst, r)
-        worst_norm = np.maximum(worst_norm, r / (1.0 + norms[key]))
-    return worst, worst_norm
-
-
-def allowed_residual(pair, chart, x, vec_x, vec_y):
-    """(max residual, max normalized residual) over the four forms at x,
-    per node when x is a column batch."""
-    forms, norms = allowed_forms(pair, chart, x, vec_x, vec_y)
-    return form_residuals(chart.jet1(x).g, forms, norms)
+        for key, other in (("plain", t_plain), ("star", t_star)):
+            terms = (("shared", LHS, t_shared), (key, RHS, other))
+            record[f"{tag}_{key}"] = Identity(terms, g, rule, None)
+    return record

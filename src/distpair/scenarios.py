@@ -22,7 +22,8 @@ from . import dual as ops
 from . import linalg as la
 from .chart_geometry import Chart, point_columns
 from .dist_tensors import div_endo_gnorm, pp_star_field
-from .endo_fields import EndoPair, allowed_residual, pair_defects
+from .endo_fields import EndoPair, allowed_forms, check_pair
+from .identity import reduce_record
 from .quadrature import Axis, QuadratureGrid
 
 TWO_PI = 2.0 * math.pi
@@ -102,13 +103,14 @@ def probe_pair(scenario):
     pair = scenario.pair
     cols = scenario.sample_columns(rng, n_points)
     ev = {}
-    products, defects, _ = pair_defects(pair, chart, cols)
-    ev["adapted"] = la.max_entry(*products.values())
-    if pair.self_adjoint:
-        ev["self_adjoint"] = la.max_entry(*defects.values())
+    record = check_pair(pair, chart, cols)
+    defects = {k: record.pop(k) for k in ("p1", "p2") if k in record}
+    ev["adapted"] = reduce_record(record)[0]
+    if defects:
+        ev["self_adjoint"] = reduce_record(defects)[0]
     if pair.allowed:
         vx, vy = scenario.sample_slot_vectors(rng, n_points, 2)
-        ev["allowed"] = la.max_entry(allowed_residual(pair, chart, cols, vx, vy)[0])
+        ev["allowed"] = reduce_record(allowed_forms(pair, chart, cols, vx, vy))[0]
     if pair.div_pp_star_zero:
         q_field = pp_star_field(chart, pair.total())
         ev["div_pp_star"] = la.max_entry(div_endo_gnorm(chart, q_field, cols))

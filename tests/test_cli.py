@@ -13,6 +13,7 @@ import pytest
 
 from distpair import cli, dist_tensors
 from distpair.cli import main
+from distpair.identity import LHS, Identity
 from distpair.scenarios import build_scenario
 
 REQUIRED_KEYS = [
@@ -77,12 +78,17 @@ def test_contact_check_included_on_hopf(capsys):
 def test_contact_max_abs_reads_both_unnormalized_residuals(monkeypatch, capsys):
     """max_abs is the largest unnormalized residual over hopf-s3 and its
     conformal rescale, here the rescale's ``plus``.  A rescale whose wrong
-    sign also closes (``minus_normalized`` <= 100 tol) fails the report."""
+    sign also closes (its normalized ``minus`` <= 100 tol) fails the report."""
+
+    def fixed(value, normalized):
+        # one term ``value``, normalized to ``normalized`` (up to rounding)
+        return Identity((("term", LHS, value),), None, lambda _ident: value / normalized, None)
+
     values = {
-        "hopf-s3": {"plus": 1e-15, "plus_normalized": 1e-16},
-        "hopf-s3-conformal": {"plus": 5e-15, "plus_normalized": 2e-16},
+        "hopf-s3": {"plus": fixed(1e-15, 1e-16)},
+        "hopf-s3-conformal": {"plus": fixed(5e-15, 2e-16)},
     }
-    minus = {"minus_normalized": 1.0}
+    minus = {"minus": fixed(1e-3, 1.0)}
 
     def residual(phi, xi, chart, vx, cols):
         return {**values[chart.name], **minus}
@@ -92,7 +98,7 @@ def test_contact_max_abs_reads_both_unnormalized_residuals(monkeypatch, capsys):
     max_abs, max_norm, _ = cli.run_contact(build_scenario("hopf-s3"), 4, 42, 1e-6)
     assert (max_abs, max_norm) == (5e-15, 2e-16)
 
-    minus["minus_normalized"] = 5e-5  # <= 100 tol: the signs did not separate
+    minus["minus"] = fixed(1e-3, 5e-5)  # <= 100 tol: the signs did not separate
     code = main(["--scenario", "hopf-s3", "--check", "contact", "--points", "4"])
     (report,) = _parse_lines(capsys.readouterr().out)
     assert code == 1 and report["pass"] is False
@@ -210,6 +216,27 @@ def test_report_file_contains_all_reports(tmp_path, capsys):
     capsys.readouterr()
     data = json.loads(target.read_text())
     assert isinstance(data, list) and data[0]["check"] == "pair"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--check", "pair", "--points", "2"], ["--which", "stokes", "--grid", "4"]],
+    ids=["verify", "integrate"],
+)
+def test_unwritable_report_path_is_a_usage_error_before_any_check(
+    argv, tmp_path, monkeypatch, capsys
+):
+    ran = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda *args: ran.append("verify"))
+    monkeypatch.setattr(cli, "cmd_integrate", lambda *args: ran.append("integrate"))
+    target = tmp_path / "missing" / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", "flat-torus", *argv, "--report", str(target)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and ran == []
+    assert "--report" in err and str(target) in err
+    assert not target.parent.exists()
 
 
 def test_cli_output_is_deterministic_for_fixed_seed(child_env):

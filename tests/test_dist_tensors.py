@@ -18,6 +18,7 @@ import distpair.dist_tensors as dt
 from distpair.chart_geometry import (
     cov_at,
     cov_deriv_vector,
+    div_vector,
     lie_bracket,
     nabla_field,
     point_columns,
@@ -49,10 +50,9 @@ from distpair.endo_fields import (
     adjoint_field,
     adjoint_matrix,
     allowed_forms,
-    allowed_residual,
     apply_endo,
-    gnorm,
 )
+from distpair.identity import reduce_record, residual
 from distpair.quadrature import _chunk_nodes, formula_chunk
 from distpair.scenarios import (
     SCENARIO_NAMES,
@@ -71,6 +71,22 @@ from distpair.scenarios import (
     warped_torus,
 )
 from oracles import b_tensors, riemann, riemann_up
+
+
+def gnorm(g, v):
+    return np.sqrt(np.maximum(la.bilinear(g, v, v), 0.0))
+
+
+def normalized(ident):
+    """An identity's residual over its normalizer, per node."""
+    return residual(ident) / ident.normalizer(ident)
+
+
+def form(ident):
+    """A two-term vector identity's lhs - rhs, the form itself."""
+    ((_, lhs_side, lhs), (_, rhs_side, rhs)) = ident.terms
+    assert (lhs_side, rhs_side) == ("lhs", "rhs")
+    return la.vec_sub(lhs, rhs)
 
 ALL_SCENARIOS = (
     "flat-torus",
@@ -223,7 +239,7 @@ def test_unconditional_identities_hold_for_any_adapted_pair():
         x = sc.sample_points(rng, 1)[0]
         X, Y, Z = [list(rng.normal(size=2)) for _ in range(3)]
         g = chart.jet1(x).g
-        forms, _ = allowed_forms(pair, chart, x, Y, Z)
+        forms = {key: form(ident) for key, ident in allowed_forms(pair, chart, x, Y, Z).items()}
         xf, yf = as_field(X), as_field(Y)
 
         hat2 = field_hat_b2(chart, pair, xf, apply_endo(pair.p2, yf))(x)
@@ -274,10 +290,11 @@ def test_structural_tensor_collapse_on_allowed_pairs(name):
         x = sc.sample_points(rng, 1)[0]
         vx = list(rng.normal(size=dim))
         vy = list(rng.normal(size=dim))
-        forms, _ = collapse_residual(sc.pair, sc.chart, x, vx, vy)
+        record = collapse_residual(sc.pair, sc.chart, x, vx, vy)
         g = sc.chart.jet1(x).g
-        for key, vec in forms.items():
-            assert gnorm(g, vec) < 1e-10, key
+        for key, ident in record.items():
+            assert gnorm(g, form(ident)) < 1e-10, key
+            assert residual(ident) == gnorm(g, form(ident)), key
 
 
 def test_structural_tensor_collapse_fails_on_rotated_pair():
@@ -288,9 +305,9 @@ def test_structural_tensor_collapse_fails_on_rotated_pair():
         x = sc.sample_points(rng, 1)[0]
         vx = list(rng.normal(size=2))
         vy = list(rng.normal(size=2))
-        forms, _ = collapse_residual(sc.pair, sc.chart, x, vx, vy)
+        record = collapse_residual(sc.pair, sc.chart, x, vx, vy)
         g = sc.chart.jet1(x).g
-        worst = max(worst, max(gnorm(g, v) for v in forms.values()))
+        worst = max(worst, max(gnorm(g, form(ident)) for ident in record.values()))
     assert worst > 1e-3
 
 
@@ -306,7 +323,7 @@ def test_codazzi_identity(name):
         x = sc.sample_points(rng, 1)[0]
         vecs = [list(rng.normal(size=dim)) for _ in range(4)]
         res = codazzi_residual(sc.pair, sc.chart, x, *vecs)
-        assert res["normalized"] < 1e-10
+        assert normalized(res["codazzi"]) < 1e-10
 
 
 @pytest.mark.parametrize("name", ["flat-torus", "warped-torus", "hopf-s3"])
@@ -503,8 +520,8 @@ def test_div_equivalences_characterization(name):
     for _ in range(5):
         x = sc.sample_points(rng, 1)[0]
         res = div_equivalence_residuals(sc.pair.total(), sc.chart, X, x, f)
-        assert res["div_pp_star"] < 1e-10
-        assert res["normalized"] < 1e-10
+        assert residual(res.pop("div_pp_star")) < 1e-10
+        assert reduce_record(res)[1] < 1e-10
 
 
 def test_div_equivalence_conditional_parts_fail_without_divergence_free_q():
@@ -529,7 +546,7 @@ def test_div_equivalence_conditional_parts_fail_without_divergence_free_q():
     for _ in range(5):
         x = ft.sample_points(rng, 1)[0]
         res = div_equivalence_residuals(p_endo, ft.chart, X, x, h)
-        assert res["vs_hs_inner"] < 1e-12  # unconditional route always holds
+        assert residual(res["hs_inner"]) < 1e-12  # unconditional route always holds
         # defect of the conditional route: |(div (f^2 id))(X)| = |X(f^2)|
         u, v = x
         fv = 2.0 + math.sin(u) * math.cos(v)
@@ -539,8 +556,8 @@ def test_div_equivalence_conditional_parts_fail_without_divergence_free_q():
         ]
         xv = [math.cos(v), math.sin(u)]
         want = abs(df2[0] * xv[0] + df2[1] * xv[1])
-        assert abs(res["vs_div_qx"] - want) < 1e-10
-        assert res["div_pp_star"] > 1e-3
+        assert abs(residual(res["div_qx"]) - want) < 1e-10
+        assert residual(res["div_pp_star"]) > 1e-3
 
 
 def test_div_equivalence_builds_each_covariant_jacobian_once(monkeypatch):
@@ -871,8 +888,8 @@ def test_divergence_formula_pointwise(name):
     rng = np.random.default_rng(83)
     pts = sc.sample_points(rng, 20)
     cols = [np.array([p[i] for p in pts]) for i in range(sc.chart.dim)]
-    _, norm = walczak_residual_batch(sc.chart, sc.pair, cols)
-    assert float(np.max(norm)) < 1e-6
+    _, norm = reduce_record(walczak_residual_batch(sc.chart, sc.pair, cols))
+    assert float(norm) < 1e-6
 
 
 def test_divergence_formula_closed_form_on_warped_torus():
@@ -880,7 +897,7 @@ def test_divergence_formula_closed_form_on_warped_torus():
     sc = warped_torus()
     for u in (0.0, 0.9, 3.1):
         cols = point_columns([[u, 0.3]])
-        _, norm = walczak_residual_batch(sc.chart, sc.pair, cols)
+        norm = normalized(walczak_residual_batch(sc.chart, sc.pair, cols)["walczak"])
         assert norm[0] < 1e-8
         inv = dist_invariants_batch(sc.chart, sc.pair, cols)
         rhs = (
@@ -1045,8 +1062,9 @@ def test_frame_trace_identities(name, npts):
     rng = np.random.default_rng(90)
     for x in sc.sample_points(rng, npts):
         res = trace_identity_residuals(sc.pair, sc.chart, point_columns([x]))
-        for key in ("t1", "t2", "s1", "s2", "aux"):
-            assert res[f"{key}_normalized"][0] < 1e-9, (key, x)
+        assert list(res) == ["t1", "t2", "s1", "s2", "aux"]
+        for key, ident in res.items():
+            assert normalized(ident)[0] < 1e-9, (key, x)
 
 
 def test_traces_build_the_real_metric_jet_at_the_points_only(monkeypatch):
@@ -1083,34 +1101,38 @@ def test_batched_towers_match_the_point_loop(name):
     cols = [np.array(c) for c in zip(*pts)]
     slots = [[vecs[:, j, i] for i in range(dim)] for j in range(4)]
 
+    def flat(record):
+        """Each identity's residual and normalized residual and each of its
+        scalar terms, by name."""
+        out = {}
+        for key, ident in record.items():
+            out[f"{key}.residual"] = residual(ident)
+            out[f"{key}.normalized"] = normalized(ident)
+            if ident.g is None:
+                out.update((f"{key}.{name}", val) for name, _, val in ident.terms)
+        return out
+
     def one_node(batch_check):
         def fn(x, v):
             if isinstance(x[0], np.ndarray):
                 return batch_check(x)
-            return {key: val[0] for key, val in batch_check(point_columns([x])).items()}
+            single = batch_check(point_columns([x])).items()
+            return {key: np.broadcast_to(val, (1,))[0] for key, val in single}
 
         return fn
 
-    def codazzi(x, v):
-        res = codazzi_residual(sc.pair, sc.chart, x, *v)
-        return {"residual": res["residual"], "normalized": res["normalized"], **res["parts"]}
-
     checks = {
-        "allowed": lambda x, v: dict(
-            enumerate(allowed_residual(sc.pair, sc.chart, x, v[0], v[1]))
+        "allowed": lambda x, v: flat(allowed_forms(sc.pair, sc.chart, x, v[0], v[1])),
+        "codazzi": lambda x, v: flat(codazzi_residual(sc.pair, sc.chart, x, *v)),
+        "divergence": lambda x, v: flat(
+            div_equivalence_residuals(sc.pair.total(), sc.chart, vec_field, x, scalar_field)
         ),
-        "codazzi": codazzi,
-        "divergence": lambda x, v: div_equivalence_residuals(
-            sc.pair.total(), sc.chart, vec_field, x, scalar_field
-        ),
-        "traces": one_node(lambda c: trace_identity_residuals(sc.pair, sc.chart, c)),
-        "walczak": one_node(
-            lambda c: dict(enumerate(walczak_residual_batch(sc.chart, sc.pair, c)))
-        ),
+        "traces": one_node(lambda c: flat(trace_identity_residuals(sc.pair, sc.chart, c))),
+        "walczak": one_node(lambda c: flat(walczak_residual_batch(sc.chart, sc.pair, c))),
     }
     if "phi" in sc.extras:
-        checks["contact"] = lambda x, v: contact_structure_residuals(
-            sc.extras["phi"], sc.extras["xi"], sc.chart, x
+        checks["contact"] = lambda x, v: flat(
+            contact_structure_residuals(sc.extras["phi"], sc.extras["xi"], sc.chart, x)
         )
     for check, fn in checks.items():
         batch = fn(cols, slots)
@@ -1133,7 +1155,7 @@ def test_contact_structure_equations():
         for _ in range(6):
             x = sc.sample_points(rng, 1)[0]
             res = contact_structure_residuals(phi, xi, sc.chart, x)
-            assert max(res.values()) < 1e-12, res
+            assert reduce_record(res)[0] < 1e-12, res
 
 
 def test_contact_divergence_identity_sign():
@@ -1149,7 +1171,7 @@ def test_contact_divergence_identity_sign():
         res = contact_identity_residual(
             base.extras["phi"], base.extras["xi"], base.chart, vx, x
         )
-        assert res["plus_normalized"] < 1e-12
+        assert normalized(res["plus"]) < 1e-12
 
     conf = conformal_hopf()
     worst_minus = 0.0
@@ -1159,6 +1181,29 @@ def test_contact_divergence_identity_sign():
         res = contact_identity_residual(
             conf.extras["phi"], conf.extras["xi"], conf.chart, vx, x
         )
-        assert res["plus_normalized"] < 1e-12
-        worst_minus = max(worst_minus, res["minus_normalized"])
+        assert normalized(res["plus"]) < 1e-12
+        worst_minus = max(worst_minus, normalized(res["minus"]))
     assert worst_minus > 1e-3
+
+
+def test_contact_sign_split_on_the_conformal_rescale():
+    """Where ``plus`` closes, ``minus`` is 2 |dv|, with dv = div xi <xi, X>
+    taken independently of the record, and its normalized residual is minus
+    over ((1 + |acc|) + |dv|) + |div_s|, the record's contact magnitude."""
+    conf = conformal_hopf()
+    rng = np.random.default_rng(3)
+    cols = conf.sample_columns(rng, 6)
+    (vx,) = conf.sample_slot_vectors(rng, 6, 1)
+    phi, xi = conf.extras["phi"], conf.extras["xi"]
+    record = contact_identity_residual(phi, xi, conf.chart, vx, cols)
+    assert np.max(normalized(record["plus"])) < 1e-12
+
+    dv = div_vector(conf.chart, xi, cols) * la.bilinear(conf.chart.jet1(cols).g, xi(cols), vx)
+    assert np.min(np.abs(dv)) > 1e-3  # the rescale separates the signs at every point
+    minus = residual(record["minus"])
+    assert np.max(np.abs(minus - 2.0 * np.abs(dv))) < 1e-14
+
+    terms = {name: value for name, _, value in record["minus"].terms}
+    assert [side for _, side, _ in record["minus"].terms] == ["rhs", "rhs", "lhs"]
+    magnitude = 1.0 + np.abs(terms["acc"]) + np.abs(terms["dv"]) + np.abs(terms["div_s"])
+    assert np.array_equal(normalized(record["minus"]), minus / magnitude)

@@ -8,12 +8,9 @@ import numpy as np
 import pytest
 
 import distpair.linalg as la
-from distpair.endo_fields import (
-    adjoint_field,
-    allowed_residual,
-    check_pair,
-    pair_defects,
-)
+from distpair import cli
+from distpair.endo_fields import adjoint_field, allowed_forms, check_pair
+from distpair.identity import reduce_record
 from distpair.scenarios import (
     SCENARIO_NAMES,
     SCENARIOS,
@@ -82,23 +79,26 @@ def test_adjoint_pairing_identity():
 def test_check_pair_on_adapted_scenarios(builder):
     sc = builder()
     rng = np.random.default_rng(31)
-    res = check_pair(sc.pair, sc.chart, sc.sample_columns(rng, 20))
-    assert res["samples"] == 20
-    assert res["max_normalized"] < 1e-10
+    record = check_pair(sc.pair, sc.chart, sc.sample_columns(rng, 20))
+    # a structurally zero product is the float 0.0; every other term is per node
+    shapes = [np.shape(ident.terms[0][2]) for ident in record.values()]
+    assert np.broadcast_shapes((20,), *shapes) == (20,)
+    assert cli.run_pair(sc, 20, 31, 1e-6)[2] == 20  # the samples of the report
+    assert reduce_record(record)[1] < 1e-10
 
 
 def test_rotated_pair_is_adapted_but_not_allowed():
     sc = non_allowed_rotated()
     rng = np.random.default_rng(33)
-    res = check_pair(sc.pair, sc.chart, sc.sample_columns(rng, 20))
-    assert res["max_normalized"] < 1e-10  # adaptedness survives the rotation
+    record = check_pair(sc.pair, sc.chart, sc.sample_columns(rng, 20))
+    assert reduce_record(record)[1] < 1e-10  # adaptedness survives the rotation
 
     worst = 0.0
     for _ in range(20):
         x = sc.sample_points(rng, 1)[0]
         vx = list(rng.normal(size=2))
         vy = list(rng.normal(size=2))
-        _, norm = allowed_residual(sc.pair, sc.chart, x, vx, vy)
+        _, norm = reduce_record(allowed_forms(sc.pair, sc.chart, x, vx, vy))
         worst = max(worst, norm)
     assert worst > 1e-3  # the derivative forms detect the failure
 
@@ -112,17 +112,20 @@ def test_allowed_residual_vanishes_on_allowed_pairs(builder):
         x = sc.sample_points(rng, 1)[0]
         vx = list(rng.normal(size=dim))
         vy = list(rng.normal(size=dim))
-        max_abs, _ = allowed_residual(sc.pair, sc.chart, x, vx, vy)
+        max_abs, _ = reduce_record(allowed_forms(sc.pair, sc.chart, x, vx, vy))
         assert max_abs < 1e-10
 
 
 def test_product_norms_report_scale():
     sc = scaled_identity()  # doubled warped-torus projectors
     x = [0.4, 0.8]
-    products, defects, scale = pair_defects(sc.pair, sc.chart, x)
-    assert abs(scale - 4.0) < 1e-12  # |P1|_F = |P2|_F = 2
-    assert max(products.values()) < 1e-12
-    assert max(defects.values()) < 1e-12
+    record = check_pair(sc.pair, sc.chart, x)
+    norms = {key: ident.terms[0][2] for key, ident in record.items()}
+    defects = [norms.pop("p1"), norms.pop("p2")]  # the pair is advertised self-adjoint
+    assert all(ident.scale == record["p1"].scale for ident in record.values())
+    assert abs(record["p1"].scale - 4.0) < 1e-12  # |P1|_F = |P2|_F = 2
+    assert len(norms) == 4 and max(norms.values()) < 1e-12
+    assert max(defects) < 1e-12
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)

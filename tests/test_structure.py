@@ -244,3 +244,38 @@ def test_random_field_coefficients_read_their_building_blocks():
         & {"sin", "cos", "_sphere_coords"}
     ]
     assert offenders == []
+
+
+def _one_plus(node):
+    """True for ``1 + ...`` or ``1.0 + ...``, a residual's normalizer shape."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Add)
+        and isinstance(node.left, ast.Constant)
+        and node.left.value == 1
+    )
+
+
+def test_normalizers_live_in_the_identity_module():
+    # every normalized residual divides by the identity module's rule or one
+    # of its named variants, so a new check cannot bring an eighth
+    # normalizer.  The quadrature formula keeps its pointwise reduction, and
+    # scenarios is exempt: its metrics' conformal factors 2 / (1 + |x|^2)
+    # are not normalizers
+    exempt = {("quadrature", "integral_formula_check")}
+    offenders = []
+    for stem, tree in _modules():
+        if stem in ("identity", "scenarios"):
+            continue
+        for top in tree.body:
+            if (stem, getattr(top, "name", None)) in exempt:
+                continue
+            offenders += [
+                f"{stem}:{node.lineno}"
+                for node in ast.walk(top)
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div))
+                and _one_plus(node.right)
+                or _one_plus(node)
+                and isinstance(node.left.value, float)
+            ]
+    assert offenders == []
