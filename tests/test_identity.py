@@ -11,7 +11,11 @@ import distpair.linalg as la
 from distpair import cli, identity
 from distpair.scenarios import SCENARIOS, conformal_hopf, non_allowed_rotated
 
-BUILDERS = {**SCENARIOS, "non-allowed-rotated": non_allowed_rotated, "conformal-hopf": conformal_hopf}
+BUILDERS = {
+    **SCENARIOS,
+    "non-allowed-rotated": non_allowed_rotated,
+    "conformal-hopf": conformal_hopf,
+}
 CASES = [
     (name, check)
     for name, builder in BUILDERS.items()
