@@ -157,41 +157,30 @@ def cmd_verify(sc, checks, points, seed, tol):
     return reports
 
 
-def _integrals(sc, which, grids, seed):
-    """(max_abs, max_normalized, extra report keys, runtime_s) of one
-    quadrature check per grid, all grids evaluated in one call."""
-    if which == "stokes":
-        vec_field = random_vector_field(sc, np.random.default_rng([seed, 100]))
-        return [
-            (abs(res["integral"]), res["normalized"], {}, res["runtime_s"])
-            for res in stokes_check(sc.pair.total(), sc.chart, vec_field, *grids)
-        ]
-    out = []
-    for res in integral_formula_check(sc.pair, sc.chart, *grids):
-        degenerate = bool(res["degenerate"])
-        max_norm = res["max_pointwise_normalized"] if degenerate else res["ratio"]
-        out.append((abs(res["integral"]), max_norm, {"degenerate": degenerate}, res["runtime_s"]))
-    return out
-
-
 def cmd_integrate(sc, which, grid, seed, tol):
     """Reports of the requested grid and its coarse companion.  Each
     ``runtime_ms`` is the time its grid's chunks took, summed over the
     processes that evaluated them, plus the grid's reduction."""
     grids = (grid, sc.grid(refine_counts(grid.counts)))
+    if which == "stokes":
+        vec_field = random_vector_field(sc, np.random.default_rng([seed, 100]))
+        results = stokes_check(sc.pair.total(), sc.chart, vec_field, *grids)
+    else:
+        results = integral_formula_check(sc.pair, sc.chart, *grids)
     reports = []
-    results = _integrals(sc, which, grids, seed)
-    for grid, (max_abs, max_norm, extra, seconds) in zip(grids, results):
+    for grid, res in zip(grids, results):
         # The coarse companion exists to show convergence under
         # refinement; it passes when it meets tolerance outright or
         # when the requested grid improved on it.  A grid with every count
         # at most 2 is its own companion, and equal is no improvement.
+        max_norm = res["normalized"]
         improved = bool(reports) and reports[0]["max_normalized"] < max_norm
+        extra = {"degenerate": res["degenerate"]} if which == "formula" else {}
         extra["grid"] = ",".join(str(int(c)) for c in grid.counts)
         reports.append(
             _report(
-                sc, which, grid.total_nodes, seed, tol, max_abs, max_norm,
-                max_norm <= tol or improved, seconds, **extra,
+                sc, which, grid.total_nodes, seed, tol, abs(res["integral"]), max_norm,
+                max_norm <= tol or improved, res["runtime_s"], **extra,
             )
         )
     return reports

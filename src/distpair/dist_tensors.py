@@ -9,9 +9,9 @@ Everything here comes in two implementation styles on purpose:
   what lets towers nest;
 * a batched component engine (numpy einsum over a node axis) for the
   frame-summed invariants (second fundamental forms, integrability tensors,
-  mean curvatures, mixed scalar curvature) used by the Walczak-type residual
-  and the quadrature module (:func:`dist_invariants_batch`; its
-  one-einsum-per-formula version is a cross-check in the tests).
+  mean curvatures, mixed scalar curvature) read by :func:`formula_record`
+  (:func:`dist_invariants_batch`; its one-einsum-per-formula version is a
+  cross-check in the tests).
 
 Each identity function returns a record of its signed terms, which
 :func:`identity.reduce_record` turns into a check's residuals.
@@ -517,17 +517,18 @@ def dist_invariants_batch(chart, pair, cols):
     return out
 
 
-def formula_terms_batch(chart, pair, cols):
-    """(lhs-free) right-hand side of the divergence formula at a batch,
-    smix + |h1|^2 + |h2|^2 - |t1|^2 - |t2|^2 - |H1|^2 - |H2|^2, and its scale,
-    |smix| plus the six norms, each summed left to right."""
+def formula_record(chart, pair, cols):
+    """The right side of the divergence formula at a batch, the record
+    ``{"formula": ...}`` of its seven signed terms and no left side:
+    smix + |h1|^2 + |h2|^2 - |t1|^2 - |t2|^2 - |H1|^2 - |H2|^2.  Its scale
+    is |smix| plus the six norms, summed left to right."""
     raw = dist_invariants_batch(chart, pair, cols)
-    rhs, scale = raw["smix"], np.abs(raw["smix"])
-    for key in ("h1", "h2", "t1", "t2", "H1", "H2"):
+    terms, scale = [("smix", RHS, raw["smix"])], np.abs(raw["smix"])
+    for sign, key in (("", "h1"), ("", "h2"), ("-", "t1"), ("-", "t2"), ("-", "H1"), ("-", "H2")):
         norm = raw[f"norm_{key}"]
-        rhs = rhs + norm if key in ("h1", "h2") else rhs - norm
+        terms.append((f"{sign}norm_{key}", RHS, -norm if sign else norm))
         scale = scale + norm
-    return rhs, scale
+    return {"formula": Identity(tuple(terms), None, engine_scale, scale)}
 
 
 def mean_curvature_field(chart, pair):
@@ -561,17 +562,17 @@ def mean_curvature_field(chart, pair):
 
 
 def walczak_residual_batch(chart, pair, cols):
-    """The divergence formula at a batch of nodes: the record ``{"walczak": ...}``.
+    """The divergence formula at a batch of nodes: the record ``{"walczak": ...}``,
+    :func:`formula_record` with div_P(H1 + H2), P = P1 + P2, on the left.
 
-    Both sides are AD-exact: the left side div_P(H1 + H2), P = P1 + P2, is
-    :func:`div_p` of :func:`mean_curvature_field` on the batch, one vector
-    pass whose field nests the passes of the projected frame; the right side
-    comes from the invariants engine.
+    Both sides are AD-exact: the left side is :func:`div_p` of
+    :func:`mean_curvature_field` on the batch, one vector pass whose field
+    nests the passes of the projected frame.
     """
     lhs = div_p(pair.total(), chart, mean_curvature_field(chart, pair), cols)
-    rhs, scale = formula_terms_batch(chart, pair, cols)
-    terms = (("div_p_mean_curvature", LHS, lhs), ("invariants", RHS, rhs))
-    return {"walczak": Identity(terms, None, engine_scale, scale)}
+    (formula,) = formula_record(chart, pair, cols).values()
+    terms = (("div_p_mean_curvature", LHS, lhs), *formula.terms)
+    return {"walczak": formula._replace(terms=terms)}
 
 
 # -- frame-trace identities ----------------------------------------------------

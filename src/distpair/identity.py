@@ -42,12 +42,19 @@ def size(ident, v):
     return np.sqrt(np.maximum(la.bilinear(ident.g, v, v), 0.0))
 
 
+def side_sum(ident, side):
+    """Sum of one side's terms in record order, None if the side is empty."""
+    add = operator.add if ident.g is None else la.vec_add
+    values = [v for _, s, v in ident.terms if s == side]
+    return functools.reduce(add, values) if values else None
+
+
 def residual(ident):
-    """Per node |sum lhs - sum rhs|, each side summed in record order."""
-    add, sub = (operator.add, operator.sub) if ident.g is None else (la.vec_add, la.vec_sub)
-    lhs, rhs = ([v for _, s, v in ident.terms if s == side] for side in (LHS, RHS))
-    diff = functools.reduce(add, lhs)
-    return size(ident, sub(diff, functools.reduce(add, rhs)) if rhs else diff)
+    """Per node |sum lhs - sum rhs|, or |sum| of its one side if the other is empty."""
+    lhs, rhs = side_sum(ident, LHS), side_sum(ident, RHS)
+    if lhs is None or rhs is None:
+        return size(ident, rhs if lhs is None else lhs)
+    return size(ident, (operator.sub if ident.g is None else la.vec_sub)(lhs, rhs))
 
 
 def reduce_record(record):
@@ -86,7 +93,7 @@ def shared_routes(ident):
 
 
 def engine_scale(ident):
-    """(1 + scale) + |lhs|, the invariants engine's signed scale: its norm_*
-    terms dip below 0 (to -1.1e-15 on hopf-s3), so |term| would differ."""
-    (lhs,) = (v for _, side, v in ident.terms if side == LHS)
-    return 1.0 + ident.scale + abs(lhs)
+    """(1 + scale) + |lhs| per lhs term, the invariants engine's signed scale:
+    its norm_* terms dip below 0 (to -1.1e-15 on hopf-s3), so |term| would differ."""
+    lhs = (abs(v) for _, side, v in ident.terms if side == LHS)
+    return functools.reduce(operator.add, lhs, 1.0 + ident.scale)

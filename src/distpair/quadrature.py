@@ -43,8 +43,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg as la
-from .dist_tensors import div_p, formula_terms_batch
+from .dist_tensors import div_p, formula_record
 from .dual import Point
+from .identity import RHS, reduce_record, side_sum
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,7 @@ def _chunk_results(grids, chunk, part):
     the partials in chunk order and ``seconds`` the time its chunks took,
     summed over the processes that evaluated them.
 
-    ``part`` returns a tuple of floats.  The chunks of every grid are one
+    ``part`` returns a dict of floats.  The chunks of every grid are one
     task set, dealt by :func:`_deal` over the W workers of :func:`_workers`:
     worker 0 is this process, the others are children forked here once for
     the whole set, which send their results back over a pipe and are reaped
@@ -246,6 +247,27 @@ def _chunk_results(grids, chunk, part):
     ]
 
 
+def _per_grid(grids, chunk, part, derive):
+    """One report per grid, in order, from one chunk set: each chunk's
+    ``part(cols, wts)`` dict of floats reduced key by key in chunk order,
+    ``max_*`` keys by :func:`la.max_entry` and the rest by
+    :func:`la.pairwise_sum`, then the keys ``derive(report)`` reads off
+    those, and ``runtime_s``: the time the grid's chunks took, summed over
+    the processes that evaluated them, plus its reduction."""
+    reports = []
+    for partials, seconds in _chunk_results(grids, chunk, part):
+        t0 = time.perf_counter()
+        report = {}
+        for key in partials[0]:
+            vals = [p[key] for p in partials]
+            total = la.max_entry(*vals) if key.startswith("max_") else la.pairwise_sum(vals)
+            report[key] = float(total)
+        report.update(derive(report))
+        report["runtime_s"] = seconds + time.perf_counter() - t0
+        reports.append(report)
+    return reports
+
+
 def integrate(chart, f, grid: QuadratureGrid):
     """Integral of a scalar field over the chart with the metric volume form.
 
@@ -256,10 +278,10 @@ def integrate(chart, f, grid: QuadratureGrid):
     def part(cols, wts):
         dens = chart.jet1(cols).sqrt_det
         vals = np.broadcast_to(np.asarray(f(cols), dtype=float), wts.shape)
-        return (float(np.sum(wts * dens * vals)),)
+        return {"integral": float(np.sum(wts * dens * vals))}
 
-    ((partials, _),) = _chunk_results((grid,), _default_chunk(chart.dim), part)
-    return float(la.pairwise_sum(p for (p,) in partials))
+    (report,) = _per_grid((grid,), _default_chunk(chart.dim), part, lambda _: {})
+    return report["integral"]
 
 
 def volume(chart, grid: QuadratureGrid):
@@ -267,78 +289,54 @@ def volume(chart, grid: QuadratureGrid):
 
 
 def stokes_check(p_endo, chart, vec_field, *grids: QuadratureGrid):
-    """Integral of div_P X over a closed chart domain (should vanish), on
-    each of ``grids``: one report per grid, in order, from one chunk set.
-    ``runtime_s`` is the time the grid's chunks took, summed over the
-    processes that evaluated them, plus its reduction."""
+    """Integral of div_P X over a closed chart domain (should vanish) on
+    each of ``grids`` (:func:`_per_grid`), with the volume and
+    ``normalized`` = |integral| / volume."""
 
     def part(cols, wts):
         dens = chart.jet1(cols).sqrt_det
         vals = div_p(p_endo, chart, vec_field, cols)
-        return float(np.sum(wts * dens * vals)), float(np.sum(wts * dens))
+        return {"integral": float(np.sum(wts * dens * vals)), "volume": float(np.sum(wts * dens))}
 
-    reports = []
-    for partials, seconds in _chunk_results(grids, _default_chunk(chart.dim), part):
-        t0 = time.perf_counter()
-        int_parts, vol_parts = zip(*partials)
-        total = float(la.pairwise_sum(int_parts))
-        vol = float(la.pairwise_sum(vol_parts))
-        reports.append(
-            {
-                "integral": total,
-                "volume": vol,
-                "normalized": abs(total) / vol,
-                "runtime_s": seconds + time.perf_counter() - t0,
-            }
-        )
-    return reports
+    def derive(r):
+        return {"normalized": abs(r["integral"]) / r["volume"]}
+
+    return _per_grid(grids, _default_chunk(chart.dim), part, derive)
 
 
 def integral_formula_check(pair, chart, *grids: QuadratureGrid):
-    """Integral of the frame-summed formula terms over a closed domain, on
-    each of ``grids``: one report per grid, in order, from one chunk set.
+    """Integral of :func:`formula_record`'s right side over a closed domain,
+    on each of ``grids`` (:func:`_per_grid`).
 
     Each report has the signed integral I, the mass N = integral of
-    |integrand|, the volume, I/N, pointwise degeneracy data (an integrand
-    that vanishes identically gives a pass that must be reported as
-    degenerate) and ``runtime_s`` as in :func:`stokes_check`.
+    |integrand|, the volume, I/N and the record's pointwise reduction.  An
+    integrand that vanishes identically gives a pass that must be reported
+    as ``degenerate``; ``normalized``, the figure a grid is judged by, is
+    then the pointwise maximum, and I/N otherwise.
     """
 
     def part(cols, wts):
         dens = chart.jet1(cols).sqrt_det
-        vals, scale = formula_terms_batch(chart, pair, cols)
-        return (
-            float(np.sum(wts * dens * vals)),
-            float(np.sum(wts * dens * np.abs(vals))),
-            float(np.sum(wts * dens)),
-            float(la.max_entry(np.abs(vals))),
-            float(la.max_entry(np.abs(vals) / (1.0 + scale))),
-        )
+        record = formula_record(chart, pair, cols)
+        vals = side_sum(record["formula"], RHS)
+        max_pt, max_pt_norm = reduce_record(record)
+        return {
+            "integral": float(np.sum(wts * dens * vals)),
+            "mass": float(np.sum(wts * dens * np.abs(vals))),
+            "volume": float(np.sum(wts * dens)),
+            "max_pointwise": float(max_pt),
+            "max_pointwise_normalized": float(max_pt_norm),
+        }
 
-    reports = []
-    for partials, seconds in _chunk_results(grids, formula_chunk(chart.dim), part):
-        t0 = time.perf_counter()
-        i_parts, m_parts, v_parts, max_parts, max_norm_parts = zip(*partials)
-        total = float(la.pairwise_sum(i_parts))
-        mass = float(la.pairwise_sum(m_parts))
-        vol = float(la.pairwise_sum(v_parts))
-        max_pt = float(la.max_entry(*max_parts))
-        max_pt_norm = float(la.max_entry(*max_norm_parts))
-        reports.append(
-            {
-                "integral": total,
-                "mass": mass,
-                "volume": vol,
-                "ratio": abs(total) / mass if not mass <= 0.0 else 0.0,
-                "max_pointwise": max_pt,
-                "max_pointwise_normalized": max_pt_norm,
-                "degenerate": max_pt_norm <= 1e-9,
-                "runtime_s": seconds + time.perf_counter() - t0,
-            }
-        )
-    return reports
+    def derive(r):
+        ratio = abs(r["integral"]) / r["mass"] if not r["mass"] <= 0.0 else 0.0
+        degenerate = r["max_pointwise_normalized"] <= 1e-9
+        normalized = r["max_pointwise_normalized"] if degenerate else ratio
+        return {"ratio": ratio, "degenerate": degenerate, "normalized": normalized}
+
+    return _per_grid(grids, formula_chunk(chart.dim), part, derive)
 
 
 def refine_counts(counts):
-    """Companion (coarser) grid counts: ceil(n / 2), at least 2."""
-    return tuple(max(2, math.ceil(0.5 * c)) for c in counts)
+    """Companion (coarser) grid counts: ceil(n / 2), at least 2 but not above n."""
+    return tuple(min(c, max(2, math.ceil(0.5 * c))) for c in counts)

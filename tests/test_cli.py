@@ -181,15 +181,17 @@ def test_integrate_mode_emits_fine_and_companion_grids(capsys):
 
 
 def test_companion_on_the_requested_grid_does_not_pass_by_refinement(capsys):
-    # at --grid 2 the companion has max(2, ceil(2 / 2)) = 2 nodes per axis,
-    # the requested grid itself: no refinement took place, so the companion
-    # passes only if it meets tolerance
-    code = main(["--scenario", "warped-torus", "--which", "formula", "--grid", "2"])
-    reports = _parse_lines(capsys.readouterr().out)
-    assert code == 1
-    assert [r["grid"] for r in reports] == ["2,2", "2,2"]
-    assert reports[0]["max_normalized"] == reports[1]["max_normalized"] > reports[1]["tolerance"]
-    assert [r["pass"] for r in reports] == [False, False]
+    # at --grid 2 the companion has max(2, ceil(2 / 2)) = 2 nodes per axis
+    # and at --grid 1 it has 1, never more than requested: the requested
+    # grid itself, so no refinement took place and the companion passes
+    # only if it meets tolerance
+    for which, arg, grid in (("formula", "2", "2,2"), ("stokes", "1,1", "1,1")):
+        code = main(["--scenario", "warped-torus", "--which", which, "--grid", arg])
+        fine, coarse = _parse_lines(capsys.readouterr().out)
+        assert code == 1
+        assert fine["grid"] == coarse["grid"] == grid
+        assert fine["max_normalized"] == coarse["max_normalized"] > coarse["tolerance"]
+        assert fine["pass"] is False and coarse["pass"] is False
 
 
 def test_integrate_formula_reports_degenerate_flag(capsys):

@@ -33,7 +33,7 @@ from distpair.dist_tensors import (
     field_b2,
     field_check_b2,
     field_hat_b2,
-    formula_terms_batch,
+    formula_record,
     collapse_residual,
     curvature_term,
     mean_curvature_field,
@@ -52,7 +52,7 @@ from distpair.endo_fields import (
     allowed_forms,
     apply_endo,
 )
-from distpair.identity import reduce_record, residual
+from distpair.identity import RHS, reduce_record, residual, side_sum
 from distpair.quadrature import _chunk_nodes, formula_chunk
 from distpair.scenarios import (
     SCENARIO_NAMES,
@@ -794,7 +794,7 @@ def test_a_nan_in_a_kept_slot_fails_closed(monkeypatch, capsys, name):
     assert dt._frame_slots(partials(broken_a, cols)[0]) == slots
     assert len(slots) < sc.chart.dim
 
-    rhs, _ = formula_terms_batch(sc.chart, broken, cols)
+    rhs = side_sum(formula_record(sc.chart, broken, cols)["formula"], RHS)
     assert np.isnan(rhs[5])
     assert np.all(np.isfinite(np.delete(rhs, 5)))
 
@@ -952,7 +952,7 @@ def test_each_batch_engine_call_builds_one_real_metric_jet(monkeypatch):
         return metric_jet(chart, x)
 
     monkeypatch.setattr(cg, "_metric_jet", counting)
-    formula_terms_batch(sc.chart, sc.pair, sc.sample_columns(rng, 100))
+    formula_record(sc.chart, sc.pair, sc.sample_columns(rng, 100))
     assert len(real_jets) == 1
     real_jets.clear()
     div_p(sc.pair.total(), sc.chart, vec_field, sc.sample_columns(rng, 100))

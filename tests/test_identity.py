@@ -9,7 +9,15 @@ import pytest
 
 import distpair.linalg as la
 from distpair import cli, identity
-from distpair.scenarios import SCENARIOS, conformal_hopf, non_allowed_rotated
+from distpair.dist_tensors import formula_record
+from distpair.quadrature import _chunk_nodes, formula_chunk, integral_formula_check
+from distpair.scenarios import (
+    SCENARIOS,
+    conformal_hopf,
+    hopf_contact_s3,
+    non_allowed_rotated,
+    warped_torus,
+)
 
 BUILDERS = {
     **SCENARIOS,
@@ -47,7 +55,8 @@ def _fold(values, start=None):
 
 def _reduce(ident):
     """(residual, normalized) of one identity, written out from its terms:
-    |sum lhs - sum rhs| and that over the rule or the named variant."""
+    |sum lhs - sum rhs|, or |sum rhs| with no left side, and that over the
+    rule or the named variant."""
     if ident.g is None:
         size = np.abs
         add, sub = (lambda a, b: a + b), (lambda a, b: a - b)
@@ -56,16 +65,15 @@ def _reduce(ident):
         add, sub = la.vec_add, la.vec_sub
     lhs = [v for _, side, v in ident.terms if side == "lhs"]
     rhs = [v for _, side, v in ident.terms if side == "rhs"]
-    assert lhs and len(lhs) + len(rhs) == len(ident.terms)
-    diff = lhs[0]
-    for v in lhs[1:]:
-        diff = add(diff, v)
-    if rhs:
-        total = rhs[0]
-        for v in rhs[1:]:
-            total = add(total, v)
-        diff = sub(diff, total)
-    res = size(diff)
+    assert (lhs or rhs) and len(lhs) + len(rhs) == len(ident.terms)
+    sums = []
+    for terms in (lhs, rhs):
+        if terms:
+            total = terms[0]
+            for v in terms[1:]:
+                total = add(total, v)
+            sums.append(total)
+    res = size(sub(*sums) if len(sums) == 2 else sums[0])
     mags = [size(v) for _, _, v in ident.terms]
     denominator = {
         "rule": lambda: 1.0 + _fold(mags),
@@ -73,7 +81,7 @@ def _reduce(ident):
         "precondition": lambda: 1.0,
         "pair_size": lambda: 1.0 + ident.scale,
         "shared_routes": lambda: 1.0 + _fold(np.abs(v) for v in ident.scale),
-        "engine_scale": lambda: 1.0 + ident.scale + np.abs(lhs[0]),
+        "engine_scale": lambda: _fold((np.abs(v) for v in lhs), 1.0 + ident.scale),
     }[ident.normalizer.__name__]()
     return res, res / denominator
 
@@ -112,3 +120,23 @@ def test_runner_reports_its_records_reduction(monkeypatch, name, check):
     assert _same(triple[0], max_abs) and _same(triple[1], max_norm)
     if name == "non-allowed-rotated" and check in ("allowed", "collapse", "codazzi"):
         assert triple[1] > 1e-3  # the non-zero case: this pair is not allowed
+
+
+@pytest.mark.parametrize(
+    "builder,counts",
+    [(warped_torus, (32, 32)), (hopf_contact_s3, (8, 8, 8))],
+    ids=["warped-torus", "hopf-s3"],
+)
+def test_formula_pointwise_maxima_are_its_records_reduction(builder, counts):
+    """On a one-chunk grid the formula quadrature's pointwise maxima are,
+    bit for bit, the written-out reduction of the chunk's formula record,
+    an identity with no left side."""
+    sc = builder()
+    grid = sc.grid(counts)
+    ((cols, _),) = _chunk_nodes(grid, formula_chunk(sc.chart.dim))
+    (ident,) = formula_record(sc.chart, sc.pair, cols).values()
+    assert {side for _, side, _ in ident.terms} == {"rhs"}
+    res, norm = _reduce(ident)
+    (report,) = integral_formula_check(sc.pair, sc.chart, grid)
+    assert report["max_pointwise"] == la.max_entry(res)
+    assert report["max_pointwise_normalized"] == la.max_entry(norm)

@@ -16,7 +16,9 @@ import distpair.dual as ops
 import distpair.quadrature as quad
 from distpair import cli
 from distpair.chart_geometry import Chart, MetricError
+from distpair.dist_tensors import formula_record
 from distpair.dual import Dual
+from distpair.identity import RHS, Identity, engine_scale, side_sum
 from distpair.quadrature import (
     Axis,
     QuadratureGrid,
@@ -41,6 +43,10 @@ TWO_PI = 2.0 * math.pi
 
 # modified Bessel I0(1), for the exact warped-torus volume (2 pi)^2 I0(1)
 BESSEL_I0_1 = 1.2660658777520084
+# modified Bessel I1(1) = sum_k (1/2)^(2k+1) / (k! (k+1)!)
+BESSEL_I1_1 = math.fsum(
+    0.5 ** (2 * k + 1) / math.factorial(k) / math.factorial(k + 1) for k in range(20)
+)
 
 
 def test_periodic_rule_integrates_trig_exactly():
@@ -135,6 +141,7 @@ def test_refine_counts_halves_and_floors():
     assert refine_counts((16, 16)) == (8, 8)
     assert refine_counts((9,)) == (5,)
     assert refine_counts((3, 2)) == (2, 2)
+    assert refine_counts((1, 16)) == (1, 8)  # never finer than requested
 
 
 @pytest.mark.parametrize(
@@ -167,6 +174,37 @@ def test_integral_formula_warped_torus():
     assert not res["degenerate"]
     assert res["mass"] > 1.0  # the individual terms are genuinely nonzero
     assert res["ratio"] < 1e-6
+    assert res["normalized"] == res["ratio"]  # judged by I/N
+
+
+FORMULA_TERMS = ("smix", "norm_h1", "norm_h2", "-norm_t1", "-norm_t2", "-norm_H1", "-norm_H2")
+
+
+@pytest.mark.parametrize(
+    "builder,counts,nonzero",
+    [
+        (hopf_contact_s3, (12, 12, 12), {"smix": 4.0, "-norm_t1": -4.0}),
+        (warped_torus, (64, 64), {"norm_h2": 4.0 * BESSEL_I1_1, "-norm_H2": -4.0 * BESSEL_I1_1}),
+    ],
+    ids=["hopf-s3", "warped-torus"],
+)
+def test_formula_terms_integrate_to_their_closed_forms(builder, counts, nonzero):
+    """Each signed term of the formula record, integrated on its own, in
+    units of pi^2: on hopf-s3 the mixed scalar curvature 2 and |T1|^2 = 2
+    over the volume 2 pi^2 of S^3, on warped-torus |h2|^2 = w'^2 and
+    |H2|^2 = w'^2, w = sin u, over the density e^w; every other term is 0."""
+    sc = builder()
+    grid = sc.grid(counts)
+    cols = sc.sample_columns(np.random.default_rng(5), 2)
+    (ident,) = formula_record(sc.chart, sc.pair, cols).values()
+    assert tuple(name for name, _, _ in ident.terms) == FORMULA_TERMS
+    for k, name in enumerate(FORMULA_TERMS):
+
+        def term(cols):
+            return formula_record(sc.chart, sc.pair, cols)["formula"].terms[k][2]
+
+        got = integrate(sc.chart, term, grid)
+        assert abs(got - nonzero.get(name, 0.0) * math.pi**2) < 1e-12, name
 
 
 def test_integral_formula_degenerate_scenarios():
@@ -177,6 +215,7 @@ def test_integral_formula_degenerate_scenarios():
     h = hopf_contact_s3()
     (res,) = integral_formula_check(h.pair, h.chart, h.grid((10, 10, 10)))
     assert res["degenerate"] and res["max_pointwise_normalized"] < 1e-9
+    assert res["normalized"] == res["max_pointwise_normalized"]  # judged pointwise
 
 
 def test_formula_check_reports_nan_integrand_as_not_degenerate():
@@ -364,6 +403,11 @@ def _first_nodes(grid, chunk):
     return [tuple(float(c[0]) for c in cols) for cols, _ in _chunk_nodes(grid, chunk)]
 
 
+def _record(vals, scale):
+    """A formula record of one right-side term ``vals`` with signed scale ``scale``."""
+    return {"formula": Identity((("rhs", RHS, vals),), None, engine_scale, scale)}
+
+
 def _failing_formula(monkeypatch, grids, failing):
     """Make the formula integrand raise in the chunks ``(g, i)`` of
     ``failing``, chunk i of ``grids[g]``, with a message that names the
@@ -379,9 +423,9 @@ def _failing_formula(monkeypatch, grids, failing):
         g, i = tasks[tuple(float(c[0]) for c in cols)]
         if (g, i) in failing:
             raise ValueError(f"{'companion ' * g}chunk {i} failed")
-        return np.ones_like(cols[0]), np.zeros_like(cols[0])
+        return _record(np.ones_like(cols[0]), np.zeros_like(cols[0]))
 
-    monkeypatch.setattr(quad, "formula_terms_batch", terms)
+    monkeypatch.setattr(quad, "formula_record", terms)
 
 
 @pytest.mark.parametrize(
@@ -442,9 +486,9 @@ def test_runtime_sums_each_grids_chunks_over_the_processes(monkeypatch):
 
     def terms(_chart, _pair, cols):
         time.sleep(0.05)
-        return np.ones_like(cols[0]), np.zeros_like(cols[0])
+        return _record(np.ones_like(cols[0]), np.zeros_like(cols[0]))
 
-    monkeypatch.setattr(quad, "formula_terms_batch", terms)
+    monkeypatch.setattr(quad, "formula_record", terms)
     forks = _use_cpus(monkeypatch, 2)
     fine, coarse = integral_formula_check(sc.pair, sc.chart, sc.grid((80, 80)), sc.grid((40, 40)))
     assert len(forks) == 1
@@ -468,7 +512,7 @@ def test_an_interrupted_parent_kills_and_reaps_its_children(monkeypatch):
             raise _Interrupt
         time.sleep(60.0)
 
-    monkeypatch.setattr(quad, "formula_terms_batch", terms)
+    monkeypatch.setattr(quad, "formula_record", terms)
     forks = _use_cpus(monkeypatch, 2)
     t0 = time.monotonic()
     with pytest.raises(_Interrupt):
@@ -481,18 +525,18 @@ def test_nan_in_a_child_chunk_fails_the_formula_closed(monkeypatch, capsys):
     sc = warped_torus()
     grid = sc.grid((80, 80))
     first = _first_nodes(grid, formula_chunk(2))[1]  # chunk 1: the child's at 2 workers
-    real = quad.formula_terms_batch
+    real = quad.formula_record
     parent = os.getpid()
 
     def terms(chart, pair, cols):
-        vals, scale = real(chart, pair, cols)
+        (ident,) = real(chart, pair, cols).values()
+        vals = side_sum(ident, RHS)
         if tuple(float(c[0]) for c in cols) == first:
             assert os.getpid() != parent
-            vals = vals.copy()
             vals[7] = math.nan
-        return vals, scale
+        return _record(vals, ident.scale)
 
-    monkeypatch.setattr(quad, "formula_terms_batch", terms)
+    monkeypatch.setattr(quad, "formula_record", terms)
     forks = _use_cpus(monkeypatch, 2)
     (res,) = integral_formula_check(sc.pair, sc.chart, grid)
     assert math.isnan(res["max_pointwise"]) and math.isnan(res["integral"])
@@ -546,14 +590,14 @@ def test_runs_in_process_where_forking_is_unavailable_or_unsafe(setup, counts, m
     sc = warped_torus()
     grid = sc.grid(counts)
     want = _bits(integral_formula_check(sc.pair, sc.chart, grid))
-    real = quad.formula_terms_batch
+    real = quad.formula_record
     seen = []
 
     def terms(chart, pair, cols):
         seen.append(cols[0].size)
         return real(chart, pair, cols)
 
-    monkeypatch.setattr(quad, "formula_terms_batch", terms)
+    monkeypatch.setattr(quad, "formula_record", terms)
     _use_cpus(monkeypatch, 2)
     stop = setup(monkeypatch)
     try:

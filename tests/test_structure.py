@@ -259,23 +259,31 @@ def _one_plus(node):
 def test_normalizers_live_in_the_identity_module():
     # every normalized residual divides by the identity module's rule or one
     # of its named variants, so a new check cannot bring an eighth
-    # normalizer.  The quadrature formula keeps its pointwise reduction, and
-    # scenarios is exempt: its metrics' conformal factors 2 / (1 + |x|^2)
-    # are not normalizers
-    exempt = {("quadrature", "integral_formula_check")}
-    offenders = []
-    for stem, tree in _modules():
-        if stem in ("identity", "scenarios"):
-            continue
-        for top in tree.body:
-            if (stem, getattr(top, "name", None)) in exempt:
-                continue
-            offenders += [
-                f"{stem}:{node.lineno}"
-                for node in ast.walk(top)
-                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div))
-                and _one_plus(node.right)
-                or _one_plus(node)
-                and isinstance(node.left.value, float)
-            ]
+    # normalizer.  scenarios is exempt: its metrics' conformal factors
+    # 2 / (1 + |x|^2) are not normalizers
+    offenders = [
+        f"{stem}:{node.lineno}"
+        for stem, tree in _modules()
+        if stem not in ("identity", "scenarios")
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div))
+        and _one_plus(node.right)
+        or _one_plus(node)
+        and isinstance(node.left.value, float)
+    ]
     assert offenders == []
+
+
+def test_the_formula_record_is_the_one_consumer_of_the_invariants_engine():
+    # walczak and the formula quadrature read the engine's invariants as the
+    # signed terms of formula_record, so no second caller sums them by hand
+    callers = [
+        f"{stem}.{getattr(top, 'name', None)}"
+        for stem, tree in _modules()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and "dist_invariants_batch"
+        in {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+    ]
+    assert callers == ["dist_tensors.formula_record"]
