@@ -7,11 +7,13 @@ Everything here comes in two implementation styles on purpose:
   compatibility identities, the frame-trace left-hand sides and ``div_P``.
   A tower takes a point in any form (floats, column arrays, duals), which is
   what lets towers nest;
-* a batched component engine (numpy einsum over a node axis) for the
-  frame-summed invariants (second fundamental forms, integrability tensors,
-  mean curvatures, mixed scalar curvature) read by :func:`formula_record`
-  (:func:`dist_invariants_batch`; its one-einsum-per-formula version is a
-  cross-check in the tests).
+* a batched component engine (numpy einsum over a node axis) for the seven
+  frame-summed terms that :func:`formula_record` reads: the mixed scalar
+  curvature and the squared norms of the second fundamental forms,
+  integrability tensors and mean curvatures (:func:`dist_invariants_batch`).
+  The forms and mean curvature vectors themselves never leave it; a
+  one-einsum-per-formula version in the tests computes them, and
+  cross-checks the engine's terms and the tower :func:`mean_curvature_field`.
 
 Each identity function returns a record of its signed terms, which
 :func:`identity.reduce_record` turns into a check's residuals.
@@ -305,27 +307,27 @@ def _frame_slots(val):
 
 
 def _on_kept_slots(parts):
-    """The kept slots of a projected frame and the nested lists of its pass,
-    value first, each with its last list axis (the frame slot) cut to them;
-    the lists themselves when every slot is kept.
+    """The nested lists of a projected frame's pass, value first, each with
+    its last list axis (the frame slot) cut to the kept slots; the lists
+    themselves when every slot is kept.
 
     A structural zero has zero derivatives of every order, so a column that
     is one in the value is one in every derivative too."""
     slots = _frame_slots(parts[0])
     if len(slots) == len(parts[0][0]):
-        return slots, parts
+        return parts
 
     def take(c):
         return [take(e) for e in c] if isinstance(c[0], list) else [c[s] for s in slots]
 
-    return slots, [take(c) for c in parts]
+    return [take(c) for c in parts]
 
 
 def _frame_partials(f_field, cols, n_nodes):
-    """The kept slots of the projected frame F and, on them, F's value and
-    first partials (see :func:`_frame_slots`)."""
-    slots, (val, d) = _on_kept_slots(partials(f_field, cols))
-    return slots, la.nested_to_array(val, n_nodes), la.nested_to_array(d, n_nodes)
+    """The projected frame F's value and first partials on its kept slots
+    (see :func:`_frame_slots`)."""
+    val, d = _on_kept_slots(partials(f_field, cols))
+    return la.nested_to_array(val, n_nodes), la.nested_to_array(d, n_nodes)
 
 
 def _projected_frame(chart, p_endo):
@@ -338,24 +340,24 @@ def _projected_frame(chart, p_endo):
 
 
 def _frame_jet(a_field, cols, n_nodes):
-    """A's kept slots (see :func:`_frame_slots`) and, on them, A's value a0
-    and first partials da, and its second partials read along A:
+    """On A's kept slots (see :func:`_frame_slots`), A's value a0 and first
+    partials da, and its second partials read along A:
     a_d2a[d, k, s] = sum_i A^i_s d_d d_i A^k_s.
 
     second_partials fills d2[d][i] and d2[i][d] with one object, so a_d2a is
     also the derivative along A_s of d_d A_s.  The n^4 array of all second
     partials is freed on return."""
-    slots, (val, d, d2) = _on_kept_slots(second_partials(a_field, cols))
+    val, d, d2 = _on_kept_slots(second_partials(a_field, cols))
     a0 = la.nested_to_array(val, n_nodes)
     d2a = la.nested_to_array(d2, n_nodes)
-    return slots, a0, la.nested_to_array(d, n_nodes), np.einsum("isn,diksn->dksn", a0, d2a)
+    return a0, la.nested_to_array(d, n_nodes), np.einsum("isn,diksn->dksn", a0, d2a)
 
 
 def _along_a(chart, a_field, cols, n_nodes):
     """The second-order inputs, each read along A as soon as it is computed.
 
-    Returns A's kept slots and, on them, A's value a0, first partials da
-    and a_d2a (see :func:`_frame_jet`); then Gamma, gam_a[i, k, t] =
+    Returns A's value a0, first partials da and a_d2a on its kept slots
+    (see :func:`_frame_jet`); then Gamma, gam_a[i, k, t] =
     Gamma^k_{im} A^m_t and the partials of Gamma read along A in each slot:
     q_low[d, k, s] = A^i_s d_d Gamma^k_{im} A^m_s and q_dir[i, k, s] =
     A^d_s d_d Gamma^k_{im} A^m_s.
@@ -365,10 +367,9 @@ def _along_a(chart, a_field, cols, n_nodes):
     pass first the traced peak is the same, but the hopf-s3 formula
     invocation took about two and a half times the minor page faults."""
     gam0, dgam = _diff_field(christoffel_field(chart), cols, n_nodes)
-    slots, a0, da, a_d2a = _frame_jet(a_field, cols, n_nodes)
+    a0, da, a_d2a = _frame_jet(a_field, cols, n_nodes)
     q = np.einsum("dkimn,mtn->dkitn", dgam, a0)
     return (
-        slots,
         a0,
         da,
         a_d2a,
@@ -379,37 +380,25 @@ def _along_a(chart, a_field, cols, n_nodes):
     )
 
 
-def _all_slots(form, slots):
-    """A form on the kept frame slots as one on all n slots, 0.0 on the
-    dropped ones; form itself when none is dropped."""
-    n = form.shape[0]
-    if len(slots) == n:
-        return form
-    out = np.zeros((n, n, n, form.shape[-1]))
-    out[(slice(None),) + np.ix_(slots, slots)] = form
-    return out
-
-
 def _second_forms(g0, frames):
-    """h, T and the mean curvature vector H of each distribution, with their
-    norms.  frames holds (slots, F, cov_f, P) per distribution: the kept
-    slots of its projected frame, the frame on them, cov_f[i, k, t] =
-    (nabla_{d_i} F_t)^k and the projector onto the other one.
+    """The squared norms of h, T and the mean curvature vector H of each
+    distribution.  frames holds (F, cov_f, P) per distribution: its projected
+    frame on the kept slots, cov_f[i, k, t] = (nabla_{d_i} F_t)^k and the
+    projector onto the other one.  Each form lives on the kept slots only
+    while its norm is taken, and H is the trace of h there.
 
     A norm such as |h1|^2 is <P2 x, x> with x the unprojected form, which is
     |P2 x|^2 for an orthogonal projector and is linear in the pair."""
     out = {}
-    for i, (slots, f0, cov_f, proj) in enumerate(frames, 1):
+    for i, (f0, cov_f, proj) in enumerate(frames, 1):
         m = np.einsum("isn,iktn->kstn", f0, cov_f)  # nabla_{F_s} F_t
         for key, sign in (("h", 1.0), ("t", -1.0)):
             pre = 0.5 * (m + sign * np.swapaxes(m, 1, 2))
             form = np.einsum("kmn,mstn->kstn", proj, pre)
-            out[f"{key}{i}"] = _all_slots(form, slots)
             # <P pre, pre> summed over the frame indices s, t
             out[f"norm_{key}{i}"] = np.einsum("kstn,kln,lstn->n", form, g0, pre)
-        # the mean curvature is the trace of the form
-        hv = np.einsum("kssn->kn", out[f"h{i}"])
-        out[f"H{i}"] = hv
+            if key == "h":
+                hv = np.einsum("kssn->kn", form)
         out[f"norm_H{i}"] = np.einsum("kn,kln,ln->n", hv, g0, np.einsum("kssn->kn", m))
     return out
 
@@ -461,20 +450,22 @@ def _a_derivative_terms(gam0, gam_a, q_dir, a0, da, a_d2a, cov_a, p0, dp, b0, db
 
 
 def dist_invariants_batch(chart, pair, cols):
-    """All frame-summed invariants of the pair at a batch of nodes.
+    """The seven frame-summed terms of the integral formula at a batch of
+    nodes, one (N,) array each, keyed ``smix``, ``norm_h1``, ``norm_h2``,
+    ``norm_t1``, ``norm_t2``, ``norm_H1`` and ``norm_H2``: what
+    :func:`formula_record` reads, and nothing else.
 
     Valid for self-adjoint pairs (the curvature-type trace uses the reduced
-    form).  Returns arrays keyed by name; forms carry frame indices (s, t).
+    form).
 
     The projected frames A = P1 L and B = P2 L keep only their slots that are
     not structural zeros (:func:`_frame_slots`), so every frame-indexed
-    einsum runs over those; the forms h1, t1, h2, t2 still carry all n slots,
-    0.0 on the dropped ones.  The slots are cut from the nested lists before
-    any array is built, and not at all when every slot is kept: einsum's
-    summation order follows its operands' strides, and taking all slots of
-    the built arrays by fancy indexing moved hopf-s3 formula values by up to
-    1.8e-15.  On every scenario in the tests the outputs are bit for bit the
-    ones on all n slots.
+    einsum runs over those, and no form leaves the engine.  The slots are cut
+    from the nested lists before any array is built, and not at all when
+    every slot is kept: einsum's summation order follows its operands'
+    strides, and taking all slots of the built arrays by fancy indexing
+    moved hopf-s3 formula values by up to 1.8e-15.  On every scenario in the
+    tests the outputs are bit for bit the ones on all n slots.
 
     Each derivative index is contracted with the frame vector it is read
     along before anything is expanded, so no loop nest runs above n^4 per
@@ -491,8 +482,8 @@ def dist_invariants_batch(chart, pair, cols):
 
     # the projected frame A = P1 L, B = P2 L on their kept slots; A's value
     # and first partials come from its second-order pass
-    a_slots, a0, da, a_d2a, gam0, gam_a, q_low, q_dir = _along_a(chart, a_field, cols, n_nodes)
-    b_slots, b0, db = _frame_partials(b_field, cols, n_nodes)
+    a0, da, a_d2a, gam0, gam_a, q_low, q_dir = _along_a(chart, a_field, cols, n_nodes)
+    b0, db = _frame_partials(b_field, cols, n_nodes)
     p0, dp = _diff_field(pair.total(), cols, n_nodes)
     g0 = la.nested_to_array(chart.jet1(cols).g, n_nodes)
 
@@ -508,11 +499,11 @@ def dist_invariants_batch(chart, pair, cols):
         gam0, gam_a, q_dir, a0, da, a_d2a, cov_a, p0, dp, b0, db, g0, b_low
     )
 
-    # the forms go last, so their outputs are not held through the terms
+    # the forms go last, so p1, p2 and cov_b are not held through the terms
     p1 = la.nested_to_array(pair.p1(cols), n_nodes)
     p2 = la.nested_to_array(pair.p2(cols), n_nodes)
     cov_b = db + np.einsum("kimn,mtn->iktn", gam0, b0)
-    out = _second_forms(g0, ((a_slots, a0, cov_a, p2), (b_slots, b0, cov_b, p1)))
+    out = _second_forms(g0, ((a0, cov_a, p2), (b0, cov_b, p1)))
     out["smix"] = term1 - term2 - term3
     return out
 

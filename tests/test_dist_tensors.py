@@ -96,6 +96,9 @@ ALL_SCENARIOS = (
     "hopf-s3",
 )
 
+# the engine's outputs: the seven terms of the integral formula
+FORMULA_TERMS = ("smix", "norm_h1", "norm_h2", "norm_t1", "norm_t2", "norm_H1", "norm_H2")
+
 
 # -- structural tensors -------------------------------------------------------
 
@@ -657,8 +660,9 @@ def test_invariants_match_the_multi_operand_contractions(name):
     cols = sc.sample_columns(np.random.default_rng(93), 30)
     got = dist_invariants_batch(sc.chart, sc.pair, cols)
     want = multi_operand_invariants(sc.chart, sc.pair, cols)
-    assert got.keys() == want.keys()
-    for key, ref in want.items():
+    assert got.keys() == set(FORMULA_TERMS)
+    for key in FORMULA_TERMS:
+        ref = want[key]
         scale = float(np.max(np.abs(ref)))
         assert float(np.max(np.abs(got[key] - ref))) <= 1e-12 * (1.0 + scale), key
 
@@ -670,7 +674,7 @@ def test_invariants_do_not_depend_on_the_batch_size(name):
     sc = split_t3() if name == "split-t3" else build_scenario(name)
     pts = sc.sample_points(np.random.default_rng(91), 3)
     batch = dist_invariants_batch(sc.chart, sc.pair, point_columns(pts))
-    assert len(batch) == 13
+    assert len(batch) == 7
     for p, x in enumerate(pts):
         single = dist_invariants_batch(sc.chart, sc.pair, point_columns([x]))
         assert single.keys() == batch.keys()
@@ -683,8 +687,8 @@ def test_invariants_engine_frees_each_phase(name):
     """One engine call on the formula's first quadrature chunk holds its
     inputs, its outputs and one phase's arrays at a time.  numpy reports its
     buffers to tracemalloc, so the traced peak above the call's start is the
-    same on every run: 2.0-8.6 MB on the built-in scenarios, with each
-    projected frame on its kept slots (2.9-9.4 MB on all n slots).  An
+    same on every run: 1.5-8.6 MB on the built-in scenarios, with each
+    projected frame on its kept slots (2.7-9.4 MB on all n slots).  An
     engine that holds every phase's arrays to its end peaks at about 20 MB
     on hopf-s3, which keeps every slot, above the bound."""
     sc = build_scenario(name)
@@ -736,10 +740,9 @@ def test_dropping_structurally_zero_slots_moves_no_bit(monkeypatch, name):
     [("einstein-s3xt2", (3, 2)), ("warped-torus", (1, 1)), ("hopf-s3", (3, 3))],
 )
 def test_engine_keeps_the_structurally_non_zero_slots(monkeypatch, name, kept):
-    """A = P1 L keeps rank-many of its n slots and B = P2 L likewise; the
-    forms still carry all n slots."""
+    """A = P1 L keeps rank-many of its n slots and B = P2 L likewise; every
+    term is still one value per node."""
     sc = build_scenario(name)
-    n = sc.chart.dim
     seen = []
     frame_slots = dt._frame_slots
 
@@ -750,8 +753,8 @@ def test_engine_keeps_the_structurally_non_zero_slots(monkeypatch, name, kept):
     monkeypatch.setattr(dt, "_frame_slots", spy)
     out = dist_invariants_batch(sc.chart, sc.pair, sc.sample_columns(np.random.default_rng(97), 4))
     assert tuple(len(s) for s in seen) == kept
-    for key in ("h1", "t1", "h2", "t2"):
-        assert out[key].shape == (n, n, n, 4), key
+    for key, val in out.items():
+        assert val.shape == (4,), key
 
 
 def test_a_rank_zero_member_gives_zero_terms():
@@ -760,10 +763,10 @@ def test_a_rank_zero_member_gives_zero_terms():
     sc = warped_torus()
     pair = dataclasses.replace(sc.pair, p1=lambda _z: [[0.0, 0.0], [0.0, 0.0]])
     out = dist_invariants_batch(sc.chart, pair, sc.sample_columns(np.random.default_rng(98), 5))
-    assert len(out) == 13
-    for key in ("h1", "t1", "H1", "norm_h1", "norm_t1", "norm_H1", "smix"):
+    assert len(out) == 7
+    for key in ("norm_h1", "norm_t1", "norm_H1", "smix"):
         assert np.all(out[key] == 0.0), key
-    assert out["h1"].shape == (2, 2, 2, 5)
+        assert out[key].shape == (5,), key
 
 
 def _nan_at(field, node):
@@ -986,14 +989,15 @@ def richardson_div_p_mean_curvature(chart, pair, cols, step=1e-4):
     )
 
 
-@pytest.mark.parametrize("name", ALL_SCENARIOS)
+@pytest.mark.parametrize("name", ALL_SCENARIOS + ("split-t3",))
 def test_walczak_left_side_matches_finite_differences(name):
-    """mean_curvature_field agrees with the invariants engine's H1 + H2, and
-    walczak's AD left side with the Richardson stencil."""
-    sc = build_scenario(name)
+    """mean_curvature_field agrees with the multi-operand contractions'
+    H1 + H2, and walczak's AD left side with the Richardson stencil.  On
+    split-t3 neither mean curvature is 0."""
+    sc = split_t3() if name == "split-t3" else build_scenario(name)
     cols = sc.sample_columns(np.random.default_rng(85), 20)
     h_field = mean_curvature_field(sc.chart, sc.pair)
-    inv = dist_invariants_batch(sc.chart, sc.pair, cols)
+    inv = multi_operand_invariants(sc.chart, sc.pair, cols)
     h = la.nested_to_array(h_field(cols), 20)
     assert np.allclose(h, inv["H1"] + inv["H2"], rtol=0.0, atol=1e-12)
     ad = div_p(sc.pair.total(), sc.chart, h_field, cols)

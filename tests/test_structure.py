@@ -287,3 +287,31 @@ def test_the_formula_record_is_the_one_consumer_of_the_invariants_engine():
         in {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
     ]
     assert callers == ["dist_tensors.formula_record"]
+
+
+def test_the_invariants_engine_returns_only_what_the_formula_reads(monkeypatch):
+    # every formula chunk runs the engine, so a form or vector that only the
+    # tests read belongs to their multi-operand oracle, not to its outputs
+    import numpy as np
+
+    from distpair import dist_tensors, scenarios
+
+    read = set()
+
+    class Reads(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    engine = dist_tensors.dist_invariants_batch
+    returned = []
+
+    def spy(chart, pair, cols):
+        out = engine(chart, pair, cols)
+        returned.append(set(out))
+        return Reads(out)
+
+    monkeypatch.setattr(dist_tensors, "dist_invariants_batch", spy)
+    sc = scenarios.build_scenario("hopf-s3")
+    dist_tensors.formula_record(sc.chart, sc.pair, sc.sample_columns(np.random.default_rng(0), 3))
+    assert returned == [read]
