@@ -48,7 +48,6 @@ from .scenarios import (
     ScenarioManifold,
     build_scenario,
     conformal_hopf,
-    einstein_factor,
     einstein_s3xt2,
     flat_torus_projectors,
     hopf_contact_s3,
@@ -83,7 +82,6 @@ __all__ = [
     "div_equivalence_residuals",
     "div_p",
     "div_vector",
-    "einstein_factor",
     "einstein_s3xt2",
     "flat_torus_projectors",
     "hopf_contact_s3",

@@ -177,19 +177,12 @@ def cov_deriv_vector(chart, vec_field, x):
     n = chart.dim
     xval, jac = partials(vec_field, x)
     gamma = chart.jet1(x).gamma
-    return [
-        [
-            jac[i][k] + sum(gamma[k][i][s] * xval[s] for s in range(n))
-            for k in range(n)
-        ]
-        for i in range(n)
-    ]
+    return [[jac[i][k] + la.dot(zip(gamma[k][i], xval)) for k in range(n)] for i in range(n)]
 
 
 def div_vector(chart, vec_field, x):
     """Divergence of a vector field: the trace of its covariant derivative."""
-    cov = cov_deriv_vector(chart, vec_field, x)
-    return sum(cov[i][i] for i in range(chart.dim))
+    return la.trace(cov_deriv_vector(chart, vec_field, x))
 
 
 def div_endo(chart, endo_field, x):
@@ -201,8 +194,8 @@ def div_endo(chart, endo_field, x):
     out = []
     for j in range(n):
         v = sum(d_s[i][i][j] for i in range(n))
-        v = v + sum(gamma[i][i][l] * s_val[l][j] for i in range(n) for l in range(n))
-        v = v - sum(gamma[l][i][j] * s_val[i][l] for i in range(n) for l in range(n))
+        v = v + la.dot((gamma[i][i][l], s_val[l][j]) for i in range(n) for l in range(n))
+        v = v - la.dot((gamma[l][i][j], s_val[i][l]) for i in range(n) for l in range(n))
         out.append(v)
     return out
 
@@ -222,9 +215,10 @@ def cov_at(chart, z, direction, vec_field):
     gamma = chart.jet1(z).gamma
     res = []
     for k in range(n):
-        corr = sum(
-            gamma[k][i][j] * direction[i] * w[j] for i in range(n) for j in range(n)
-        )
+        # written out: la.bilinear regroups these products (six golden report
+        # lines move), and la.dot skipping Gamma's structural zeros hides a NaN
+        # of P2[0][0] on warped-torus from the allowed and collapse checks
+        corr = sum(gamma[k][i][j] * direction[i] * w[j] for i in range(n) for j in range(n))
         res.append(dw[k] + corr)
     return res
 
@@ -246,7 +240,7 @@ def lie_bracket(u_field, w_field):
         w = w_field(z)
         _, dw = directional(w_field, z, u)
         _, du = directional(u_field, z, w)
-        return [a - b for a, b in zip(dw, du)]
+        return la.vec_sub(dw, du)
 
     return fld
 
@@ -269,6 +263,6 @@ def frame_column_field(chart, s):
 
     def fld(z):
         frame = frame_at(chart, z)
-        return [sum(row[k] * mask for k, mask in enumerate(masks)) for row in frame]
+        return [la.dot(zip(row, masks)) for row in frame]
 
     return fld

@@ -226,9 +226,7 @@ def div_endo_gnorm(chart, endo_field, x):
     inverse metric."""
     g_inv = chart.jet1(x).g_inv
     omega = div_endo(chart, endo_field, x)
-    n = len(omega)
-    val = sum(omega[i] * g_inv[i][j] * omega[j] for i in range(n) for j in range(n))
-    return np.sqrt(np.maximum(val, 0.0))
+    return np.sqrt(np.maximum(la.bilinear(g_inv, omega, omega), 0.0))
 
 
 def div_p(p_endo, chart, vec_field, x):
@@ -240,8 +238,7 @@ def div_p(p_endo, chart, vec_field, x):
 
 def _div_p_of(q, cov):
     """sum_{m,k} Q^m_k cov[m][k] for Q and a covariant Jacobian cov."""
-    n = len(q)
-    return sum(q[m][k] * cov[m][k] for m in range(n) for k in range(n))
+    return la.dot((a, b) for q_m, cov_m in zip(q, cov) for a, b in zip(q_m, cov_m))
 
 
 def _hs_inner_of(jet, q, cov):
@@ -536,8 +533,8 @@ def mean_curvature_field(chart, pair):
         # sum_s (nabla_{F_s} F_s)^k = sum_{i,s} F^i_s (d_i F^k_s + Gamma^k_{im} F^m_s)
         ff = la.mat_mul(f0, la.transpose(f0))  # ff[i][m] = sum_s F^i_s F^m_s
         return [
-            sum(f0[i][s] * df[i][k][s] for i in range(n) for s in range(n))
-            + sum(gamma[k][i][m] * ff[i][m] for i in range(n) for m in range(n))
+            la.dot((f0[i][s], df[i][k][s]) for i in range(n) for s in range(n))
+            + la.dot((gamma[k][i][m], ff[i][m]) for i in range(n) for m in range(n))
             for k in range(n)
         ]
 
@@ -655,11 +652,11 @@ def contact_structure_residuals(phi, xi, chart, x):
     jet = chart.jet1(x)
     phi_m = phi(x)
     xi_v = xi(x)
-    eta = [sum(jet.g[i][j] * xi_v[j] for j in range(n)) for i in range(n)]
+    eta = la.mat_vec(jet.g, xi_v)
     xi_eta = [[xi_v[i] * eta[j] for j in range(n)] for i in range(n)]
     proj = la.mat_sub(la.eye(n), xi_eta)  # I - xi (x) eta
     phi_star = adjoint_matrix(jet.g, jet.g_inv, phi_m)
-    eta_phi = [sum(eta[i] * phi_m[i][j] for i in range(n)) for j in range(n)]
+    eta_phi = la.mat_vec(la.transpose(phi_m), eta)
     defects = {
         "phi_squared": frob(la.mat_add(la.mat_mul(phi_m, phi_m), proj)),
         "phi_xi": frob([la.mat_vec(phi_m, xi_v)]),
@@ -686,7 +683,7 @@ def contact_identity_residual(phi, xi, chart, vec_x, x):
     xv = xf(x)
     s_field = pp_star_field(chart, phi)
     div_s = div_endo(chart, s_field, x)
-    lhs = sum(div_s[j] * xv[j] for j in range(len(xv)))
+    lhs = la.dot(zip(div_s, xv))
     xi_v = xi(x)
     acc = la.bilinear(jet.g, cov_at(chart, x, xi_v, xi), xv)
     dv = div_vector(chart, xi, x) * la.bilinear(jet.g, xi_v, xv)

@@ -17,6 +17,13 @@ products give (a zero may differ only in its sign).  A skipped
 ``0.0 * nan`` hides no NaN: a metric is validated at real points before any
 pass, and each frame's diagonal ``v_k / |v|`` is never a structural zero, so
 a NaN entry ``P[i][k]`` still reaches column k of ``P L``.
+
+Every nested-list contraction of the package is one of these routines, so
+the product order, the structural-zero rule and the start value of a sum are
+decided here.  The one exception is the Christoffel correction of
+:func:`chart_geometry.cov_at`: :func:`bilinear` would regroup its products,
+and a :func:`dot` that skips Gamma's structural zeros would drop the
+products that carry a NaN of the pair into a tower.
 """
 
 from __future__ import annotations

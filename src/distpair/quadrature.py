@@ -70,7 +70,7 @@ class QuadratureGrid:
 
     @property
     def total_nodes(self):
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
 
 def axis_rule(axis: Axis, n: int):

@@ -255,17 +255,11 @@ def _sphere_coords(z3):
     return [q0, 2.0 * z3[0] * den, 2.0 * z3[1] * den, 2.0 * z3[2] * den]
 
 
-def einstein_factor(u):
-    """Closed form of the repeated S^3-block eigenvalue of the mixed Einstein
-    tensor for the product metric used by einstein_s3xt2 (<= 0 everywhere)."""
-    s2 = ops.sin(u) ** 2
-    c2 = ops.cos(u) ** 2
-    return -(s2 * ((c2 - 5.0) * c2 + 10.0)) / (1.0 + s2) ** 3
-
-
 def einstein_a1(u):
-    """The S^3-block coefficient of P: a smooth square root of
-    -einstein_factor.
+    """The S^3-block coefficient of P: a smooth square root of -E(u), with
+    E(u) = -sin^2 u ((cos^2 u - 5) cos^2 u + 10) / (1 + sin^2 u)^3 the
+    repeated S^3-block eigenvalue of the mixed Einstein tensor of the
+    einstein_s3xt2 metric.  The tests keep E's closed form as an oracle.
 
     It is sin(u) c(u) with c(u) = sqrt((cos^2 u - 5) cos^2 u + 10) /
     (1 + sin^2 u)^(3/2); the radicand is at least 6, so the coefficient is
@@ -380,10 +374,7 @@ def _unit_field_projectors(chart, xi):
         return [[xiv[i] * ev[j] for j in range(3)] for i in range(3)]
 
     def p1(z):
-        m = p2(z)
-        return [
-            [(1.0 if i == j else 0.0) - m[i][j] for j in range(3)] for i in range(3)
-        ]
+        return la.mat_sub(la.eye(3), p2(z))
 
     return p1, p2
 
@@ -409,8 +400,7 @@ def _hopf_scenario(name, conformal_strength=0.0):
         e1 = _s3_e1(z, _s3_half(z))
         if conformal_strength == 0.0:
             return e1
-        scale = ops.exp(-psi(z))
-        return [scale * c for c in e1]
+        return la.vec_scale(ops.exp(-psi(z)), e1)
 
     phi = _cross_product_endo(chart, xi)
     p1, p2 = _unit_field_projectors(chart, xi)

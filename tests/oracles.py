@@ -1,10 +1,12 @@
-"""Independent routes kept as test oracles.
+"""Independent routes kept as test oracles, and a test-only pair.
 
 The coordinate curvature tensors (Riemann, Ricci, scalar, Einstein and
-sectional curvature) from the Christoffel symbols, the PSD square root of a
+sectional curvature) from the Christoffel symbols, the closed form of the
+einstein-s3xt2 Einstein eigenvalue, the PSD square root of a
 metric-self-adjoint endomorphism, and all six structural tensors at once.
 No check of the package reads them; the tests compare the package's
-quantities with them.
+quantities with them.  :func:`split_t3` is a pair on which terms that are 0
+on every shipped scenario are not.
 
 Sign conventions:
 
@@ -18,11 +20,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from distpair import dual as ops
 from distpair import linalg as la
-from distpair.chart_geometry import christoffel_field
+from distpair.chart_geometry import Chart, christoffel_field
 from distpair.dist_tensors import field_b2, field_check_b2, field_hat_b2
 from distpair.dual import partials
-from distpair.endo_fields import as_field
+from distpair.endo_fields import EndoPair, as_field
+from distpair.scenarios import ScenarioManifold, _trig_basis, _trig_scalar
 
 
 def riemann_up(chart, x):
@@ -93,6 +97,14 @@ def einstein_tensor(chart, x):
     ]
 
 
+def einstein_factor(u):
+    """Closed form of the repeated S^3-block eigenvalue of the mixed Einstein
+    tensor for the product metric used by einstein_s3xt2 (<= 0 everywhere)."""
+    s2 = ops.sin(u) ** 2
+    c2 = ops.cos(u) ** 2
+    return -(s2 * ((c2 - 5.0) * c2 + 10.0)) / (1.0 + s2) ** 3
+
+
 def sectional_curvature(chart, x, u, v):
     n = chart.dim
     r4 = riemann(chart, x)
@@ -146,3 +158,37 @@ def b_tensors(pair, chart, x, vec_x, vec_y):
         for index, p, u, v in slots:
             out[f"{name}{index}"] = build(chart, p, u, v)(x)
     return out
+
+
+def split_t3(seed=3):
+    """T^3 with g = 3 I plus symmetrised trigonometric entries, P1 the
+    g-orthogonal projector onto span(d_0) and P2 = I - P1: the constant-rank
+    orthogonal case of P. Walczak, Colloq. Math. 58 (1990).  Both mean
+    curvatures have components across the other distribution, so the cross
+    terms of the frame traces are not 0 here as they are on the shipped
+    scenarios."""
+    rng = np.random.default_rng(seed)
+    bumps = {(i, j): _trig_scalar(rng, 3, 0.25) for i in range(3) for j in range(i, 3)}
+
+    def metric(z):
+        basis = _trig_basis(z)
+        return [
+            [(3.0 if i == j else 0.0) + bumps[min(i, j), max(i, j)](basis) for j in range(3)]
+            for i in range(3)
+        ]
+
+    chart = Chart("split-t3", 3, metric)
+
+    def p1(z):
+        g = chart.jet1(z).g
+        return [[g[0][j] / g[0][0] if i == 0 else 0.0 for j in range(3)] for i in range(3)]
+
+    def p2(z):
+        return la.mat_sub(la.eye(3), p1(z))
+
+    return ScenarioManifold(
+        name="split-t3",
+        chart=chart,
+        pair=EndoPair(p1=p1, p2=p2, self_adjoint=True, allowed=True),
+        kind="torus",
+    )

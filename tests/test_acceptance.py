@@ -36,12 +36,11 @@ from distpair.quadrature import refine_counts
 from distpair.scenarios import (
     SCENARIO_NAMES,
     conformal_hopf,
-    einstein_factor,
     non_allowed_rotated,
     random_scalar_field,
     random_vector_field,
 )
-from oracles import einstein_tensor, riemann
+from oracles import einstein_factor, einstein_tensor, riemann
 
 _CACHE: dict = {}
 

@@ -26,13 +26,13 @@ from distpair.chart_geometry import (
 from distpair.dual import Point, partials
 from distpair.scenarios import (
     conformal_hopf,
-    einstein_factor,
     einstein_s3xt2,
     flat_torus_projectors,
     hopf_contact_s3,
     warped_torus,
 )
 from oracles import (
+    einstein_factor,
     einstein_tensor,
     ricci,
     riemann,

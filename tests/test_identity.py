@@ -18,11 +18,13 @@ from distpair.scenarios import (
     non_allowed_rotated,
     warped_torus,
 )
+from oracles import split_t3
 
 BUILDERS = {
     **SCENARIOS,
     "non-allowed-rotated": non_allowed_rotated,
     "conformal-hopf": conformal_hopf,
+    "split-t3": split_t3,
 }
 CASES = [
     (name, check)
@@ -120,6 +122,17 @@ def test_runner_reports_its_records_reduction(monkeypatch, name, check):
     assert _same(triple[0], max_abs) and _same(triple[1], max_norm)
     if name == "non-allowed-rotated" and check in ("allowed", "collapse", "codazzi"):
         assert triple[1] > 1e-3  # the non-zero case: this pair is not allowed
+
+
+@pytest.mark.parametrize("check", [c for c in cli.CHECK_NAMES if c != "contact"])
+def test_every_runner_closes_on_split_t3(check):
+    """On split-t3 the terms that are 0 on every shipped scenario (Codazzi's
+    t2, the formula's |h1|^2, |t2|^2 and |H1|^2) are not, so a wrong sign of
+    any of them shows here.  At 6 points, seed 5, each check read at most
+    1.2e-15 normalized."""
+    _, max_norm, samples = cli.CHECK_RUNNERS[check](split_t3(), 6, 5, 1e-6)
+    assert samples == 6
+    assert max_norm <= 1e-13
 
 
 @pytest.mark.parametrize(

@@ -137,6 +137,13 @@ def test_grid_validation():
         Axis("chebyshev", 0.0, 1.0) and axis_rule(Axis("chebyshev", 0.0, 1.0), 4)
 
 
+def test_total_nodes_is_exact_beyond_int64():
+    # only builds the grid: a product of counts must not wrap at 2**63
+    grid = hopf_contact_s3().grid((2**21,) * 3)
+    assert grid.total_nodes == 2**63
+    assert hopf_contact_s3().grid((3000000,) * 3).total_nodes == 27 * 10**18
+
+
 def test_refine_counts_halves_and_floors():
     assert refine_counts((16, 16)) == (8, 8)
     assert refine_counts((9,)) == (5,)

@@ -25,7 +25,6 @@ from distpair.scenarios import (
     build_scenario,
     conformal_hopf,
     einstein_a1,
-    einstein_factor,
     einstein_s3xt2,
     flat_torus_projectors,
     hopf_contact_s3,
@@ -36,7 +35,7 @@ from distpair.scenarios import (
     scaled_identity,
     warped_torus,
 )
-from oracles import einstein_tensor, sqrt_psd
+from oracles import einstein_factor, einstein_tensor, sqrt_psd
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)

@@ -274,6 +274,35 @@ def test_normalizers_live_in_the_identity_module():
     assert offenders == []
 
 
+def _sums_of_products(node):
+    """Every builtin ``sum`` call under node whose argument is a generator
+    or list of products."""
+    for inner in ast.walk(node):
+        if (
+            isinstance(inner, ast.Call)
+            and getattr(inner.func, "id", None) == "sum"
+            and inner.args
+            and isinstance(inner.args[0], (ast.GeneratorExp, ast.ListComp))
+            and isinstance(inner.args[0].elt, ast.BinOp)
+            and isinstance(inner.args[0].elt.op, ast.Mult)
+        ):
+            yield inner
+
+
+def test_linalg_is_the_one_route_for_sums_of_products():
+    # a nested-list contraction is a linalg routine, so the product order,
+    # the structural-zero rule and the start value of a sum are decided in
+    # one module.  cov_at is the one exemption; its comment gives the reason
+    sites = [
+        f"{stem}.{getattr(top, 'name', top.lineno)}"
+        for stem, tree in _modules()
+        if stem != "linalg"
+        for top in tree.body
+        for _ in _sums_of_products(top)
+    ]
+    assert sites == ["chart_geometry.cov_at"]
+
+
 def test_the_formula_record_is_the_one_consumer_of_the_invariants_engine():
     # walczak and the formula quadrature read the engine's invariants as the
     # signed terms of formula_record, so no second caller sums them by hand
