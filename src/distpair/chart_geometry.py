@@ -34,7 +34,6 @@ class Chart:
     floats, numpy arrays and dual numbers (use the ops module for sin etc.).
     """
 
-    name: str
     dim: int
     metric: Callable[[Sequence], list]
 
@@ -213,14 +212,10 @@ def cov_at(chart, z, direction, vec_field):
     n = chart.dim
     w, dw = directional(vec_field, z, direction)
     gamma = chart.jet1(z).gamma
-    res = []
-    for k in range(n):
-        # written out: la.bilinear regroups these products (six golden report
-        # lines move), and la.dot skipping Gamma's structural zeros hides a NaN
-        # of P2[0][0] on warped-torus from the allowed and collapse checks
-        corr = sum(gamma[k][i][j] * direction[i] * w[j] for i in range(n) for j in range(n))
-        res.append(dw[k] + corr)
-    return res
+    return [
+        dw[k] + la.dot((gamma[k][i][j] * direction[i], w[j]) for i in range(n) for j in range(n))
+        for k in range(n)
+    ]
 
 
 def nabla_field(chart, dir_field, vec_field):

@@ -3,8 +3,8 @@
 Runs the pointwise identity checks or the quadrature checks on a named
 scenario and prints one JSON report line per check (NDJSON).  Exit status:
 0 when every requested check passes, 1 when any residual exceeds its
-tolerance or stdout closes before every report is written, 2 for usage
-errors.
+tolerance or a report could not be written (stdout closed or full, or the
+``--report`` file failed), 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -259,21 +259,32 @@ def main(argv=None):
     else:
         reports = cmd_verify(sc, checks, args.points, args.seed, args.tol)
 
+    # a failed write leaves some report undelivered, so the status is 1
     delivered = True
     try:
         for rep in reports:
             sys.stdout.write(json.dumps(rep) + "\n")
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed the pipe early (``distpair ... | head -1``); not
-        # every report was delivered, so the status stays 1
+    except OSError as exc:
         delivered = False
+        _write_failed("stdout", exc)
         _discard_stdout()
     if report_file is not None:
-        with report_file:
-            json.dump(reports, report_file, indent=2)
-            report_file.write("\n")
+        try:
+            with report_file:
+                json.dump(reports, report_file, indent=2)
+                report_file.write("\n")
+        except OSError as exc:
+            delivered = False
+            _write_failed(f"--report {args.report!r}", exc)
     return 0 if delivered and all(rep["pass"] for rep in reports) else 1
+
+
+def _write_failed(target, exc):
+    """Say on stderr why a write failed, unless the reader closed its pipe
+    early (``distpair ... | head -1``), which is no error of ours."""
+    if not isinstance(exc, BrokenPipeError):
+        sys.stderr.write(f"distpair: cannot write {target}: {exc.strerror}\n")
 
 
 def _discard_stdout():

@@ -303,48 +303,30 @@ def _frame_slots(val):
     return [s for s in range(len(val[0])) if not all(la.is_zero(row[s]) for row in val)]
 
 
-def _on_kept_slots(parts):
-    """The nested lists of a projected frame's pass, value first, each with
-    its last list axis (the frame slot) cut to the kept slots; the lists
-    themselves when every slot is kept.
-
-    A structural zero has zero derivatives of every order, so a column that
-    is one in the value is one in every derivative too."""
-    slots = _frame_slots(parts[0])
-    if len(slots) == len(parts[0][0]):
-        return parts
-
-    def take(c):
-        return [take(e) for e in c] if isinstance(c[0], list) else [c[s] for s in slots]
-
-    return [take(c) for c in parts]
-
-
-def _frame_partials(f_field, cols, n_nodes):
-    """The projected frame F's value and first partials on its kept slots
-    (see :func:`_frame_slots`)."""
-    val, d = _on_kept_slots(partials(f_field, cols))
-    return la.nested_to_array(val, n_nodes), la.nested_to_array(d, n_nodes)
-
-
 def _projected_frame(chart, p_endo):
-    """Field z -> P L, the orthonormal frame L = frame_at projected by P."""
+    """Field z -> P L, the orthonormal frame L = frame_at projected by P, on
+    its kept slots (see :func:`_frame_slots`).  A structural zero has zero
+    derivatives of every order, so every pass of the field keeps the slots
+    of its value."""
 
     def fld(z):
-        return la.mat_mul(p_endo(z), frame_at(chart, z))
+        frame = la.mat_mul(p_endo(z), frame_at(chart, z))
+        slots = _frame_slots(frame)
+        if len(slots) == len(frame[0]):
+            return frame
+        return [[row[s] for s in slots] for row in frame]
 
     return fld
 
 
 def _frame_jet(a_field, cols, n_nodes):
-    """On A's kept slots (see :func:`_frame_slots`), A's value a0 and first
-    partials da, and its second partials read along A:
-    a_d2a[d, k, s] = sum_i A^i_s d_d d_i A^k_s.
+    """A's value a0 and first partials da, and its second partials read
+    along A: a_d2a[d, k, s] = sum_i A^i_s d_d d_i A^k_s.
 
     second_partials fills d2[d][i] and d2[i][d] with one object, so a_d2a is
     also the derivative along A_s of d_d A_s.  The n^4 array of all second
     partials is freed on return."""
-    val, d, d2 = _on_kept_slots(second_partials(a_field, cols))
+    val, d, d2 = second_partials(a_field, cols)
     a0 = la.nested_to_array(val, n_nodes)
     d2a = la.nested_to_array(d2, n_nodes)
     return a0, la.nested_to_array(d, n_nodes), np.einsum("isn,diksn->dksn", a0, d2a)
@@ -353,8 +335,8 @@ def _frame_jet(a_field, cols, n_nodes):
 def _along_a(chart, a_field, cols, n_nodes):
     """The second-order inputs, each read along A as soon as it is computed.
 
-    Returns A's value a0, first partials da and a_d2a on its kept slots
-    (see :func:`_frame_jet`); then Gamma, gam_a[i, k, t] =
+    Returns A's value a0, first partials da and a_d2a (see
+    :func:`_frame_jet`); then Gamma, gam_a[i, k, t] =
     Gamma^k_{im} A^m_t and the partials of Gamma read along A in each slot:
     q_low[d, k, s] = A^i_s d_d Gamma^k_{im} A^m_s and q_dir[i, k, s] =
     A^d_s d_d Gamma^k_{im} A^m_s.
@@ -455,14 +437,11 @@ def dist_invariants_batch(chart, pair, cols):
     Valid for self-adjoint pairs (the curvature-type trace uses the reduced
     form).
 
-    The projected frames A = P1 L and B = P2 L keep only their slots that are
-    not structural zeros (:func:`_frame_slots`), so every frame-indexed
-    einsum runs over those, and no form leaves the engine.  The slots are cut
-    from the nested lists before any array is built, and not at all when
-    every slot is kept: einsum's summation order follows its operands'
-    strides, and taking all slots of the built arrays by fancy indexing
-    moved hopf-s3 formula values by up to 1.8e-15.  On every scenario in the
-    tests the outputs are bit for bit the ones on all n slots.
+    The projected frame fields A = P1 L and B = P2 L cut their own slots
+    (:func:`_projected_frame`), so every frame-indexed einsum runs over the
+    kept slots only, no pass output is cut afterwards, and no form leaves the
+    engine.  On every scenario in the tests the outputs are bit for bit the
+    ones on all n slots.
 
     Each derivative index is contracted with the frame vector it is read
     along before anything is expanded, so no loop nest runs above n^4 per
@@ -477,10 +456,9 @@ def dist_invariants_batch(chart, pair, cols):
     n_nodes = cols[0].shape[0]
     a_field, b_field = _projected_frame(chart, pair.p1), _projected_frame(chart, pair.p2)
 
-    # the projected frame A = P1 L, B = P2 L on their kept slots; A's value
-    # and first partials come from its second-order pass
+    # A's value and first partials come from its second-order pass
     a0, da, a_d2a, gam0, gam_a, q_low, q_dir = _along_a(chart, a_field, cols, n_nodes)
-    b0, db = _frame_partials(b_field, cols, n_nodes)
+    b0, db = _diff_field(b_field, cols, n_nodes)
     p0, dp = _diff_field(pair.total(), cols, n_nodes)
     g0 = la.nested_to_array(chart.jet1(cols).g, n_nodes)
 
@@ -531,9 +509,11 @@ def mean_curvature_field(chart, pair):
 
     def trace_cov(f0, df, gamma):
         # sum_s (nabla_{F_s} F_s)^k = sum_{i,s} F^i_s (d_i F^k_s + Gamma^k_{im} F^m_s)
-        ff = la.mat_mul(f0, la.transpose(f0))  # ff[i][m] = sum_s F^i_s F^m_s
+        # over F's kept slots; ff[i][m] = sum_s F^i_s F^m_s, written as dots
+        # of rows since a member that keeps no slot has no transpose
+        ff = [[la.dot(zip(fi, fm)) for fm in f0] for fi in f0]
         return [
-            la.dot((f0[i][s], df[i][k][s]) for i in range(n) for s in range(n))
+            la.dot((f0[i][s], df[i][k][s]) for i in range(n) for s in range(len(f0[i])))
             + la.dot((gamma[k][i][m], ff[i][m]) for i in range(n) for m in range(n))
             for k in range(n)
         ]

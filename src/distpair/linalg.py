@@ -20,10 +20,8 @@ a NaN entry ``P[i][k]`` still reaches column k of ``P L``.
 
 Every nested-list contraction of the package is one of these routines, so
 the product order, the structural-zero rule and the start value of a sum are
-decided here.  The one exception is the Christoffel correction of
-:func:`chart_geometry.cov_at`: :func:`bilinear` would regroup its products,
-and a :func:`dot` that skips Gamma's structural zeros would drop the
-products that carry a NaN of the pair into a tower.
+decided here.  :func:`chart_geometry.cov_at` forms Gamma^k_ij u^i before
+:func:`dot` sees it, which is why a NaN of the pair still reaches the tower.
 """
 
 from __future__ import annotations

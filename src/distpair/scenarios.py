@@ -143,7 +143,7 @@ def _coordinate_torus(name, metric, **fields):
     )
     return ScenarioManifold(
         name=name,
-        chart=Chart(name=name, dim=2, metric=metric),
+        chart=Chart(dim=2, metric=metric),
         pair=pair,
         kind="torus",
         **fields,
@@ -306,7 +306,7 @@ def einstein_s3xt2():
         row = lambda i, v: [v if j == i else 0.0 for j in range(dim)]
         return [row(0, lam2), row(1, lam2), row(2, lam2), row(3, tu), row(4, tu)]
 
-    chart = Chart(name="einstein-s3xt2", dim=dim, metric=metric)
+    chart = Chart(dim=dim, metric=metric)
 
     def p1(z):
         a = einstein_a1(z[3])
@@ -394,7 +394,7 @@ def _hopf_scenario(name, conformal_strength=0.0):
             [0.0, 0.0, f],
         ]
 
-    chart = Chart(name=name, dim=3, metric=metric)
+    chart = Chart(dim=3, metric=metric)
 
     def xi(z):
         e1 = _s3_e1(z, _s3_half(z))

@@ -177,7 +177,7 @@ def split_t3(seed=3):
             for i in range(3)
         ]
 
-    chart = Chart("split-t3", 3, metric)
+    chart = Chart(3, metric)
 
     def p1(z):
         g = chart.jet1(z).g

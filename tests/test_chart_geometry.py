@@ -50,11 +50,7 @@ def _conformal_torus():
         f = 1.0 + ops.sin(z[0]) ** 2
         return [[f, 0.0], [0.0, f]]
 
-    return Chart(
-        name="conformal-torus",
-        dim=2,
-        metric=metric,
-    )
+    return Chart(dim=2, metric=metric)
 
 
 def test_christoffel_closed_form_on_conformal_torus():
@@ -297,11 +293,7 @@ def test_metric_validation_rejects_non_spd():
     def bad(z):
         return [[1.0, 2.0], [2.0, 1.0]]
 
-    chart = Chart(
-        name="bad",
-        dim=2,
-        metric=bad,
-    )
+    chart = Chart(dim=2, metric=bad)
     with pytest.raises(MetricError):
         chart.jet1([0.5, 0.5])
     # batched real nodes are validated too, not passed to the LU as NaN
@@ -320,11 +312,7 @@ def test_metric_validation_rejects_non_spd():
     ],
 )
 def test_metric_validation_names_first_bad_node(metric, what):
-    chart = Chart(
-        name="bad-at-one-node",
-        dim=2,
-        metric=metric,
-    )
+    chart = Chart(dim=2, metric=metric)
     # node 0 is fine, nodes 1 and 2 are not
     cols = [np.array([0.25, 0.75, 0.9]), 0.5]
     with pytest.raises(MetricError, match=f"not {what} at node 1, x = \\[0.75, 0.5\\]"):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -84,15 +86,15 @@ def test_contact_max_abs_reads_both_unnormalized_residuals(monkeypatch, capsys):
         # one term ``value``, normalized to ``normalized`` (up to rounding)
         return Identity((("term", LHS, value),), None, lambda _ident: value / normalized, None)
 
-    values = {
-        "hopf-s3": {"plus": fixed(1e-15, 1e-16)},
-        "hopf-s3-conformal": {"plus": fixed(5e-15, 2e-16)},
-    }
+    conf = cli.conformal_hopf()
     minus = {"minus": fixed(1e-3, 1.0)}
 
     def residual(phi, xi, chart, vx, cols):
-        return {**values[chart.name], **minus}
+        # the rescale's chart is the prebuilt one; hopf-s3's is any other
+        plus = fixed(5e-15, 2e-16) if chart is conf.chart else fixed(1e-15, 1e-16)
+        return {"plus": plus, **minus}
 
+    monkeypatch.setattr(cli, "conformal_hopf", lambda: conf)
     monkeypatch.setattr(cli, "contact_structure_residuals", lambda *args: {})
     monkeypatch.setattr(cli, "contact_identity_residual", residual)
     max_abs, max_norm, _ = cli.run_contact(build_scenario("hopf-s3"), 4, 42, 1e-6)
@@ -292,6 +294,37 @@ def test_closed_pipe_exits_1_without_a_traceback(child_env, tmp_path):
     assert proc.wait() == 1
     assert stderr == ""
     (report,) = json.loads(target.read_text())
+    assert report["check"] == "pair" and report["pass"] is True
+
+
+FULL = "/dev/full"
+NO_SPACE = os.strerror(errno.ENOSPC)
+needs_dev_full = pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL}")
+PAIR_CHECK = ["-m", "distpair.cli", "--scenario", "flat-torus", "--check", "pair", "--points", "2"]
+
+
+@needs_dev_full
+def test_a_full_stdout_exits_1_without_a_traceback(child_env):
+    with open(FULL, "w") as full:
+        proc = subprocess.run(
+            [sys.executable, *PAIR_CHECK], stdout=full, stderr=subprocess.PIPE, text=True,
+            env=child_env(),
+        )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"distpair: cannot write stdout: {NO_SPACE}\n"
+
+
+@needs_dev_full
+def test_a_full_report_file_exits_1_without_a_traceback(child_env):
+    proc = subprocess.run(
+        [sys.executable, *PAIR_CHECK, "--report", FULL], capture_output=True, text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"distpair: cannot write --report '{FULL}': {NO_SPACE}\n"
+    (report,) = _parse_lines(proc.stdout)
     assert report["check"] == "pair" and report["pass"] is True
 
 

@@ -718,18 +718,28 @@ def coordinate_t3():
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES + ("split-t3", "coordinate-t3"))
 def test_dropping_structurally_zero_slots_moves_no_bit(monkeypatch, name):
-    """The engine on the kept frame slots gives every key bit for bit as
-    the engine on all n slots: the dropped columns are exact zeros."""
+    """The engine, and walczak through the mean curvature field, on the kept
+    frame slots give every key and term bit for bit as on all n slots: the
+    dropped columns are exact zeros."""
     builders = {"split-t3": split_t3, "coordinate-t3": coordinate_t3}
     sc = builders[name]() if name in builders else build_scenario(name)
     cols = sc.sample_columns(np.random.default_rng(96), 40)
-    pruned = dist_invariants_batch(sc.chart, sc.pair, cols)
+
+    def run():
+        terms = walczak_residual_batch(sc.chart, sc.pair, cols)["walczak"].terms
+        return dist_invariants_batch(sc.chart, sc.pair, cols), terms
+
+    pruned, pruned_terms = run()
     monkeypatch.setattr(dt, "_frame_slots", lambda val: list(range(len(val[0]))))
-    full = dist_invariants_batch(sc.chart, sc.pair, cols)
+    full, full_terms = run()
     assert pruned.keys() == full.keys()
     for key, val in full.items():
         assert pruned[key].shape == val.shape, key
         assert pruned[key].tobytes() == val.tobytes(), key
+    assert [t[:2] for t in pruned_terms] == [t[:2] for t in full_terms]
+    for (key, _, got), (_, _, want) in zip(pruned_terms, full_terms):
+        assert type(got) is type(want), key
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), key
 
 
 @pytest.mark.parametrize(
@@ -756,14 +766,19 @@ def test_engine_keeps_the_structurally_non_zero_slots(monkeypatch, name, kept):
 
 def test_a_rank_zero_member_gives_zero_terms():
     """A member that is a structural zero everywhere keeps no slot: its
-    terms come from size-0 contractions as finite zeros."""
+    terms come from size-0 contractions as finite zeros, and walczak's mean
+    curvature field sums over no slot of it."""
     sc = warped_torus()
     pair = dataclasses.replace(sc.pair, p1=lambda _z: [[0.0, 0.0], [0.0, 0.0]])
-    out = dist_invariants_batch(sc.chart, pair, sc.sample_columns(np.random.default_rng(98), 5))
+    cols = sc.sample_columns(np.random.default_rng(98), 5)
+    out = dist_invariants_batch(sc.chart, pair, cols)
     assert len(out) == 7
     for key in ("norm_h1", "norm_t1", "norm_H1", "smix"):
         assert np.all(out[key] == 0.0), key
         assert out[key].shape == (5,), key
+    assert mean_curvature_field(sc.chart, pair)(cols) == [0.0, 0.0]
+    for key, _, value in walczak_residual_batch(sc.chart, pair, cols)["walczak"].terms:
+        assert np.all(np.isfinite(value)), key
 
 
 def _nan_at(field, node):
@@ -789,9 +804,10 @@ def test_a_nan_in_a_kept_slot_fails_closed(monkeypatch, capsys, name):
     cols, _ = next(_chunk_nodes(sc.grid(grid_counts), chunk))
     node = [float(c[5]) for c in cols]
     broken = dataclasses.replace(sc.pair, p1=_nan_at(sc.pair.p1, node))
-    a_field, broken_a = (dt._projected_frame(sc.chart, p.p1) for p in (sc.pair, broken))
-    slots = dt._frame_slots(partials(a_field, cols)[0])
-    assert dt._frame_slots(partials(broken_a, cols)[0]) == slots
+    # the frame field cuts its own slots, so they are read off the uncut P1 L
+    frame = cg.frame_at(sc.chart, cols)
+    slots = dt._frame_slots(la.mat_mul(sc.pair.p1(cols), frame))
+    assert dt._frame_slots(la.mat_mul(broken.p1(cols), frame)) == slots
     assert len(slots) < sc.chart.dim
 
     rhs = side_sum(formula_record(sc.chart, broken, cols)["formula"], RHS)

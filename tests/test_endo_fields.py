@@ -36,11 +36,7 @@ def test_adjoint_closed_form():
 
     from distpair.chart_geometry import Chart
 
-    chart = Chart(
-        name="aniso",
-        dim=2,
-        metric=metric,
-    )
+    chart = Chart(dim=2, metric=metric)
     ps = adjoint_field(chart, P)([0.2, 0.3])
     assert np.allclose(np.array(ps), [[0.0, 0.0], [0.25, 0.0]], atol=1e-15)
 

@@ -9,6 +9,13 @@ To rebuild the file after an intended change of output, run
     PYTHONPATH=src python tests/test_golden_cli.py
 
 and explain the change in the commit that updates it.
+
+A change meant to keep every output bit is checked on a wider set than the
+golden file, :data:`SWEEP` (46 invocations).  Run
+
+    PYTHONPATH=src python tests/test_golden_cli.py --sweep > out.ndjson
+
+on both checkouts and compare the two files with ``cmp``.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import io
 import re
+import sys
 from pathlib import Path
 
 from distpair.cli import main
@@ -37,10 +45,40 @@ INVOCATIONS = (
 )
 
 
-def golden_text():
-    """Concatenated NDJSON of all invocations, ``runtime_ms`` set to 0."""
+def _sweep():
+    """Every scenario's pointwise checks at seeds 42, 101 and 5 (13 points),
+    at seed 5 (6 points) and at seed 3 (40 points), all at tolerance 1e-12,
+    with einstein-s3xt2 at 8 points in place of 13 and 40; hopf-s3's contact
+    check at 40 points; and formula and stokes on every scenario at seeds 5
+    and 42."""
+    grids = {  # scenario: (formula grid, stokes grid)
+        "flat-torus": ("8", "8"),
+        "scaled-identity": ("16", "12"),
+        "warped-torus": ("32", "16"),
+        "einstein-s3xt2": ("4,4,4,3,3", "4"),
+        "hopf-s3": ("8", "8"),
+    }
+    runs = []
+    for name in grids:
+        for points, seed in (("13", "42"), ("13", "101"), ("13", "5"), ("6", "5"), ("40", "3")):
+            if name == "einstein-s3xt2" and points != "6":
+                points = "8"
+            runs.append(["--scenario", name, "--points", points, "--seed", seed, "--tol", "1e-12"])
+    runs.append(["--scenario", "hopf-s3", "--check", "contact", "--points", "40"])
+    for name, (formula, stokes) in grids.items():
+        for seed in ("5", "42"):
+            runs.append(["--scenario", name, "--which", "formula", "--grid", formula, "--seed", seed])
+            runs.append(["--scenario", name, "--which", "stokes", "--grid", stokes, "--seed", seed])
+    return tuple(runs)
+
+
+SWEEP = _sweep()
+
+
+def golden_text(invocations=INVOCATIONS):
+    """Concatenated NDJSON of the invocations, ``runtime_ms`` set to 0."""
     chunks = []
-    for argv in INVOCATIONS:
+    for argv in invocations:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             main(argv)
@@ -57,5 +95,8 @@ def test_cli_reports_match_golden_file():
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(golden_text())
+    if sys.argv[1:] == ["--sweep"]:
+        sys.stdout.write(golden_text(SWEEP))
+    else:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(golden_text())

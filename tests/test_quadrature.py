@@ -99,7 +99,7 @@ def test_volume_runs_no_derivative_pass_and_validates_the_metric(monkeypatch):
     def metric(z):
         return [[1.0, 2.0 * z[0]], [2.0 * z[0], 1.0]]
 
-    bad = Chart("bad", 2, metric)
+    bad = Chart(2, metric)
     grid = QuadratureGrid((Axis("legendre", 0.0, 1.0),) * 2, (4, 4))
     with pytest.raises(MetricError, match="not positive definite"):
         volume(bad, grid)

@@ -292,7 +292,7 @@ def _sums_of_products(node):
 def test_linalg_is_the_one_route_for_sums_of_products():
     # a nested-list contraction is a linalg routine, so the product order,
     # the structural-zero rule and the start value of a sum are decided in
-    # one module.  cov_at is the one exemption; its comment gives the reason
+    # one module
     sites = [
         f"{stem}.{getattr(top, 'name', top.lineno)}"
         for stem, tree in _modules()
@@ -300,7 +300,7 @@ def test_linalg_is_the_one_route_for_sums_of_products():
         for top in tree.body
         for _ in _sums_of_products(top)
     ]
-    assert sites == ["chart_geometry.cov_at"]
+    assert sites == []
 
 
 def test_the_formula_record_is_the_one_consumer_of_the_invariants_engine():
